@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import enum
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 
 from . import crypto_suite as cs
@@ -37,6 +39,7 @@ __all__ = [
     "Rejected",
     "VerifyOutcome",
     "build_hijacked_rand",
+    "build_hijacked_rands",
     "decompose_rand",
     "verify_hijacked_rand",
     "legacy_response",
@@ -85,9 +88,6 @@ class HijackedRandLayout:
     mac: bytes
     ak: bytes
 
-    def rand(self) -> bytes:
-        return cs.xor_bytes(pack_amf_sqn(self.amf, self.sqn), self.ak) + self.mac
-
 
 @dataclass(frozen=True)
 class AuthTriple:
@@ -126,11 +126,36 @@ class Rejected:
 VerifyOutcome = Accepted | Rejected
 
 
+def build_hijacked_rands(ka: bytes, amf: int, first_sqn: int, n: int) -> bytes:
+    """The n challenges for sqn = first_sqn, ..., first_sqn + n - 1, concatenated.
+
+    One f1 call tags all n AMF || SQN messages and one f5 call masks them.
+    """
+    check_amf16(amf)
+    check_sqn48(first_sqn)
+    if not isinstance(n, int) or n < 1:
+        raise MalformedInputError(f"challenge count must be >= 1, got {n!r}")
+    check_sqn48(first_sqn + n - 1)
+    first = (amf << 48) | first_sqn
+    words = array("Q", range(first, first + n))
+    if sys.byteorder == "little":
+        words.byteswap()  # wire order: big-endian AMF || SQN
+    msgs = words.tobytes()
+    macs = cs.f1_macs(ka, msgs)
+    return cs.join_halves(cs.xor_bytes(msgs, cs.f5_masks(ka, macs)), macs)
+
+
 def build_hijacked_rand(ka: bytes, amf: int, sqn: int) -> bytes:
     """Encode (amf, sqn) into a challenge indistinguishable from random."""
-    mac = cs.f1_mac(ka, pack_amf_sqn(amf, sqn))
-    ak = cs.f5_mask(ka, mac)
-    return cs.xor_bytes(pack_amf_sqn(amf, sqn), ak) + mac
+    return build_hijacked_rands(ka, amf, sqn, 1)
+
+
+def _check_rand(rand: bytes) -> bytes:
+    if not isinstance(rand, (bytes, bytearray)):
+        raise MalformedInputError(f"rand must be bytes, got {type(rand).__name__}")
+    if len(rand) != cs.RAND_LEN:
+        raise MalformedInputError(f"rand must be {cs.RAND_LEN} octets, got {len(rand)}")
+    return rand
 
 
 def decompose_rand(ka: bytes, rand: bytes) -> HijackedRandLayout:
@@ -139,8 +164,7 @@ def decompose_rand(ka: bytes, rand: bytes) -> HijackedRandLayout:
     Performs no authenticity or freshness check; on a challenge that was
     not built under this ka the recovered fields are garbage.
     """
-    if len(rand) != cs.RAND_LEN:
-        raise MalformedInputError(f"rand must be {cs.RAND_LEN} octets, got {len(rand)}")
+    rand = _check_rand(rand)
     masked, mac = rand[:8], rand[8:]
     ak = cs.f5_mask(ka, mac)
     amf, sqn = unpack_amf_sqn(cs.xor_bytes(masked, ak))
@@ -191,7 +215,7 @@ def verify_hijacked_rand(
 
 def legacy_response(ki: bytes, rand: bytes) -> tuple[bytes, bytes]:
     """The unmodified challenge response: (SRES, Kc) over the full RAND."""
-    return cs.a3_sres(ki, rand), cs.a8_kc(ki, rand)
+    return cs.a3a8_batch(ki, _check_rand(rand))
 
 
 def generate_triples(
@@ -214,12 +238,17 @@ def generate_triples(
         raise CounterOverflowError(
             f"issuing {n} triples from counter {counter} would exceed 2^48 - 1"
         )
-    triples = []
-    for i in range(1, n + 1):
-        sqn = counter + i
-        rand = build_hijacked_rand(ka, amf, sqn)
-        xres, kc = legacy_response(ki, rand)
-        triples.append(AuthTriple(rand=rand, xres=xres, kc=kc, sqn_hint=sqn))
+    rands = build_hijacked_rands(ka, amf, counter + 1, n)
+    xres, kc = cs.a3a8_batch(ki, rands)
+    triples = [
+        AuthTriple(
+            rand=rands[16 * i : 16 * i + 16],
+            xres=xres[8 * i : 8 * i + 8],
+            kc=kc[8 * i : 8 * i + 8],
+            sqn_hint=counter + 1 + i,
+        )
+        for i in range(n)
+    ]
     return triples, counter + n
 
 

@@ -33,6 +33,8 @@ EXIT_USAGE = 64
 
 RAND_STATS_MIN_N = 10_000
 RAND_STATS_SIGMA_BOUND = 4.0
+# challenges built per AES batch; bounds the transient buffers at any n
+_RAND_STATS_CHUNK = 4096
 
 _VECTOR_OPS = (
     "f1_mac",
@@ -119,13 +121,14 @@ def rand_bit_stats(n: int, seed: int) -> dict:
     smoke test: each of the 128 positions must sit within 4 sigma of n/2.
     """
     rng = random.Random(f"rand-stats/{seed}")
-    ka = rng.randbytes(cs.KEY_LEN)
+    ka = cs.Key128(rng.randbytes(cs.KEY_LEN))
     amf = 0
     histograms = [Counter() for _ in range(cs.RAND_LEN)]
-    for sqn in range(1, n + 1):
-        rand = auth_core.build_hijacked_rand(ka, amf, sqn)
-        for pos in range(cs.RAND_LEN):
-            histograms[pos][rand[pos]] += 1
+    for first in range(1, n + 1, _RAND_STATS_CHUNK):
+        count = min(_RAND_STATS_CHUNK, n + 1 - first)
+        rands = auth_core.build_hijacked_rands(ka, amf, first, count)
+        for pos, histogram in enumerate(histograms):
+            histogram.update(rands[pos :: cs.RAND_LEN])
 
     counts = []
     for pos in range(cs.RAND_LEN):

@@ -15,9 +15,13 @@ broken -- its frame-0 keystream starts with Kc itself and repeats with an
 
 Byte strings are used directly for keys, tags and challenges:
 
-    Key128 -- 16 octets (Ki, Ka, master keys)
+    Key128 -- 16 octets (Ki, Ka, master keys); a bytes subclass that keeps
+              its AES context after first use
     Tag64  -- 8 octets (MAC, AK, SRES, Kc)
     Rand128 -- 16 octets (the challenge)
+
+Every AES use is one ECB update() over a whole buffer of blocks: a frame's
+keystream, the f1 or f5 tags of a batch, the A3/A8 pairs of a batch.
 
 All functions validate lengths and raise MalformedInputError on violation.
 Everything is a pure function of its arguments.
@@ -26,6 +30,7 @@ Everything is a pure function of its arguments.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,11 +44,17 @@ __all__ = [
     "RAND_LEN",
     "CipherAlgId",
     "KeystreamBlock",
+    "Key128",
+    "check_imsi",
     "xor_bytes",
+    "join_halves",
     "f1_mac",
     "f5_mask",
+    "f1_macs",
+    "f5_masks",
     "a3_sres",
     "a8_kc",
+    "a3a8_batch",
     "a5_keystream",
     "derive_subscriber_keys",
     "parse_vector_line",
@@ -55,13 +66,16 @@ KEY_LEN = 16
 TAG_LEN = 8
 RAND_LEN = 16
 
-# single-octet domain separation tags for the AES truncations
-_TAG_F1 = 0x01
-_TAG_F5 = 0x05
+# single-octet domain separation tags for the AES truncations; an 8-octet
+# f1/f5 input v is encrypted as the block v || pad
+_PAD_F1 = bytes(7) + bytes([0x01])
+_PAD_F5 = bytes(7) + bytes([0x05])
 _C3 = bytes([0x33]) * 16
 _C8 = bytes([0x88]) * 16
-_TAG_DERIVE_KI = 0x4B
-_TAG_DERIVE_KA = 0x4A
+_TAG_DERIVE_KI = bytes([0x4B])
+_TAG_DERIVE_KA = bytes([0x4A])
+# big-endian block counters of the A5/1 and A5/3 keystream, up to 4 KiB
+_COUNTERS = tuple(i.to_bytes(4, "big") for i in range(256))
 
 
 class CipherAlgId(enum.Enum):
@@ -85,18 +99,53 @@ class KeystreamBlock:
     frame_index: int
 
 
-def _check_len(name: str, value: bytes, expected: int) -> bytes:
+def _check_bytes(name: str, value: bytes) -> bytes:
     if not isinstance(value, (bytes, bytearray)):
         raise MalformedInputError(f"{name} must be bytes, got {type(value).__name__}")
-    if len(value) != expected:
+    return value
+
+
+def _check_len(name: str, value: bytes, expected: int) -> bytes:
+    if len(_check_bytes(name, value)) != expected:
         raise MalformedInputError(f"{name} must be {expected} octets, got {len(value)}")
     return bytes(value)
+
+
+def _count_items(name: str, value: bytes, width: int) -> int:
+    """Number of `width`-octet items in a non-empty buffer of whole items."""
+    if not _check_bytes(name, value) or len(value) % width:
+        raise MalformedInputError(
+            f"{name} must be a non-empty multiple of {width} octets, got {len(value)}"
+        )
+    return len(value) // width
+
+
+def check_imsi(imsi: str) -> str:
+    """An IMSI is exactly 15 ASCII decimal digits."""
+    if not (isinstance(imsi, str) and len(imsi) == 15 and imsi.isascii() and imsi.isdigit()):
+        raise MalformedInputError(f"imsi must be 15 decimal digits, got {imsi!r}")
+    return imsi
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise MalformedInputError(f"xor of unequal lengths {len(a)} != {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def join_halves(left: bytes, right: bytes) -> bytes:
+    """16-octet blocks whose i-th is the i-th 8-octet word of left || of right."""
+    if len(right) != TAG_LEN * _count_items("left", left, TAG_LEN):
+        raise MalformedInputError(f"right must be {len(left)} octets, got {len(right)}")
+    words = array("Q", bytes(2 * len(left)))
+    words[0::2] = array("Q", left)
+    words[1::2] = array("Q", right)
+    return words.tobytes()
+
+
+def _left_words(blocks: bytes) -> bytes:
+    """The first 8 octets of every 16-octet block, concatenated."""
+    return array("Q", blocks)[0::2].tobytes()
 
 
 @lru_cache(maxsize=512)
@@ -106,36 +155,87 @@ def _ecb(key: bytes):
     return Cipher(algorithms.AES(key), modes.ECB()).encryptor()
 
 
-def _encrypt_block(key: bytes, block: bytes) -> bytes:
-    return _ecb(key).update(block)
+class Key128(bytes):
+    """A 16-octet AES key that keeps its ECB context once it has used it.
+
+    The first _encrypt() fetches the context from the shared cache, so a key
+    costs at most one context build while it is alive however many other
+    keys pass through the cache.  ECB update() on whole blocks keeps no
+    state between calls, so holders of the same key may share it.
+    Key128(k) of a Key128 is k itself, so the context travels with it.
+    """
+
+    _ctx = None
+
+    def __new__(cls, value: bytes, name: str = "key"):
+        if type(value) is cls:
+            return value
+        return super().__new__(cls, _check_len(name, value, KEY_LEN))
+
+    def __reduce__(self):
+        # copies and pickles carry the key octets, never the context
+        return Key128, (bytes(self),)
+
+    def _encrypt(self, blocks: bytes) -> bytes:
+        """AES-128 of every 16-octet block of the buffer, in one call."""
+        ctx = self._ctx
+        if ctx is None:
+            ctx = self._ctx = _ecb(bytes(self))
+        return ctx.update(blocks)
 
 
 def f1_mac(ka: bytes, amf_sqn: bytes) -> bytes:
     """64-bit authentication tag over a 16-bit AMF || 48-bit SQN message."""
-    ka = _check_len("ka", ka, KEY_LEN)
+    ka = Key128(ka, "ka")
     amf_sqn = _check_len("amf_sqn", amf_sqn, TAG_LEN)
-    return _encrypt_block(ka, amf_sqn + bytes(7) + bytes([_TAG_F1]))[:TAG_LEN]
+    return ka._encrypt(amf_sqn + _PAD_F1)[:TAG_LEN]
 
 
 def f5_mask(ka: bytes, mac: bytes) -> bytes:
     """64-bit encrypting mask derived from an authentication tag."""
-    ka = _check_len("ka", ka, KEY_LEN)
+    ka = Key128(ka, "ka")
     mac = _check_len("mac", mac, TAG_LEN)
-    return _encrypt_block(ka, mac + bytes(7) + bytes([_TAG_F5]))[:TAG_LEN]
+    return ka._encrypt(mac + _PAD_F5)[:TAG_LEN]
+
+
+def f1_macs(ka: bytes, amf_sqns: bytes) -> bytes:
+    """f1_mac of every 8-octet message in the buffer, from one AES call."""
+    ka = Key128(ka, "ka")
+    n = _count_items("amf_sqns", amf_sqns, TAG_LEN)
+    return _left_words(ka._encrypt(join_halves(amf_sqns, _PAD_F1 * n)))
+
+
+def f5_masks(ka: bytes, macs: bytes) -> bytes:
+    """f5_mask of every 8-octet tag in the buffer, from one AES call."""
+    ka = Key128(ka, "ka")
+    n = _count_items("macs", macs, TAG_LEN)
+    return _left_words(ka._encrypt(join_halves(macs, _PAD_F5 * n)))
 
 
 def a3_sres(ki: bytes, rand: bytes) -> bytes:
     """Challenge-response MAC: the SIM's 64-bit signed response."""
-    ki = _check_len("ki", ki, KEY_LEN)
+    ki = Key128(ki, "ki")
     rand = _check_len("rand", rand, RAND_LEN)
-    return _encrypt_block(ki, xor_bytes(rand, _C3))[:TAG_LEN]
+    return ki._encrypt(xor_bytes(rand, _C3))[:TAG_LEN]
 
 
 def a8_kc(ki: bytes, rand: bytes) -> bytes:
     """Session-key derivation: the 64-bit ciphering key Kc."""
-    ki = _check_len("ki", ki, KEY_LEN)
+    ki = Key128(ki, "ki")
     rand = _check_len("rand", rand, RAND_LEN)
-    return _encrypt_block(ki, xor_bytes(rand, _C8))[:TAG_LEN]
+    return ki._encrypt(xor_bytes(rand, _C8))[:TAG_LEN]
+
+
+def a3a8_batch(ki: bytes, rands: bytes) -> tuple[bytes, bytes]:
+    """A3 and A8 of every 16-octet RAND in the buffer, from one AES call.
+
+    Returns the concatenated SRES values and the concatenated Kc values,
+    8 octets per RAND each.
+    """
+    ki = Key128(ki, "ki")
+    n = _count_items("rands", rands, RAND_LEN)
+    out = _left_words(ki._encrypt(xor_bytes(rands, _C3 * n) + xor_bytes(rands, _C8 * n)))
+    return out[: TAG_LEN * n], out[TAG_LEN * n :]
 
 
 def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> KeystreamBlock:
@@ -161,29 +261,30 @@ def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> 
         reps = -(-length // TAG_LEN) if length else 0
         return KeystreamBlock(bytes=(unit * reps)[:length], frame_index=frame_index)
 
-    key = kc + kc
+    if not length:
+        # never hand the shared context a partial block: it would carry over
+        return KeystreamBlock(bytes=b"", frame_index=frame_index)
+    # counter block i is tag || 0^3 || frame64 || i32, all encrypted at once
     prefix = bytes([alg.tag_byte]) + bytes(3) + frame_index.to_bytes(8, "big")
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out += _encrypt_block(key, prefix + counter.to_bytes(4, "big"))
-        counter += 1
-    return KeystreamBlock(bytes=bytes(out[:length]), frame_index=frame_index)
+    n = -(-length // 16)
+    if n > len(_COUNTERS):
+        counters = [i.to_bytes(4, "big") for i in range(n)]
+    else:
+        counters = _COUNTERS[:n]
+    out = _ecb(kc + kc).update(prefix + prefix.join(counters))[:length]
+    return KeystreamBlock(bytes=out, frame_index=frame_index)
 
 
-def derive_subscriber_keys(master: bytes, imsi: str) -> tuple[bytes, bytes]:
+def derive_subscriber_keys(master: bytes, imsi: str) -> tuple[Key128, Key128]:
     """Derive the per-subscriber (ki, ka) pair from one master key.
 
     The input block is the 15 IMSI digits as ASCII plus a one-octet purpose
     tag, so the two keys are outputs of the same PRP on distinct blocks.
     """
-    master = _check_len("master", master, KEY_LEN)
-    if len(imsi) != 15 or not imsi.isdigit():
-        raise MalformedInputError(f"imsi must be 15 decimal digits, got {imsi!r}")
-    digits = imsi.encode("ascii")
-    ki = _encrypt_block(master, digits + bytes([_TAG_DERIVE_KI]))
-    ka = _encrypt_block(master, digits + bytes([_TAG_DERIVE_KA]))
-    return ki, ka
+    master = Key128(master, "master")
+    digits = check_imsi(imsi).encode("ascii")
+    out = master._encrypt(digits + _TAG_DERIVE_KI + digits + _TAG_DERIVE_KA)
+    return Key128(out[:KEY_LEN]), Key128(out[KEY_LEN:])
 
 
 # --- test-vector record format ---------------------------------------------

@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 
+# one encoder for every trace line; json.dumps with options builds a new one per call
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     seq_no: int
@@ -56,7 +60,7 @@ class TraceEvent:
 
     def to_json_line(self) -> str:
         payload = {"seq_no": self.seq_no, "actor": self.actor, "event": self.event}
-        return json.dumps(payload, separators=(",", ":"))
+        return _encode_json(payload)
 
 
 class Tracer:
@@ -71,7 +75,7 @@ class Tracer:
 
 
 def render_trace(events: list[TraceEvent]) -> str:
-    return "".join(ev.to_json_line() + "\n" for ev in events)
+    return "".join([ev.to_json_line() + "\n" for ev in events])
 
 
 def render_intercept_log(log: InterceptLog) -> str:

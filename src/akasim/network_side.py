@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from . import auth_core, crypto_suite as cs
 from .auth_core import AuthTriple
+from .crypto_suite import Key128, check_imsi
 from .errors import (
     MalformedInputError,
     ProtocolOrderError,
@@ -37,19 +38,16 @@ __all__ = [
 ]
 
 
-def check_imsi(imsi: str) -> str:
-    if not isinstance(imsi, str) or len(imsi) != 15 or not imsi.isdigit():
-        raise MalformedInputError(f"imsi must be 15 decimal digits, got {imsi!r}")
-    return imsi
-
-
 @dataclass
 class SubscriberRecord:
-    """AuC-side mirror of one card at provisioning time."""
+    """AuC-side mirror of one card at provisioning time.
+
+    The record and the provisioned card hold the same key objects.
+    """
 
     imsi: str
-    ki: bytes
-    ka: bytes | None
+    ki: Key128
+    ka: Key128 | None
     counter: int
     mode: SimMode
 

@@ -20,7 +20,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from . import auth_core
+from . import auth_core, crypto_suite as cs
 from .errors import MalformedInputError, ProtocolOrderError
 
 __all__ = [
@@ -115,8 +115,8 @@ class SimState:
     """Full card state; keys and counter are the non-volatile part."""
 
     imsi: str
-    ki: bytes
-    ka: bytes | None
+    ki: cs.Key128
+    ka: cs.Key128 | None
     counter: int
     mode: SimMode
     initialized: bool = False
@@ -126,6 +126,10 @@ class SimState:
     teardown_channels: tuple[int, ...] = ()
 
     def __post_init__(self):
+        cs.check_imsi(self.imsi)
+        self.ki = cs.Key128(self.ki, "ki")
+        if self.ka is not None:
+            self.ka = cs.Key128(self.ka, "ka")
         if self.mode is SimMode.LEGACY and self.ka is not None:
             raise MalformedInputError("legacy SIM must not hold a ka")
         if self.mode is SimMode.ENHANCED and self.ka is None:

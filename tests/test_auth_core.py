@@ -61,7 +61,8 @@ class TestLayout:
             rand = ac.build_hijacked_rand(ka, amf, sqn)
             layout = ac.decompose_rand(ka, rand)
             assert (layout.amf, layout.sqn) == (amf, sqn)
-            assert layout.rand() == rand
+            assert layout.mac == rand[8:]
+            assert ac.build_hijacked_rand(ka, layout.amf, layout.sqn) == rand
 
     def test_decompose_rejects_short_rand(self):
         with pytest.raises(MalformedInputError):
@@ -209,3 +210,33 @@ class TestLegacyTriple:
         outcome = ac.verify_hijacked_rand(KA, 20, rand, KI, fresh_rng())
         assert isinstance(outcome, ac.Accepted)
         assert (triple.xres, triple.kc) == (outcome.sres, outcome.kc)
+
+
+class TestBatchedBuild:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_generate_triples_matches_reference(self, rng, n):
+        ki, ka = rng.randbytes(16), rng.randbytes(16)
+        amf, counter = rng.randrange(1 << 16), rng.randrange(1 << 40)
+        triples, new_counter = ac.generate_triples(ki, ka, counter, amf, n)
+        assert new_counter == counter + n
+        for i, t in enumerate(triples, start=1):
+            assert t.sqn_hint == counter + i
+            assert t.rand == oracle.ref_build_rand(ka, amf, counter + i)
+            assert (t.xres, t.kc) == (oracle.ref_a3(ki, t.rand), oracle.ref_a8(ki, t.rand))
+
+    def test_rands_are_concatenated_single_builds(self, rng):
+        ka = rng.randbytes(16)
+        rands = ac.build_hijacked_rands(ka, 7, ac.SQN_MAX - 4, 5)
+        assert rands == b"".join(
+            oracle.ref_build_rand(ka, 7, sqn) for sqn in range(ac.SQN_MAX - 4, ac.SQN_MAX + 1)
+        )
+
+    @pytest.mark.parametrize("first,n", [(1, 0), (ac.SQN_MAX, 2), (-1, 1)])
+    def test_rands_range_checks(self, first, n):
+        with pytest.raises(MalformedInputError):
+            ac.build_hijacked_rands(KA, 0, first, n)
+
+    @pytest.mark.parametrize("bad", [bytes(15), bytes(32), "00" * 16])
+    def test_legacy_response_rejects_bad_rand(self, bad):
+        with pytest.raises(MalformedInputError):
+            ac.legacy_response(KI, bad)

@@ -2,11 +2,12 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 
 import oracle
-from akasim import cli
+from akasim import auth_core as ac, cli
 from akasim import crypto_suite as cs
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -93,6 +94,13 @@ class TestRun:
         bad.write_text('{"seed": "nope"}')
         assert cli.main(["run", "--config", str(bad)]) == 64
 
+    def test_non_ascii_imsi_usage_error(self, tmp_path, capsys):
+        text = (CONFIGS / "honest_enhanced.json").read_text()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text.replace("001010000000001", "٠" * 15), encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg)]) == 64
+        assert "imsi" in capsys.readouterr().err
+
     def test_failing_assert_exit_two(self, tmp_path):
         raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
         raw["script"].append(
@@ -151,6 +159,17 @@ class TestRandStats:
         assert len(report["bit_counts"]) == 128
         assert len(report["bit_frequencies"]) == 128
         assert all(0.45 < f < 0.55 for f in report["bit_frequencies"])
+
+    def test_chunked_counts_equal_direct_counts(self):
+        # 9000 challenges span three build chunks
+        report = cli.rand_bit_stats(9000, seed=2)
+        ka = random.Random("rand-stats/2").randbytes(cs.KEY_LEN)
+        ones = [0] * 128
+        for sqn in range(1, 9001):
+            value = int.from_bytes(ac.build_hijacked_rand(ka, 0, sqn), "big")
+            for bit in range(128):
+                ones[bit] += value >> (127 - bit) & 1
+        assert report["bit_counts"] == ones
 
     def test_report_deterministic(self):
         a = cli.rand_bit_stats(10_000, seed=5)

@@ -247,3 +247,116 @@ def test_xor_involution(data):
 def test_xor_length_mismatch():
     with pytest.raises(MalformedInputError):
         cs.xor_bytes(b"ab", b"abc")
+
+
+def test_xor_keeps_leading_zero_octets():
+    a = bytes.fromhex("0000ff00a5")
+    b = bytes.fromhex("00000f005a")
+    assert cs.xor_bytes(a, b) == oracle.xor(a, b) == bytes.fromhex("0000f000ff")
+    assert cs.xor_bytes(a, a) == bytes(5)
+    assert cs.xor_bytes(b"", b"") == b""
+
+
+class TestBatchedPrimitives:
+    """The one-call-per-buffer paths, checked directly against the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_f1_f5_batches_match_reference(self, rng, n):
+        ka = rng.randbytes(16)
+        msgs = [rng.randbytes(8) for _ in range(n)]
+        macs = cs.f1_macs(ka, b"".join(msgs))
+        assert macs == b"".join(oracle.ref_f1(ka, m) for m in msgs)
+        assert cs.f5_masks(ka, macs) == b"".join(
+            oracle.ref_f5(ka, macs[i : i + 8]) for i in range(0, 8 * n, 8)
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_a3a8_batch_matches_reference(self, rng, n):
+        ki = rng.randbytes(16)
+        rands = [rng.randbytes(16) for _ in range(n)]
+        sres, kc = cs.a3a8_batch(ki, b"".join(rands))
+        assert sres == b"".join(oracle.ref_a3(ki, r) for r in rands)
+        assert kc == b"".join(oracle.ref_a8(ki, r) for r in rands)
+
+    def test_join_halves(self):
+        left, right = bytes(range(16)), bytes(range(100, 116))
+        assert cs.join_halves(left, right) == left[:8] + right[:8] + left[8:] + right[8:]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: cs.f1_macs(Z16, b""),
+            lambda: cs.f5_masks(Z16, bytes(12)),
+            lambda: cs.a3a8_batch(Z16, bytes(24)),
+            lambda: cs.a3a8_batch(Z16, "00" * 16),
+            lambda: cs.f1_macs(bytes(15), Z8),
+            lambda: cs.join_halves(Z8, Z16),
+        ],
+    )
+    def test_bad_buffers_rejected(self, call):
+        with pytest.raises(MalformedInputError):
+            call()
+
+    @pytest.mark.parametrize("alg,tag", [(cs.CipherAlgId.A5_1, 0xA1), (cs.CipherAlgId.A5_3, 0xA3)])
+    @pytest.mark.parametrize("frame", [0, 1 << 32, (1 << 64) - 1])
+    def test_keystream_lengths_and_frames(self, rng, alg, tag, frame):
+        kc = rng.randbytes(8)
+        # the lengths share one cached context: a stray partial block would
+        # corrupt every later frame
+        for length in (0, 1, 15, 16, 17, 33, 1500, 3000):
+            got = cs.a5_keystream(alg, kc, frame, length)
+            assert got.bytes == oracle.ref_a5_strong(tag, kc, frame, length), length
+            assert got.frame_index == frame
+
+    def test_keystream_longer_than_counter_table(self, rng):
+        kc = rng.randbytes(8)
+        got = cs.a5_keystream(cs.CipherAlgId.A5_3, kc, 9, 4113).bytes
+        assert got == oracle.ref_a5_strong(0xA3, kc, 9, 4113)
+
+
+class TestKey128:
+    def test_is_the_key_bytes(self):
+        key = cs.Key128(FIXED_KEY)
+        assert key == FIXED_KEY and hash(key) == hash(FIXED_KEY)
+        assert cs.Key128(key) is key
+        assert cs.Key128(bytearray(FIXED_KEY)) == FIXED_KEY
+
+    @pytest.mark.parametrize(
+        "bad",
+        [b"", bytes(15), bytes(17), "00" * 16, None],
+        ids=["empty", "short", "long", "str", "none"],
+    )
+    def test_rejects_non_keys(self, bad):
+        with pytest.raises(MalformedInputError):
+            cs.Key128(bad)
+
+    def test_derived_keys_are_key128(self):
+        ki, ka = cs.derive_subscriber_keys(FIXED_KEY, "001010000000001")
+        assert type(ki) is type(ka) is cs.Key128
+
+    def test_copies_drop_the_context(self):
+        import copy
+        import pickle
+
+        key = cs.Key128(FIXED_KEY)
+        assert cs.a3_sres(key, FIXED_RAND).hex() == A3_FIXED
+        for clone in (copy.deepcopy(key), pickle.loads(pickle.dumps(key))):
+            assert type(clone) is cs.Key128 and clone == key
+            assert cs.a3_sres(clone, FIXED_RAND).hex() == A3_FIXED
+
+    def test_live_keys_outlast_the_context_cache(self, rng):
+        # more live keys than the cache holds: each builds its context once
+        keys = [cs.Key128(rng.randbytes(16)) for _ in range(640)]
+        msg = rng.randbytes(8)
+        for key in keys:
+            cs.f1_mac(key, msg)
+        misses = cs._ecb.cache_info().misses
+        for key in keys:
+            assert cs.f1_mac(key, msg) == oracle.ref_f1(key, msg)
+        assert cs._ecb.cache_info().misses == misses
+        assert cs._ecb.cache_info().currsize <= 512
+
+
+def test_derive_rejects_non_ascii_digits():
+    with pytest.raises(MalformedInputError):
+        cs.derive_subscriber_keys(FIXED_KEY, "٠" * 15)

@@ -39,7 +39,9 @@ class TestImsi:
     def test_valid(self):
         assert check_imsi(IMSI) == IMSI
 
-    @pytest.mark.parametrize("bad", ["", "123", "0" * 16, "abcdefghijklmno", 123])
+    @pytest.mark.parametrize(
+        "bad", ["", "123", "0" * 16, "abcdefghijklmno", 123, "٠" * 15, "０" * 15]
+    )
     def test_invalid(self, bad):
         with pytest.raises(MalformedInputError):
             check_imsi(bad)
@@ -54,6 +56,15 @@ class TestProvision:
         assert record.counter == sim_state.counter == 0
         ki, ka = oracle.ref_derive(MASTER, IMSI)
         assert (record.ki, record.ka) == (ki, ka)
+
+    def test_record_and_card_share_key_objects(self):
+        record, sim_state = home().provision(IMSI, SimMode.ENHANCED, MASTER)
+        assert record.ki is sim_state.ki and record.ka is sim_state.ka
+        assert isinstance(record.ki, cs.Key128) and isinstance(record.ka, cs.Key128)
+
+    def test_non_ascii_imsi_rejected(self):
+        with pytest.raises(MalformedInputError):
+            home().provision("٠" * 15, SimMode.ENHANCED, MASTER)
 
     def test_legacy_has_no_ka(self):
         record, sim_state = home().provision(IMSI, SimMode.LEGACY, MASTER)

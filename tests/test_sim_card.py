@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from akasim import auth_core as ac
+from akasim import auth_core as ac, crypto_suite as cs
 from akasim.errors import MalformedInputError, ProtocolOrderError
 from akasim.sim_card import (
     ChannelStatusResult,
@@ -235,6 +235,25 @@ class TestSnapshot:
             SimState.from_record("imsi=001 garbage")
         with pytest.raises(MalformedInputError):
             SimState.from_record("no-equals-sign")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "imsi=1 ki=00 mode=LEGACY counter=0",
+            f"imsi={IMSI} ki=00 mode=LEGACY counter=0",
+            f"imsi={IMSI} ki={KI.hex()}00 mode=LEGACY counter=0",
+            f"imsi={IMSI} ki={KI.hex()} ka={KA.hex()[:-2]} mode=ENHANCED counter=0",
+            f"imsi={'٠' * 15} ki={KI.hex()} mode=LEGACY counter=0",
+        ],
+    )
+    def test_bad_key_or_imsi_rejected(self, record):
+        with pytest.raises(MalformedInputError):
+            SimState.from_record(record)
+
+    def test_restored_keys_are_key128(self):
+        restored = SimState.from_record(enhanced_card().state.to_record())
+        assert isinstance(restored.ki, cs.Key128) and isinstance(restored.ka, cs.Key128)
+        assert restored.ki == KI and restored.ka == KA
 
     def test_power_cycle_keeps_counter_resets_volatile(self):
         card = enhanced_card(counter=9)
