@@ -150,21 +150,13 @@ def build_hijacked_rand(ka: bytes, amf: int, sqn: int) -> bytes:
     return build_hijacked_rands(ka, amf, sqn, 1)
 
 
-def _check_rand(rand: bytes) -> bytes:
-    if not isinstance(rand, (bytes, bytearray)):
-        raise MalformedInputError(f"rand must be bytes, got {type(rand).__name__}")
-    if len(rand) != cs.RAND_LEN:
-        raise MalformedInputError(f"rand must be {cs.RAND_LEN} octets, got {len(rand)}")
-    return rand
-
-
 def decompose_rand(ka: bytes, rand: bytes) -> HijackedRandLayout:
     """Recover the candidate (amf, sqn, mac, ak) view of a challenge.
 
     Performs no authenticity or freshness check; on a challenge that was
     not built under this ka the recovered fields are garbage.
     """
-    rand = _check_rand(rand)
+    rand = cs._check_len("rand", rand, cs.RAND_LEN)
     masked, mac = rand[:8], rand[8:]
     ak = cs.f5_mask(ka, mac)
     amf, sqn = unpack_amf_sqn(cs.xor_bytes(masked, ak))
@@ -215,7 +207,7 @@ def verify_hijacked_rand(
 
 def legacy_response(ki: bytes, rand: bytes) -> tuple[bytes, bytes]:
     """The unmodified challenge response: (SRES, Kc) over the full RAND."""
-    return cs.a3a8_batch(ki, _check_rand(rand))
+    return cs.a3a8_batch(ki, cs._check_len("rand", rand, cs.RAND_LEN))
 
 
 def generate_triples(

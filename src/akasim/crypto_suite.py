@@ -30,6 +30,7 @@ Everything is a pure function of its arguments.
 from __future__ import annotations
 
 import enum
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,8 +75,6 @@ _C3 = bytes([0x33]) * 16
 _C8 = bytes([0x88]) * 16
 _TAG_DERIVE_KI = bytes([0x4B])
 _TAG_DERIVE_KA = bytes([0x4A])
-# big-endian block counters of the A5/1 and A5/3 keystream, up to 4 KiB
-_COUNTERS = tuple(i.to_bytes(4, "big") for i in range(256))
 
 
 class CipherAlgId(enum.Enum):
@@ -184,46 +183,26 @@ class Key128(bytes):
         return ctx.update(blocks)
 
 
-def f1_mac(ka: bytes, amf_sqn: bytes) -> bytes:
-    """64-bit authentication tag over a 16-bit AMF || 48-bit SQN message."""
-    ka = Key128(ka, "ka")
-    amf_sqn = _check_len("amf_sqn", amf_sqn, TAG_LEN)
-    return ka._encrypt(amf_sqn + _PAD_F1)[:TAG_LEN]
-
-
-def f5_mask(ka: bytes, mac: bytes) -> bytes:
-    """64-bit encrypting mask derived from an authentication tag."""
-    ka = Key128(ka, "ka")
-    mac = _check_len("mac", mac, TAG_LEN)
-    return ka._encrypt(mac + _PAD_F5)[:TAG_LEN]
+def _padded_prf(key: Key128, name: str, words: bytes, pad: bytes) -> bytes:
+    """AES_key(v || pad)[:8] of every 8-octet word v in the buffer, from one call."""
+    blocks = array("Q", bytes(TAG_LEN) + pad) * _count_items(name, words, TAG_LEN)
+    blocks[0::2] = array("Q", words)
+    return _left_words(key._encrypt(blocks.tobytes()))
 
 
 def f1_macs(ka: bytes, amf_sqns: bytes) -> bytes:
     """f1_mac of every 8-octet message in the buffer, from one AES call."""
-    ka = Key128(ka, "ka")
-    n = _count_items("amf_sqns", amf_sqns, TAG_LEN)
-    return _left_words(ka._encrypt(join_halves(amf_sqns, _PAD_F1 * n)))
+    return _padded_prf(Key128(ka, "ka"), "amf_sqns", amf_sqns, _PAD_F1)
 
 
 def f5_masks(ka: bytes, macs: bytes) -> bytes:
     """f5_mask of every 8-octet tag in the buffer, from one AES call."""
-    ka = Key128(ka, "ka")
-    n = _count_items("macs", macs, TAG_LEN)
-    return _left_words(ka._encrypt(join_halves(macs, _PAD_F5 * n)))
+    return _padded_prf(Key128(ka, "ka"), "macs", macs, _PAD_F5)
 
 
-def a3_sres(ki: bytes, rand: bytes) -> bytes:
-    """Challenge-response MAC: the SIM's 64-bit signed response."""
-    ki = Key128(ki, "ki")
-    rand = _check_len("rand", rand, RAND_LEN)
-    return ki._encrypt(xor_bytes(rand, _C3))[:TAG_LEN]
-
-
-def a8_kc(ki: bytes, rand: bytes) -> bytes:
-    """Session-key derivation: the 64-bit ciphering key Kc."""
-    ki = Key128(ki, "ki")
-    rand = _check_len("rand", rand, RAND_LEN)
-    return ki._encrypt(xor_bytes(rand, _C8))[:TAG_LEN]
+def _masked_prf(key: Key128, blocks: bytes, mask: bytes) -> bytes:
+    """AES_key(b xor m)[:8] of every 16-octet block b and mask block m, from one call."""
+    return _left_words(key._encrypt(xor_bytes(blocks, mask)))
 
 
 def a3a8_batch(ki: bytes, rands: bytes) -> tuple[bytes, bytes]:
@@ -234,8 +213,28 @@ def a3a8_batch(ki: bytes, rands: bytes) -> tuple[bytes, bytes]:
     """
     ki = Key128(ki, "ki")
     n = _count_items("rands", rands, RAND_LEN)
-    out = _left_words(ki._encrypt(xor_bytes(rands, _C3 * n) + xor_bytes(rands, _C8 * n)))
+    out = _masked_prf(ki, rands + rands, _C3 * n + _C8 * n)
     return out[: TAG_LEN * n], out[TAG_LEN * n :]
+
+
+def f1_mac(ka: bytes, amf_sqn: bytes) -> bytes:
+    """64-bit authentication tag over a 16-bit AMF || 48-bit SQN message."""
+    return f1_macs(ka, _check_len("amf_sqn", amf_sqn, TAG_LEN))
+
+
+def f5_mask(ka: bytes, mac: bytes) -> bytes:
+    """64-bit encrypting mask derived from an authentication tag."""
+    return f5_masks(ka, _check_len("mac", mac, TAG_LEN))
+
+
+def a3_sres(ki: bytes, rand: bytes) -> bytes:
+    """Challenge-response MAC: the SIM's 64-bit signed response."""
+    return _masked_prf(Key128(ki, "ki"), _check_len("rand", rand, RAND_LEN), _C3)
+
+
+def a8_kc(ki: bytes, rand: bytes) -> bytes:
+    """Session-key derivation: the 64-bit ciphering key Kc."""
+    return _masked_prf(Key128(ki, "ki"), _check_len("rand", rand, RAND_LEN), _C8)
 
 
 def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> KeystreamBlock:
@@ -267,11 +266,12 @@ def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> 
     # counter block i is tag || 0^3 || frame64 || i32, all encrypted at once
     prefix = bytes([alg.tag_byte]) + bytes(3) + frame_index.to_bytes(8, "big")
     n = -(-length // 16)
-    if n > len(_COUNTERS):
-        counters = [i.to_bytes(4, "big") for i in range(n)]
-    else:
-        counters = _COUNTERS[:n]
-    out = _ecb(kc + kc).update(prefix + prefix.join(counters))[:length]
+    blocks = array("I", prefix + bytes(4)) * n
+    counters = array("I", range(n))
+    if sys.byteorder == "little":
+        counters.byteswap()  # big-endian block counters
+    blocks[3::4] = counters
+    out = _ecb(kc + kc).update(blocks.tobytes())[:length]
     return KeystreamBlock(bytes=out, frame_index=frame_index)
 
 
