@@ -21,6 +21,7 @@ from . import crypto_suite as cs
 from .errors import MalformedInputError, ProtocolOrderError
 from .mobile_equipment import ConnectionDropped, MobileEquipment, Responded
 from .network_side import ServingNetwork
+from .sim_card import noop_trace
 
 __all__ = [
     "KNOWN_REDUNDANCY",
@@ -108,10 +109,6 @@ class AttackReport:
     failure_cause: str | None = None
 
 
-def _noop_trace(actor, msg, **fields):
-    return None
-
-
 class Adversary:
     """False base station with an optional genuine subscription for relaying."""
 
@@ -123,7 +120,7 @@ class Adversary:
         own_ue: MobileEquipment | None = None,
     ):
         self.rng = rng
-        self.trace = tracer or _noop_trace
+        self.trace = tracer or noop_trace
         self.name = name
         self.own_ue = own_ue
         self.log = InterceptLog()
@@ -240,7 +237,8 @@ class Adversary:
                 succeeded=False,
                 failure_cause="connection dropped by SIM; no weak-cipher frame emitted",
             )
-        assert isinstance(outcome, Responded)
+        if not isinstance(outcome, Responded):
+            raise ProtocolOrderError(f"victim challenge ended in {outcome!r}, not a response")
         self.trace(self.name, "SRES_IGNORED", sres=outcome.sres.hex())
 
         victim.apply_cipher(cs.CipherAlgId.A5_2)

@@ -15,9 +15,12 @@ line-delimited JSON records with stable field order, one event per line:
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import NamedTuple
 
 from . import crypto_suite as cs
 from .adversary import Adversary, AttackKind, AttackReport, InterceptLog, RandSource
@@ -48,19 +51,28 @@ __all__ = [
 ]
 
 
-# one encoder for every trace line; json.dumps with options builds a new one per call
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+# One C encoder for every trace line, built once: json.dumps and
+# JSONEncoder.encode build a new one per call.  Output equals
+# json.dumps(payload, separators=(",", ":")); the circular-reference check
+# is off because tracer payloads are trees of fresh dicts and lists.
+_encode_payload = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", False, False, True
+)
+_ENVELOPE = '{"seq_no":%d,"actor":%s,"event":%s}'
+_LINE = _ENVELOPE + "\n"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     seq_no: int
     actor: str
     event: dict
 
     def to_json_line(self) -> str:
-        payload = {"seq_no": self.seq_no, "actor": self.actor, "event": self.event}
-        return _encode_json(payload)
+        return _ENVELOPE % (
+            self.seq_no,
+            encode_basestring_ascii(self.actor),
+            "".join(_encode_payload(self.event, 0)),
+        )
 
 
 class Tracer:
@@ -70,12 +82,18 @@ class Tracer:
         self.events: list[TraceEvent] = []
 
     def __call__(self, actor: str, msg: str, **fields):
-        event = {"msg": msg, **fields}
-        self.events.append(TraceEvent(seq_no=len(self.events), actor=actor, event=event))
+        events = self.events
+        events.append(TraceEvent(len(events), actor, {"msg": msg, **fields}))
 
 
 def render_trace(events: list[TraceEvent]) -> str:
-    return "".join([ev.to_json_line() + "\n" for ev in events])
+    """One line per event, each exactly its `to_json_line()` plus a newline."""
+    return "".join(
+        [
+            _LINE % (seq_no, encode_basestring_ascii(actor), "".join(_encode_payload(event, 0)))
+            for seq_no, actor, event in events
+        ]
+    )
 
 
 def render_intercept_log(log: InterceptLog) -> str:
@@ -174,7 +192,7 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         seed = raw["seed"]
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ConfigError("seed must be an integer")
 
         subscribers = []
@@ -194,31 +212,36 @@ class ScenarioConfig:
             raise ConfigError("at least one subscriber is required")
 
         me_profiles = {}
-        for imsi, prof in raw.get("me_profiles", {}).items():
+        for imsi, prof in _object(raw.get("me_profiles", {}), "me_profiles").items():
             if imsi not in seen:
                 raise ConfigError(f"me_profile for unknown subscriber {imsi}")
+            prof = _object(prof, f"me_profile for {imsi}")
             bad = set(prof) - {"class_e", "accepts_unauthenticated", "leaky"}
             if bad:
                 raise ConfigError(f"unknown me_profile keys for {imsi}: {sorted(bad)}")
+            flags = {"class_e": True, "accepts_unauthenticated": False, "leaky": False}
+            flags.update(prof)
+            if not all(isinstance(flag, bool) for flag in flags.values()):
+                raise ConfigError(f"me_profile flags for {imsi} must be true or false")
             me_profiles[imsi] = MeProfile(
-                class_e_supported=prof.get("class_e", True),
-                accepts_unauthenticated=prof.get("accepts_unauthenticated", False),
-                leaky=prof.get("leaky", False),
+                class_e_supported=flags["class_e"],
+                accepts_unauthenticated=flags["accepts_unauthenticated"],
+                leaky=flags["leaky"],
             )
 
-        net = raw.get("network_policy", {})
+        net = _object(raw.get("network_policy", {}), "network_policy")
         bad = set(net) - {"consumption_policy", "cipher", "batch_size"}
         if bad:
             raise ConfigError(f"unknown network_policy keys: {sorted(bad)}")
         policy = ConsumptionPolicy(net.get("consumption_policy", "IN_ORDER"))
         cipher = cs.CipherAlgId(net.get("cipher", "A5_3"))
         batch_size = net.get("batch_size", 2)
-        if not isinstance(batch_size, int) or batch_size < 1:
+        if not _is_int(batch_size) or batch_size < 1:
             raise ConfigError("batch_size must be a positive integer")
 
         attacker = None
         if raw.get("attacker"):
-            atk = raw["attacker"]
+            atk = _object(raw["attacker"], "attacker")
             bad = set(atk) - {"kind", "imsi", "rand_source", "victim_traffic"}
             if bad:
                 raise ConfigError(f"unknown attacker keys: {sorted(bad)}")
@@ -257,7 +280,7 @@ class ScenarioConfig:
         if kind is StepKind.ASSERT:
             if "predicate" not in params:
                 raise ConfigError(f"ASSERT step {idx} missing predicate")
-            assert_trace([], params["predicate"])  # structural check only
+            _check_predicate(params["predicate"])
             return
         step_imsi = params.get("victim") if kind is StepKind.RUN_ATTACK else params.get("imsi")
         if step_imsi is None:
@@ -268,7 +291,7 @@ class ScenarioConfig:
             raise ConfigError(f"step {idx} runs an attack but none is configured")
         if kind is StepKind.REQUEST_TRIPLES:
             n = params.get("n", 1)
-            if not isinstance(n, int) or n < 1:
+            if not _is_int(n) or n < 1:
                 raise ConfigError(f"step {idx}: n must be a positive integer")
         if kind is StepKind.SEND_TRAFFIC:
             try:
@@ -276,8 +299,19 @@ class ScenarioConfig:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"step {idx}: plaintext must be a hex string") from exc
             frame = params.get("frame_index", 0)
-            if not isinstance(frame, int) or frame < 0:
+            if not _is_int(frame) or frame < 0:
                 raise ConfigError(f"step {idx}: frame_index must be a non-negative integer")
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but `true` is not a number in a config
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return value
 
 
 # --- trace predicates --------------------------------------------------------
@@ -303,10 +337,43 @@ def _match(event: TraceEvent, where: dict) -> bool:
 
 
 def _find(trace, where, start=0):
-    for event in trace[start:]:
+    for event in itertools.islice(trace, start, None):
         if _match(event, where):
             return event
     return None
+
+
+# the keys each predicate kind needs; `where` and `anchor` are match clauses
+_PREDICATE_KEYS = {
+    "present": ("where",),
+    "absent": ("where",),
+    "ordered": ("sequence",),
+    "absent_after": ("anchor", "where"),
+    "field_equals": ("where", "field", "value"),
+}
+
+
+def _check_predicate(predicate) -> None:
+    """Raise ConfigError unless `predicate` is a well-formed matcher."""
+    if not isinstance(predicate, dict) or "kind" not in predicate:
+        raise ConfigError(f"malformed predicate: {predicate!r}")
+    kind = predicate["kind"]
+    if not isinstance(kind, str) or kind not in _PREDICATE_KEYS:
+        raise ConfigError(f"unknown predicate kind {kind!r}")
+    required = _PREDICATE_KEYS[kind]
+    for key in required:
+        if key not in predicate:
+            raise ConfigError(f"predicate {kind!r} missing {key!r}")
+    if kind == "ordered":
+        clauses = predicate["sequence"]
+        if not isinstance(clauses, list) or not clauses:
+            raise ConfigError("ordered predicate needs a non-empty sequence")
+    else:
+        clauses = [predicate[key] for key in required if key in ("where", "anchor")]
+    if not all(isinstance(clause, dict) for clause in clauses):
+        raise ConfigError(f"predicate {kind!r}: every match clause must be a JSON object")
+    if kind == "field_equals" and not isinstance(predicate["field"], str):
+        raise ConfigError("field_equals predicate: field must be a string")
 
 
 def assert_trace(trace: list[TraceEvent], predicate: dict) -> AssertOutcome:
@@ -314,30 +381,27 @@ def assert_trace(trace: list[TraceEvent], predicate: dict) -> AssertOutcome:
 
     Kinds: present, absent, ordered, absent_after, field_equals.  A `where`
     clause is a dict of field=value requirements; `actor` and `msg` address
-    the envelope, anything else the event payload.
+    the envelope, anything else the event payload.  A malformed predicate
+    raises ConfigError.
     """
-    if not isinstance(predicate, dict) or "kind" not in predicate:
-        raise ConfigError(f"malformed predicate: {predicate!r}")
+    _check_predicate(predicate)
     kind = predicate["kind"]
 
     if kind == "present":
-        hit = _find(trace, _require(predicate, "where"))
+        hit = _find(trace, predicate["where"])
         if hit:
             return AssertOutcome(True, f"matched at seq_no {hit.seq_no}")
         return AssertOutcome(False, "no event matched")
 
     if kind == "absent":
-        hit = _find(trace, _require(predicate, "where"))
+        hit = _find(trace, predicate["where"])
         if hit:
             return AssertOutcome(False, f"unexpected match at seq_no {hit.seq_no}")
         return AssertOutcome(True, "no event matched")
 
     if kind == "ordered":
-        sequence = _require(predicate, "sequence")
-        if not isinstance(sequence, list) or not sequence:
-            raise ConfigError("ordered predicate needs a non-empty sequence")
         start = 0
-        for i, where in enumerate(sequence):
+        for i, where in enumerate(predicate["sequence"]):
             hit = _find(trace, where, start)
             if hit is None:
                 return AssertOutcome(
@@ -347,10 +411,10 @@ def assert_trace(trace: list[TraceEvent], predicate: dict) -> AssertOutcome:
         return AssertOutcome(True, f"sequence complete by seq_no {start - 1}")
 
     if kind == "absent_after":
-        anchor = _find(trace, _require(predicate, "anchor"))
+        anchor = _find(trace, predicate["anchor"])
         if anchor is None:
             return AssertOutcome(True, "anchor never occurred (vacuous)")
-        hit = _find(trace, _require(predicate, "where"), anchor.seq_no + 1)
+        hit = _find(trace, predicate["where"], anchor.seq_no + 1)
         if hit:
             return AssertOutcome(
                 False,
@@ -358,27 +422,17 @@ def assert_trace(trace: list[TraceEvent], predicate: dict) -> AssertOutcome:
             )
         return AssertOutcome(True, f"nothing after anchor at seq_no {anchor.seq_no}")
 
-    if kind == "field_equals":
-        where = _require(predicate, "where")
-        fname = _require(predicate, "field")
-        value = _require(predicate, "value")
-        hit = _find(trace, where)
-        if hit is None:
-            return AssertOutcome(False, "no event matched the where clause")
-        actual = hit.event.get(fname)
-        if actual == value:
-            return AssertOutcome(True, f"field {fname} matches at seq_no {hit.seq_no}")
-        return AssertOutcome(
-            False, f"field {fname} is {actual!r} at seq_no {hit.seq_no}, wanted {value!r}"
-        )
-
-    raise ConfigError(f"unknown predicate kind {kind!r}")
-
-
-def _require(predicate: dict, key: str):
-    if key not in predicate:
-        raise ConfigError(f"predicate {predicate.get('kind')!r} missing {key!r}")
-    return predicate[key]
+    # field_equals
+    fname, value = predicate["field"], predicate["value"]
+    hit = _find(trace, predicate["where"])
+    if hit is None:
+        return AssertOutcome(False, "no event matched the where clause")
+    actual = hit.event.get(fname)
+    if actual == value:
+        return AssertOutcome(True, f"field {fname} matches at seq_no {hit.seq_no}")
+    return AssertOutcome(
+        False, f"field {fname} is {actual!r} at seq_no {hit.seq_no}, wanted {value!r}"
+    )
 
 
 # --- engine --------------------------------------------------------------

@@ -21,6 +21,7 @@ from .sim_card import (
     SimStatus,
     StkKind,
     TerminalProfile,
+    noop_trace,
 )
 
 __all__ = [
@@ -80,10 +81,6 @@ class ConnectionDropped:
 ChallengeOutcome = Responded | ConnectionDropped
 
 
-def _noop_trace(actor, msg, **fields):
-    return None
-
-
 class MobileEquipment:
     """One phone with its inserted card."""
 
@@ -91,7 +88,7 @@ class MobileEquipment:
         self.profile = profile
         self.sim = sim
         self.session = MeSession()
-        self.trace = tracer or _noop_trace
+        self.trace = tracer or noop_trace
         self.name = name or f"ue:{sim.imsi}"
         self._powered = False
 

@@ -26,7 +26,7 @@ from .errors import (
     TripleExhaustionError,
     UnknownSubscriberError,
 )
-from .sim_card import SimMode, SimState
+from .sim_card import SimMode, SimState, noop_trace
 
 __all__ = [
     "check_imsi",
@@ -63,17 +63,13 @@ class Verdict(enum.Enum):
     REJECTED = "REJECTED"
 
 
-def _noop_trace(actor, msg, **fields):
-    return None
-
-
 class HomeNetwork:
     """Authentication centre plus subscriber registry."""
 
     def __init__(self, rng: random.Random, tracer=None, name="auc"):
         self.registry: dict[str, SubscriberRecord] = {}
         self.rng = rng
-        self.trace = tracer or _noop_trace
+        self.trace = tracer or noop_trace
         self.name = name
 
     def provision(
@@ -134,7 +130,7 @@ class ServingNetwork:
         self.policy = policy
         self.cipher_choice = cipher_choice
         self.rng = rng
-        self.trace = tracer or _noop_trace
+        self.trace = tracer or noop_trace
         self.name = name
         self.store: dict[str, deque[AuthTriple]] = {}
         self.last_issued: dict[str, AuthTriple] = {}

@@ -110,6 +110,10 @@ class CloseChannelResult:
 TerminalResponse = ChannelStatusResult | CloseChannelResult
 
 
+def noop_trace(actor, msg, **fields):
+    """The actors' tracer when none is injected: records nothing."""
+
+
 @dataclass
 class SimState:
     """Full card state; keys and counter are the non-volatile part."""
@@ -176,8 +180,8 @@ class SimState:
                 ka=bytes.fromhex(kv["ka"]) if "ka" in kv else None,
                 counter=int(kv["counter"]),
                 mode=mode,
-                initialized=kv.get("initialized", "0") == "1",
-                me_class_e=kv.get("class_e", "0") == "1",
+                initialized=_snapshot_flag(kv, "initialized"),
+                me_class_e=_snapshot_flag(kv, "class_e"),
                 teardown_phase=phase,
                 teardown_channels=channels,
             )
@@ -194,6 +198,13 @@ class SimState:
             self.pending_proactive.append(
                 StkCommand(StkKind.CLOSE_CHANNEL, self.teardown_channels)
             )
+
+
+def _snapshot_flag(kv: dict, key: str) -> bool:
+    value = kv.get(key, "0")
+    if value not in ("0", "1"):
+        raise ValueError(f"{key} must be 0 or 1, not {value!r}")
+    return value == "1"
 
 
 class SimCard:

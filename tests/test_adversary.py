@@ -13,7 +13,7 @@ from akasim.adversary import (
     InterceptLog,
     RandSource,
 )
-from akasim.errors import MalformedInputError
+from akasim.errors import MalformedInputError, ProtocolOrderError
 from akasim.mobile_equipment import MeProfile, MobileEquipment
 from akasim.network_side import ConsumptionPolicy, ServingNetwork, Verdict
 from akasim.sim_card import SimCard, SimMode, SimState
@@ -171,6 +171,15 @@ class TestBbkAttack:
         victim = build_victim(mode=SimMode.LEGACY)
         with pytest.raises(MalformedInputError):
             adversary().bbk_attack(victim, ground_truth=SECRET)
+
+    def test_victim_outcome_other_than_response_or_drop_raises(self, monkeypatch):
+        # an explicit check, not an assert, so that -O keeps it
+        victim = build_victim(mode=SimMode.LEGACY)
+        attacker = adversary()
+        eavesdrop_honest_exchange(victim, attacker)
+        monkeypatch.setattr(victim, "handle_challenge", lambda rand: None)
+        with pytest.raises(ProtocolOrderError):
+            attacker.bbk_attack(victim, ground_truth=SECRET)
 
     def test_plaintext_only_log_is_precondition_error(self):
         victim = build_victim(mode=SimMode.LEGACY)

@@ -101,6 +101,23 @@ class TestRun:
         assert cli.main(["run", "--config", str(cfg)]) == 64
         assert "imsi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            {"kind": "present", "where": ["msg", "AUTH_RESULT"]},
+            {"kind": "ordered", "sequence": [{"msg": "ATTACH"}, "AUTH_RESULT"]},
+            {"kind": "field_equals", "where": {}, "field": 1, "value": 1},
+        ],
+    )
+    def test_malformed_assert_usage_error(self, tmp_path, capsys, predicate):
+        raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
+        raw["script"].append({"op": "ASSERT", "predicate": predicate})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_failing_assert_exit_two(self, tmp_path):
         raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
         raw["script"].append(

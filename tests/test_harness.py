@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from akasim import harness
 from akasim.errors import ConfigError
@@ -71,6 +72,24 @@ class TestConfigValidation:
             {"script": [{"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "00", "frame_index": -1}]},
             {"script": [{"op": "REQUEST_TRIPLES", "imsi": VICTIM, "n": "two"}]},
             {"script": [{"op": "ASSERT", "predicate": {"kind": "nope"}}]},
+            # value types: bools are not numbers, numbers and strings not bools
+            {"seed": True},
+            {"network_policy": {"batch_size": True}},
+            {"script": [{"op": "REQUEST_TRIPLES", "imsi": VICTIM, "n": True}]},
+            {"script": [{"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "00", "frame_index": False}]},
+            {"me_profiles": [VICTIM]},
+            {"me_profiles": {VICTIM: [True]}},
+            {"me_profiles": {VICTIM: {"class_e": "no"}}},
+            {"me_profiles": {VICTIM: {"accepts_unauthenticated": 1}}},
+            {"me_profiles": {VICTIM: {"leaky": None}}},
+            {"network_policy": ["cipher"]},
+            {"attacker": ["kind"]},
+            # ASSERT predicates are checked structurally at load time
+            {"script": [{"op": "ASSERT", "predicate": {"kind": "present", "where": ["msg"]}}]},
+            {"script": [{"op": "ASSERT", "predicate": {"kind": "absent", "where": "AUTH_RESULT"}}]},
+            {"script": [{"op": "ASSERT", "predicate": {"kind": "absent_after", "anchor": 1, "where": {}}}]},
+            {"script": [{"op": "ASSERT", "predicate": {"kind": "ordered", "sequence": [{}, "x"]}}]},
+            {"script": [{"op": "ASSERT", "predicate": {"kind": "field_equals", "where": {}, "field": 3, "value": 1}}]},
         ],
     )
     def test_rejections(self, mutation):
@@ -322,6 +341,11 @@ class TestAssertTrace:
             {"kind": "present"},
             {"kind": "ordered", "sequence": []},
             {"kind": "field_equals", "where": {}, "field": "x"},
+            {"kind": "present", "where": []},
+            {"kind": ["present"], "where": {}},
+            {"kind": "absent_after", "anchor": None, "where": {}},
+            {"kind": "ordered", "sequence": [{"msg": "AUTH_RESULT"}, 7]},
+            {"kind": "field_equals", "where": {}, "field": ["verdict"], "value": 1},
         ],
     )
     def test_malformed_predicates(self, predicate):
@@ -355,3 +379,39 @@ class TestTraceFormat:
         lines = [json.loads(l) for l in text.splitlines()]
         assert [l["event"]["msg"] for l in lines] == ["EXCHANGE", "SRES", "FRAME"]
         assert lines[2]["event"]["ciphertext"] == "cccccccc"
+
+
+# JSON values as the tracer may carry them: text with non-ASCII and control
+# characters, big ints, bools, None, floats, nested lists and dicts
+_TEXT = st.text(max_size=12)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+# payload keys must not collide with the Tracer's own parameters
+_FIELDS = st.dictionaries(_TEXT.filter(lambda k: k not in ("self", "actor", "msg")), _JSON, max_size=3)
+
+
+class TestTraceEncoding:
+    @given(st.lists(st.tuples(_TEXT, _TEXT, _FIELDS), max_size=3))
+    def test_lines_equal_json_dumps(self, calls):
+        tracer = Tracer()
+        for actor, msg, fields in calls:
+            tracer(actor, msg, **fields)
+        lines = harness.render_trace(tracer.events).splitlines(keepends=True)
+        assert len(lines) == len(calls)
+        for event, line in zip(tracer.events, lines):
+            record = {"seq_no": event.seq_no, "actor": event.actor, "event": event.event}
+            assert line == json.dumps(record, separators=(",", ":")) + "\n"
+            assert event.to_json_line() + "\n" == line
+
+    def test_bytes_value_is_rejected(self):
+        tracer = Tracer()
+        tracer("ue", "SIM_RESPONSE", sres=b"\x00" * 8)
+        with pytest.raises(TypeError):
+            harness.render_trace(tracer.events)
+        with pytest.raises(TypeError):
+            tracer.events[0].to_json_line()

@@ -250,6 +250,13 @@ class TestSnapshot:
         with pytest.raises(MalformedInputError):
             SimState.from_record(record)
 
+    @pytest.mark.parametrize("field", ["initialized", "class_e"])
+    @pytest.mark.parametrize("value", ["true", "yes", "2", ""])
+    def test_flag_other_than_0_or_1_rejected(self, field, value):
+        record = f"imsi={IMSI} ki={KI.hex()} mode=LEGACY counter=0 {field}={value}"
+        with pytest.raises(MalformedInputError):
+            SimState.from_record(record)
+
     def test_restored_keys_are_key128(self):
         restored = SimState.from_record(enhanced_card().state.to_record())
         assert isinstance(restored.ki, cs.Key128) and isinstance(restored.ka, cs.Key128)
