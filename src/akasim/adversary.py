@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import crypto_suite as cs
 from .errors import MalformedInputError, ProtocolOrderError
@@ -55,25 +55,28 @@ class RandSource(enum.Enum):
     SKIP_AKA = "SKIP_AKA"
 
 
-@dataclass(frozen=True)
-class LoggedFrame:
+class LoggedFrame(NamedTuple):
     frame_index: int
     alg: cs.CipherAlgId
     ciphertext: bytes
 
 
-@dataclass
 class LoggedExchange:
-    rand: bytes
-    sres: bytes | None = None
-    frames: list[LoggedFrame] = field(default_factory=list)
+    __slots__ = ("rand", "sres", "frames")
+
+    def __init__(self, rand: bytes):
+        self.rand = rand
+        self.sres: bytes | None = None
+        self.frames: list[LoggedFrame] = []
 
 
-@dataclass
 class InterceptLog:
     """Append-only record of everything overheard on the air interface."""
 
-    records: list[LoggedExchange] = field(default_factory=list)
+    __slots__ = ("records",)
+
+    def __init__(self):
+        self.records: list[LoggedExchange] = []
 
     def start_exchange(self, rand: bytes) -> LoggedExchange:
         record = LoggedExchange(rand=rand)
@@ -100,8 +103,7 @@ class InterceptLog:
         return None
 
 
-@dataclass(frozen=True)
-class AttackReport:
+class AttackReport(NamedTuple):
     attack: AttackKind
     succeeded: bool
     recovered_kc: bytes | None = None

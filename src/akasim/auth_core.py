@@ -20,7 +20,7 @@ import enum
 import random
 import sys
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import crypto_suite as cs
 from .errors import CounterOverflowError, MalformedInputError
@@ -74,8 +74,7 @@ def unpack_amf_sqn(block: bytes) -> tuple[int, int]:
     return int.from_bytes(block[:2], "big"), int.from_bytes(block[2:], "big")
 
 
-@dataclass(frozen=True)
-class HijackedRandLayout:
+class HijackedRandLayout(NamedTuple):
     """Decomposed view of a sequence-bearing challenge.
 
     On the construction side the fields are the generated values; on the
@@ -89,8 +88,7 @@ class HijackedRandLayout:
     ak: bytes
 
 
-@dataclass(frozen=True)
-class AuthTriple:
+class AuthTriple(NamedTuple):
     """(RAND, XRES, Kc) as delivered from home to serving network.
 
     sqn_hint is the home-network ordering key; it never crosses the wire
@@ -108,16 +106,14 @@ class RejectReason(enum.Enum):
     SQN_NOT_FRESH = "SQN_NOT_FRESH"
 
 
-@dataclass(frozen=True)
-class Accepted:
+class Accepted(NamedTuple):
     amf: int
     sqn: int
     sres: bytes
     kc: bytes
 
 
-@dataclass(frozen=True)
-class Rejected:
+class Rejected(NamedTuple):
     reason: RejectReason
     placeholder_sres: bytes
     placeholder_kc: bytes

@@ -32,8 +32,8 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -90,8 +90,7 @@ class CipherAlgId(enum.Enum):
         return {"A5_1": 0xA1, "A5_2": 0xA2, "A5_3": 0xA3, "NONE": 0x00}[self.value]
 
 
-@dataclass(frozen=True)
-class KeystreamBlock:
+class KeystreamBlock(NamedTuple):
     """Keystream produced for one traffic frame."""
 
     bytes: bytes

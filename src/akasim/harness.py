@@ -18,7 +18,6 @@ import enum
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
@@ -128,29 +127,25 @@ class StepKind(enum.Enum):
     ASSERT = "ASSERT"
 
 
-@dataclass(frozen=True)
-class ScenarioStep:
+class ScenarioStep(NamedTuple):
     kind: StepKind
     params: dict
 
 
-@dataclass(frozen=True)
-class SubscriberSpec:
+class SubscriberSpec(NamedTuple):
     imsi: str
     mode: SimMode
     master: bytes | None = None
 
 
-@dataclass(frozen=True)
-class AttackerSpec:
+class AttackerSpec(NamedTuple):
     kind: AttackKind
     imsi: str | None = None
     rand_source: RandSource = RandSource.FABRICATED
     victim_traffic: bytes = b""
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     seed: int
     subscribers: tuple[SubscriberSpec, ...]
     me_profiles: dict
@@ -317,8 +312,7 @@ def _object(value, what: str) -> dict:
 # --- trace predicates --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssertOutcome:
+class AssertOutcome(NamedTuple):
     passed: bool
     detail: str
 
@@ -438,42 +432,29 @@ def assert_trace(trace: list[TraceEvent], predicate: dict) -> AssertOutcome:
 # --- engine --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssertResult:
+class AssertResult(NamedTuple):
     step_index: int
     passed: bool
     detail: str
     predicate: dict
 
 
-@dataclass
 class ScenarioResult:
-    trace: list[TraceEvent]
-    verdicts: list = field(default_factory=list)
-    aborted: bool = False
-    error: str | None = None
+    __slots__ = ("trace", "attack_reports", "assert_results", "aborted", "error")
+
+    def __init__(self, trace: list[TraceEvent]):
+        self.trace = trace
+        self.attack_reports: list[AttackReport] = []
+        self.assert_results: list[AssertResult] = []
+        self.aborted = False
+        self.error: str | None = None
 
     def trace_text(self) -> str:
         return render_trace(self.trace)
 
     @property
-    def attack_reports(self) -> list[AttackReport]:
-        return [v for v in self.verdicts if isinstance(v, AttackReport)]
-
-    @property
-    def assert_results(self) -> list[AssertResult]:
-        return [v for v in self.verdicts if isinstance(v, AssertResult)]
-
-    @property
     def all_asserts_passed(self) -> bool:
         return all(r.passed for r in self.assert_results)
-
-
-@dataclass
-class _Ue:
-    imsi: str
-    sim: SimCard
-    me: MobileEquipment
 
 
 class ScenarioEngine:
@@ -491,7 +472,7 @@ class ScenarioEngine:
             tracer=self.tracer,
         )
         self._provision_rng = random.Random(f"{seed}/provision")
-        self.ues: dict[str, _Ue] = {}
+        self.ues: dict[str, MobileEquipment] = {}
         for spec in config.subscribers:
             master = spec.master or self._provision_rng.randbytes(cs.KEY_LEN)
             _, sim_state = self.home.provision(spec.imsi, spec.mode, master)
@@ -499,12 +480,12 @@ class ScenarioEngine:
             profile = config.me_profiles.get(spec.imsi, MeProfile())
             me = MobileEquipment(profile, sim, tracer=self.tracer)
             me.power_on()
-            self.ues[spec.imsi] = _Ue(imsi=spec.imsi, sim=sim, me=me)
+            self.ues[spec.imsi] = me
 
         self.adversary: Adversary | None = None
         if config.attacker is not None:
             own_ue = (
-                self.ues[config.attacker.imsi].me
+                self.ues[config.attacker.imsi]
                 if config.attacker.imsi is not None
                 else None
             )
@@ -535,7 +516,7 @@ class ScenarioEngine:
     def _execute(self, index: int, step: ScenarioStep, result: ScenarioResult):
         kind, params = step.kind, step.params
         if kind is StepKind.ATTACH:
-            self.ues[params["imsi"]].me.attach(self.serving.name)
+            self.ues[params["imsi"]].attach(self.serving.name)
         elif kind is StepKind.REQUEST_TRIPLES:
             imsi = params["imsi"]
             n = params.get("n", self.config.batch_size)
@@ -547,12 +528,12 @@ class ScenarioEngine:
         elif kind is StepKind.SEND_TRAFFIC:
             self._send_traffic(params)
         elif kind is StepKind.POWER_CYCLE_UE:
-            self.ues[params["imsi"]].me.power_cycle()
+            self.ues[params["imsi"]].power_cycle()
         elif kind is StepKind.OPEN_CHANNEL:
-            self.ues[params["imsi"]].me.open_channel()
+            self.ues[params["imsi"]].open_channel()
         elif kind is StepKind.RUN_ATTACK:
             report = self._run_attack(params["victim"])
-            result.verdicts.append(report)
+            result.attack_reports.append(report)
         elif kind is StepKind.ASSERT:
             outcome = assert_trace(self.tracer.events, params["predicate"])
             self.tracer(
@@ -562,7 +543,7 @@ class ScenarioEngine:
                 passed=outcome.passed,
                 detail=outcome.detail,
             )
-            result.verdicts.append(
+            result.assert_results.append(
                 AssertResult(
                     step_index=index,
                     passed=outcome.passed,
@@ -574,34 +555,34 @@ class ScenarioEngine:
             raise ConfigError(f"unhandled step kind {kind}")
 
     def _challenge(self, imsi: str):
-        ue = self.ues[imsi]
+        me = self.ues[imsi]
         rand = self.serving.challenge(imsi)
         if self.adversary is not None:
             self.adversary.log.start_exchange(rand)
             self._truth.append([])
-        outcome = ue.me.handle_challenge(rand)
+        outcome = me.handle_challenge(rand)
         if isinstance(outcome, Responded):
             if self.adversary is not None:
                 self.adversary.log.note_sres(outcome.sres)
             verdict = self.serving.verify(imsi, outcome.sres)
             if verdict is Verdict.AUTHENTICATED:
-                ue.me.apply_cipher(self.serving.select_cipher())
+                me.apply_cipher(self.serving.select_cipher())
 
     def _send_traffic(self, params: dict):
-        ue = self.ues[params["imsi"]]
+        me = self.ues[params["imsi"]]
         plaintext = bytes.fromhex(params["plaintext"])
         frame_index = params.get("frame_index", 0)
-        ciphertext = ue.me.send_traffic(plaintext, frame_index)
+        ciphertext = me.send_traffic(plaintext, frame_index)
         if self.adversary is not None:
             if not self.adversary.log.records:
                 self._truth.append([])
-            self.adversary.log.note_frame(frame_index, ue.me.session.cipher, ciphertext)
+            self.adversary.log.note_frame(frame_index, me.session.cipher, ciphertext)
             self._truth[-1].append(plaintext)
 
     def _run_attack(self, victim_imsi: str) -> AttackReport:
         spec = self.config.attacker
         adversary = self.adversary
-        victim = self.ues[victim_imsi].me
+        victim = self.ues[victim_imsi]
         if spec.kind is AttackKind.MITM_EAVESDROP:
             if adversary.own_ue is not None:
                 self._attach_attacker_leg(adversary.own_ue)

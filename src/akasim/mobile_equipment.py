@@ -10,7 +10,7 @@ is discarded (a `leaky` profile models phones that transmit it first).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import crypto_suite as cs
 from .errors import ProtocolOrderError
@@ -35,18 +35,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MeProfile:
+class MeProfile(NamedTuple):
     class_e_supported: bool = True
     accepts_unauthenticated: bool = False
     # weaker reading of the teardown: SRES goes upstream before the drop
     leaky: bool = False
 
 
-@dataclass
 class ChannelTable:
-    open_channels: set[int] = field(default_factory=set)
-    next_id: int = 1
+    __slots__ = ("open_channels", "next_id")
+
+    def __init__(self, next_id: int = 1):
+        self.open_channels: set[int] = set()
+        self.next_id = next_id
 
     def open(self) -> int:
         cid = self.next_id
@@ -60,21 +61,21 @@ class ChannelTable:
         return closed
 
 
-@dataclass
 class MeSession:
-    kc: bytes | None = None
-    cipher: cs.CipherAlgId = cs.CipherAlgId.NONE
-    channels: ChannelTable = field(default_factory=ChannelTable)
-    attached_network: str | None = None
+    __slots__ = ("kc", "cipher", "channels", "attached_network")
+
+    def __init__(self, channels: ChannelTable | None = None):
+        self.kc: bytes | None = None
+        self.cipher = cs.CipherAlgId.NONE
+        self.channels = ChannelTable() if channels is None else channels
+        self.attached_network: str | None = None
 
 
-@dataclass(frozen=True)
-class Responded:
+class Responded(NamedTuple):
     sres: bytes
 
 
-@dataclass(frozen=True)
-class ConnectionDropped:
+class ConnectionDropped(NamedTuple):
     closed_channels: tuple[int, ...]
 
 

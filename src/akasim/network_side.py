@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass
 
 from . import auth_core, crypto_suite as cs
 from .auth_core import AuthTriple
@@ -38,18 +37,20 @@ __all__ = [
 ]
 
 
-@dataclass
 class SubscriberRecord:
     """AuC-side mirror of one card at provisioning time.
 
     The record and the provisioned card hold the same key objects.
     """
 
-    imsi: str
-    ki: Key128
-    ka: Key128 | None
-    counter: int
-    mode: SimMode
+    __slots__ = ("imsi", "ki", "ka", "counter", "mode")
+
+    def __init__(self, imsi: str, ki: Key128, ka: Key128 | None, counter: int, mode: SimMode):
+        self.imsi = imsi
+        self.ki = ki
+        self.ka = ka
+        self.counter = counter
+        self.mode = mode
 
 
 class ConsumptionPolicy(enum.Enum):

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import auth_core, crypto_suite as cs
 from .errors import MalformedInputError, ProtocolOrderError
@@ -57,14 +56,15 @@ class StkKind(enum.Enum):
     CLOSE_CHANNEL = "CLOSE_CHANNEL"
 
 
-@dataclass(frozen=True)
-class StkCommand:
-    kind: StkKind
-    channel_ids: tuple[int, ...] = ()
+class StkCommand(NamedTuple("StkCommand", [("kind", StkKind), ("channel_ids", tuple)])):
+    """One proactive command; CLOSE_CHANNEL names at least one channel."""
 
-    def __post_init__(self):
-        if self.kind is StkKind.CLOSE_CHANNEL and not self.channel_ids:
+    __slots__ = ()
+
+    def __new__(cls, kind: StkKind, channel_ids: tuple[int, ...] = ()):
+        if kind is StkKind.CLOSE_CHANNEL and not channel_ids:
             raise MalformedInputError("CLOSE_CHANNEL needs at least one channel id")
+        return super().__new__(cls, kind, channel_ids)
 
     def encoded_length(self) -> int:
         # modeled command size: kind octet + length octet + one octet per id
@@ -76,12 +76,11 @@ class SimStatus(enum.Enum):
     PROACTIVE_PENDING = "PROACTIVE_PENDING"
 
 
-@dataclass(frozen=True)
-class SimResponse:
+class SimResponse(NamedTuple):
     """Outcome of one challenge: response values plus the status signal.
 
     pending_length models the '91 xx' status word: it is the octet count of
-    the queued proactive command, present only with PROACTIVE_PENDING.
+    the armed proactive command, present only with PROACTIVE_PENDING.
     """
 
     sres: bytes
@@ -90,20 +89,17 @@ class SimResponse:
     pending_length: int | None = None
 
 
-@dataclass(frozen=True)
-class TerminalProfile:
+class TerminalProfile(NamedTuple):
     """Capabilities the phone announces at card initialisation."""
 
     class_e: bool = True
 
 
-@dataclass(frozen=True)
-class ChannelStatusResult:
+class ChannelStatusResult(NamedTuple):
     channels: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CloseChannelResult:
+class CloseChannelResult(NamedTuple):
     success: bool = True
 
 
@@ -114,31 +110,46 @@ def noop_trace(actor, msg, **fields):
     """The actors' tracer when none is injected: records nothing."""
 
 
-@dataclass
 class SimState:
     """Full card state; keys and counter are the non-volatile part."""
 
-    imsi: str
-    ki: cs.Key128
-    ka: cs.Key128 | None
-    counter: int
-    mode: SimMode
-    initialized: bool = False
-    me_class_e: bool = False
-    teardown_phase: TeardownPhase = TeardownPhase.IDLE
-    pending_proactive: deque = field(default_factory=deque)
-    teardown_channels: tuple[int, ...] = ()
+    __slots__ = (
+        "imsi",
+        "ki",
+        "ka",
+        "counter",
+        "mode",
+        "initialized",
+        "me_class_e",
+        "teardown_phase",
+        "teardown_channels",
+    )
 
-    def __post_init__(self):
-        cs.check_imsi(self.imsi)
-        self.ki = cs.Key128(self.ki, "ki")
-        if self.ka is not None:
-            self.ka = cs.Key128(self.ka, "ka")
-        if self.mode is SimMode.LEGACY and self.ka is not None:
+    def __init__(
+        self,
+        imsi: str,
+        ki: bytes,
+        ka: bytes | None,
+        counter: int,
+        mode: SimMode,
+        initialized: bool = False,
+        me_class_e: bool = False,
+        teardown_phase: TeardownPhase = TeardownPhase.IDLE,
+        teardown_channels: tuple[int, ...] = (),
+    ):
+        self.imsi = cs.check_imsi(imsi)
+        self.ki = cs.Key128(ki, "ki")
+        self.ka = None if ka is None else cs.Key128(ka, "ka")
+        if mode is SimMode.LEGACY and ka is not None:
             raise MalformedInputError("legacy SIM must not hold a ka")
-        if self.mode is SimMode.ENHANCED and self.ka is None:
+        if mode is SimMode.ENHANCED and ka is None:
             raise MalformedInputError("enhanced SIM needs a ka")
-        auth_core.check_sqn48(self.counter)
+        self.counter = auth_core.check_sqn48(counter)
+        self.mode = mode
+        self.initialized = initialized
+        self.me_class_e = me_class_e
+        self.teardown_phase = teardown_phase
+        self.teardown_channels = teardown_channels
 
     # --- snapshot format: one line of space-separated key=value fields ----
 
@@ -172,13 +183,13 @@ class SimState:
             mode = SimMode(kv["mode"])
             phase = TeardownPhase(kv.get("phase", "IDLE"))
             channels = tuple(
-                int(c) for c in kv.get("channels", "").split(",") if c
+                _snapshot_decimal(c) for c in kv.get("channels", "").split(",") if c
             )
             state = cls(
                 imsi=kv["imsi"],
                 ki=bytes.fromhex(kv["ki"]),
                 ka=bytes.fromhex(kv["ka"]) if "ka" in kv else None,
-                counter=int(kv["counter"]),
+                counter=_snapshot_decimal(kv["counter"]),
                 mode=mode,
                 initialized=_snapshot_flag(kv, "initialized"),
                 me_class_e=_snapshot_flag(kv, "class_e"),
@@ -187,17 +198,15 @@ class SimState:
             )
         except (KeyError, ValueError) as exc:
             raise MalformedInputError(f"bad SIM snapshot record: {record!r}") from exc
-        state._rebuild_pending()
+        # a CLOSE_CHANNEL armed without channel ids is refused here
+        _pending_command(state)
         return state
 
-    def _rebuild_pending(self):
-        self.pending_proactive.clear()
-        if self.teardown_phase is TeardownPhase.AWAIT_FETCH_1:
-            self.pending_proactive.append(StkCommand(StkKind.GET_CHANNEL_STATUS))
-        elif self.teardown_phase is TeardownPhase.AWAIT_FETCH_2:
-            self.pending_proactive.append(
-                StkCommand(StkKind.CLOSE_CHANNEL, self.teardown_channels)
-            )
+
+def _snapshot_decimal(value: str) -> int:
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"expected ASCII decimal digits, not {value!r}")
+    return int(value)
 
 
 def _snapshot_flag(kv: dict, key: str) -> bool:
@@ -207,14 +216,21 @@ def _snapshot_flag(kv: dict, key: str) -> bool:
     return value == "1"
 
 
+def _pending_command(state: SimState) -> StkCommand | None:
+    """The proactive command the teardown phase has armed, if any."""
+    if state.teardown_phase is TeardownPhase.AWAIT_FETCH_1:
+        return StkCommand(StkKind.GET_CHANNEL_STATUS)
+    if state.teardown_phase is TeardownPhase.AWAIT_FETCH_2:
+        return StkCommand(StkKind.CLOSE_CHANNEL, state.teardown_channels)
+    return None
+
+
 class SimCard:
     """One physical card.  The owner serializes all calls."""
 
     def __init__(self, state: SimState, rng: random.Random):
         self.state = state
         self.rng = rng
-        # diagnostics for the omniscient trace; not observable on the wire
-        self.last_outcome: auth_core.VerifyOutcome | None = None
 
     @property
     def imsi(self) -> str:
@@ -226,7 +242,6 @@ class SimCard:
         st.initialized = False
         st.me_class_e = False
         st.teardown_phase = TeardownPhase.IDLE
-        st.pending_proactive.clear()
         st.teardown_channels = ()
 
     def init(self, profile: TerminalProfile) -> TerminalProfile:
@@ -252,26 +267,22 @@ class SimCard:
 
         if st.mode is SimMode.LEGACY:
             sres, kc = auth_core.legacy_response(st.ki, rand)
-            self.last_outcome = None
             return SimResponse(sres=sres, kc=kc, status=SimStatus.NORMAL)
 
         outcome = auth_core.verify_hijacked_rand(
             st.ka, st.counter, rand, st.ki, self.rng
         )
-        self.last_outcome = outcome
         if isinstance(outcome, auth_core.Accepted):
             st.counter = outcome.sqn
             return SimResponse(sres=outcome.sres, kc=outcome.kc, status=SimStatus.NORMAL)
 
         if st.me_class_e:
             st.teardown_phase = TeardownPhase.AWAIT_FETCH_1
-            command = StkCommand(StkKind.GET_CHANNEL_STATUS)
-            st.pending_proactive.append(command)
             return SimResponse(
                 sres=outcome.placeholder_sres,
                 kc=outcome.placeholder_kc,
                 status=SimStatus.PROACTIVE_PENDING,
-                pending_length=command.encoded_length(),
+                pending_length=_pending_command(st).encoded_length(),
             )
         return SimResponse(
             sres=outcome.placeholder_sres,
@@ -280,19 +291,18 @@ class SimCard:
         )
 
     def fetch(self) -> StkCommand:
-        """Hand the queued proactive command to the phone."""
+        """Hand the armed proactive command to the phone."""
         st = self.state
-        if st.teardown_phase is TeardownPhase.AWAIT_FETCH_1:
-            st.teardown_phase = TeardownPhase.AWAIT_CHANNEL_STATUS
-        elif st.teardown_phase is TeardownPhase.AWAIT_FETCH_2:
-            st.teardown_phase = TeardownPhase.AWAIT_CLOSE_RESULT
-        else:
+        command = _pending_command(st)
+        if command is None:
             raise ProtocolOrderError(
                 f"FETCH with nothing pending (phase {st.teardown_phase.value})"
             )
-        if not st.pending_proactive:
-            raise ProtocolOrderError("teardown armed but proactive queue empty")
-        return st.pending_proactive.popleft()
+        if st.teardown_phase is TeardownPhase.AWAIT_FETCH_1:
+            st.teardown_phase = TeardownPhase.AWAIT_CHANNEL_STATUS
+        else:
+            st.teardown_phase = TeardownPhase.AWAIT_CLOSE_RESULT
+        return command
 
     def terminal_response(self, result: TerminalResponse) -> SimStatus:
         """Consume the phone's execution result and advance the teardown."""
@@ -308,7 +318,6 @@ class SimCard:
                 return SimStatus.NORMAL
             st.teardown_channels = channels
             st.teardown_phase = TeardownPhase.AWAIT_FETCH_2
-            st.pending_proactive.append(StkCommand(StkKind.CLOSE_CHANNEL, channels))
             return SimStatus.PROACTIVE_PENDING
         if st.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT:
             if not isinstance(result, CloseChannelResult):
@@ -323,6 +332,7 @@ class SimCard:
         )
 
     def pending_length(self) -> int:
-        if not self.state.pending_proactive:
+        command = _pending_command(self.state)
+        if command is None:
             raise ProtocolOrderError("no proactive command pending")
-        return self.state.pending_proactive[0].encoded_length()
+        return command.encoded_length()

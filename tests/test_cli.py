@@ -1,8 +1,11 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,31 @@ from akasim import auth_core as ac, cli
 from akasim import crypto_suite as cs
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIGS.parent / "src"
+
+
+class TestImport:
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import akasim, akasim.cli\n"
+            "print(akasim.__file__)\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        path, loaded = proc.stdout.splitlines()
+        assert pathlib.Path(path).resolve().parent == SRC / "akasim"
+        loaded = set(loaded.split())
+        assert "akasim.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
 
 
 class TestGenVectors:

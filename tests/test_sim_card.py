@@ -1,9 +1,11 @@
 """Card state machine: challenges, counter handling, proactive teardown."""
 
+import copy
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 import oracle
 from akasim import auth_core as ac, crypto_suite as cs
@@ -250,6 +252,20 @@ class TestSnapshot:
         with pytest.raises(MalformedInputError):
             SimState.from_record(record)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            f"imsi={IMSI} ki={KI.hex()} mode=LEGACY counter=+5",
+            f"imsi={IMSI} ki={KI.hex()} mode=LEGACY counter=1_0",
+            f"imsi={IMSI} ki={KI.hex()} mode=LEGACY counter=\u0665",
+            f"imsi={IMSI} ki={KI.hex()} mode=LEGACY counter=0 phase=AWAIT_FETCH_2 channels=+1",
+            f"imsi={IMSI} ki={KI.hex()} mode=LEGACY counter=0 phase=AWAIT_FETCH_2",
+        ],
+    )
+    def test_bad_counter_or_channels_rejected(self, record):
+        with pytest.raises(MalformedInputError):
+            SimState.from_record(record)
+
     @pytest.mark.parametrize("field", ["initialized", "class_e"])
     @pytest.mark.parametrize("value", ["true", "yes", "2", ""])
     def test_flag_other_than_0_or_1_rejected(self, field, value):
@@ -269,5 +285,151 @@ class TestSnapshot:
         card.power_cycle()
         assert card.state.counter == 9
         assert card.state.teardown_phase is TeardownPhase.IDLE
-        assert not card.state.pending_proactive
+        with pytest.raises(ProtocolOrderError):
+            card.pending_length()
         assert card.state.initialized is False
+
+
+def _fetch_outcome(card):
+    """What the card answers to '91' handling: pending length, FETCH, next phase."""
+    try:
+        length = card.pending_length()
+    except ProtocolOrderError:
+        length = None
+    try:
+        command = card.fetch()
+    except ProtocolOrderError:
+        command = None
+    return length, command, card.state.teardown_phase
+
+
+def _in_phase(*phases):
+    """Precondition: the card is initialised and in one of the phases."""
+    return lambda machine: machine.state.initialized and machine.state.teardown_phase in phases
+
+
+class SimCardMachine(RuleBasedStateMachine):
+    """Random legal call sequences against one card, with illegal calls mixed in.
+
+    After every step the card's snapshot must round-trip and a card rebuilt
+    from it must answer FETCH exactly as the original would.
+    """
+
+    # three draws in four give the enhanced card with a class-e phone, the
+    # combination that reaches the teardown phases
+    mostly = st.sampled_from([True, True, True, False])
+
+    @initialize(enhanced=mostly, counter=st.integers(0, 5))
+    def insert_card(self, enhanced, counter):
+        ka = KA if enhanced else None
+        mode = SimMode.ENHANCED if enhanced else SimMode.LEGACY
+        self.card = SimCard(
+            SimState(imsi=IMSI, ki=KI, ka=ka, counter=counter, mode=mode), random.Random(0)
+        )
+
+    @property
+    def state(self):
+        return self.card.state
+
+    @precondition(lambda self: not self.state.initialized)
+    @rule(class_e=mostly)
+    def init(self, class_e):
+        self.card.init(TerminalProfile(class_e=class_e))
+        assert self.state.me_class_e is class_e
+
+    @precondition(_in_phase(TeardownPhase.IDLE))
+    @rule(kind=st.sampled_from(["fresh", "stale", "forged"]), step=st.integers(0, 3))
+    def challenge(self, kind, step):
+        counter = self.state.counter
+        if kind == "stale":
+            rand = ac.build_hijacked_rand(KA, 0, max(counter - step, 0))
+        else:
+            rand = ac.build_hijacked_rand(KA, 0, counter + 1 + step)
+        if kind == "forged":
+            rand = rand[:-1] + bytes([rand[-1] ^ 1 << step])
+        response = self.card.challenge(rand)
+        honest = ac.legacy_response(KI, rand)
+        if self.state.mode is SimMode.LEGACY or kind == "fresh":
+            assert response.status is SimStatus.NORMAL
+            assert (response.sres, response.kc) == honest
+            if self.state.mode is SimMode.ENHANCED:
+                assert self.state.counter == counter + 1 + step
+            return
+        assert self.state.counter == counter
+        assert response.sres != honest[0] and response.kc != honest[1]
+        if self.state.me_class_e:
+            assert response.status is SimStatus.PROACTIVE_PENDING
+            assert response.pending_length == self.card.pending_length()
+            assert self.state.teardown_phase is TeardownPhase.AWAIT_FETCH_1
+        else:
+            assert response.status is SimStatus.NORMAL
+            assert self.state.teardown_phase is TeardownPhase.IDLE
+
+    @precondition(_in_phase(TeardownPhase.AWAIT_FETCH_1, TeardownPhase.AWAIT_FETCH_2))
+    @rule()
+    def fetch(self):
+        channels = self.state.teardown_channels
+        command = self.card.fetch()
+        if self.state.teardown_phase is TeardownPhase.AWAIT_CHANNEL_STATUS:
+            assert command.kind is StkKind.GET_CHANNEL_STATUS
+        else:
+            assert self.state.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT
+            assert command == (StkKind.CLOSE_CHANNEL, channels)
+
+    @precondition(
+        _in_phase(TeardownPhase.AWAIT_CHANNEL_STATUS, TeardownPhase.AWAIT_CLOSE_RESULT)
+    )
+    @rule(channels=st.lists(st.integers(1, 9), max_size=3).map(tuple))
+    def terminal_response(self, channels):
+        if self.state.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT:
+            status = self.card.terminal_response(CloseChannelResult(success=bool(channels)))
+        else:
+            status = self.card.terminal_response(ChannelStatusResult(channels))
+        if self.state.teardown_phase is TeardownPhase.AWAIT_FETCH_2:
+            assert status is SimStatus.PROACTIVE_PENDING
+            assert self.state.teardown_channels == channels
+        else:
+            assert status is SimStatus.NORMAL
+            assert self.state.teardown_phase is TeardownPhase.IDLE
+
+    @precondition(lambda self: self.state.initialized)
+    @rule()
+    def power_cycle(self):
+        counter = self.state.counter
+        self.card.power_cycle()
+        assert self.state.counter == counter
+        assert self.state.teardown_phase is TeardownPhase.IDLE
+        assert not self.state.initialized
+
+    @rule(data=st.data())
+    def out_of_order(self, data):
+        """A call the current phase forbids raises and changes nothing."""
+        phase = self.state.teardown_phase
+        calls = {}
+        if self.state.initialized:
+            calls["init"] = lambda: self.card.init(TerminalProfile())
+        if not self.state.initialized or phase is not TeardownPhase.IDLE:
+            calls["challenge"] = lambda: self.card.challenge(bytes(16))
+        if phase not in (TeardownPhase.AWAIT_FETCH_1, TeardownPhase.AWAIT_FETCH_2):
+            calls["fetch"] = self.card.fetch
+        if phase is not TeardownPhase.AWAIT_CHANNEL_STATUS:
+            calls["channel_status"] = lambda: self.card.terminal_response(ChannelStatusResult((1,)))
+        if phase is not TeardownPhase.AWAIT_CLOSE_RESULT:
+            calls["close_result"] = lambda: self.card.terminal_response(CloseChannelResult())
+        before = self.state.to_record()
+        with pytest.raises(ProtocolOrderError):
+            calls[data.draw(st.sampled_from(sorted(calls)))]()
+        assert self.state.to_record() == before
+
+    @invariant()
+    def snapshot_round_trips(self):
+        record = self.state.to_record()
+        restored = SimState.from_record(record)
+        assert restored.to_record() == record
+        original = SimCard(copy.copy(self.state), random.Random(0))
+        rebuilt = SimCard(restored, random.Random(0))
+        assert _fetch_outcome(rebuilt) == _fetch_outcome(original)
+
+
+TestSimCardMachine = SimCardMachine.TestCase
+TestSimCardMachine.settings = settings(max_examples=100, stateful_step_count=50, deadline=None)
