@@ -132,6 +132,10 @@ def build_hijacked_rands(ka: bytes, amf: int, first_sqn: int, n: int) -> bytes:
     if not isinstance(n, int) or n < 1:
         raise MalformedInputError(f"challenge count must be >= 1, got {n!r}")
     check_sqn48(first_sqn + n - 1)
+    return _build_rands(cs._key(ka, "ka"), amf, first_sqn, n)
+
+
+def _build_rands(ka: cs.Key128, amf: int, first_sqn: int, n: int) -> bytes:
     first = (amf << 48) | first_sqn
     words = array("Q", range(first, first + n))
     if sys.byteorder == "little":
@@ -152,11 +156,15 @@ def decompose_rand(ka: bytes, rand: bytes) -> HijackedRandLayout:
     Performs no authenticity or freshness check; on a challenge that was
     not built under this ka the recovered fields are garbage.
     """
-    rand = cs._check_len("rand", rand, cs.RAND_LEN)
-    masked, mac = rand[:8], rand[8:]
-    ak = cs.f5_mask(ka, mac)
-    amf, sqn = unpack_amf_sqn(cs.xor_bytes(masked, ak))
-    return HijackedRandLayout(amf=amf, sqn=sqn, mac=mac, ak=ak)
+    amf_sqn, mac, ak = _unmask(cs._key(ka, "ka"), cs._check_len("rand", rand, cs.RAND_LEN))
+    return HijackedRandLayout(amf_sqn >> 48, amf_sqn & SQN_MAX, mac, ak)
+
+
+def _unmask(ka: cs.Key128, rand: bytes) -> tuple[int, bytes, bytes]:
+    """(AMF || SQN as an int, received tag, mask) of a proven 16-octet challenge."""
+    mac = rand[8:]
+    ak = cs._f5(ka, mac)
+    return int.from_bytes(rand[:8], "big") ^ int.from_bytes(ak, "big"), mac, ak
 
 
 def _placeholder(rng: random.Random, forbidden: bytes) -> bytes:
@@ -184,26 +192,24 @@ def verify_hijacked_rand(
     differ from the honest (sres, kc) for this challenge.
     """
     check_sqn48(counter)
-    layout = decompose_rand(ka, rand)
-    xmac = cs.f1_mac(ka, pack_amf_sqn(layout.amf, layout.sqn))
-    if xmac != layout.mac:
+    ka = cs._key(ka, "ka")
+    ki = cs._key(ki, "ki")
+    rand = cs._check_len("rand", rand, cs.RAND_LEN)
+    # one AES call each: unmask, re-tag, answer
+    amf_sqn, mac, _ = _unmask(ka, rand)
+    sres, kc = cs._a3a8(ki, rand)
+    if cs._f1(ka, amf_sqn.to_bytes(8, "big")) != mac:
         reason = RejectReason.MAC_MISMATCH
-    elif layout.sqn <= counter:
+    elif amf_sqn & SQN_MAX <= counter:
         reason = RejectReason.SQN_NOT_FRESH
     else:
-        sres, kc = legacy_response(ki, rand)
-        return Accepted(amf=layout.amf, sqn=layout.sqn, sres=sres, kc=kc)
-    sres, kc = legacy_response(ki, rand)
-    return Rejected(
-        reason=reason,
-        placeholder_sres=_placeholder(rng, sres),
-        placeholder_kc=_placeholder(rng, kc),
-    )
+        return Accepted(amf_sqn >> 48, amf_sqn & SQN_MAX, sres, kc)
+    return Rejected(reason, _placeholder(rng, sres), _placeholder(rng, kc))
 
 
 def legacy_response(ki: bytes, rand: bytes) -> tuple[bytes, bytes]:
     """The unmodified challenge response: (SRES, Kc) over the full RAND."""
-    return cs.a3a8_batch(ki, cs._check_len("rand", rand, cs.RAND_LEN))
+    return cs._a3a8(cs._key(ki, "ki"), cs._check_len("rand", rand, cs.RAND_LEN))
 
 
 def generate_triples(
@@ -220,27 +226,26 @@ def generate_triples(
     """
     check_sqn48(counter)
     check_amf16(amf)
-    if n < 1:
-        raise MalformedInputError(f"batch size must be >= 1, got {n}")
+    if not isinstance(n, int) or n < 1:
+        raise MalformedInputError(f"batch size must be >= 1, got {n!r}")
     if counter + n > SQN_MAX:
         raise CounterOverflowError(
             f"issuing {n} triples from counter {counter} would exceed 2^48 - 1"
         )
-    rands = build_hijacked_rands(ka, amf, counter + 1, n)
+    ki, ka = cs._key(ki, "ki"), cs._key(ka, "ka")
+    rands = _build_rands(ka, amf, counter + 1, n)
+    return _triples(ki, rands, range(counter + 1, counter + n + 1)), counter + n
+
+
+def _triples(ki: cs.Key128, rands: bytes, sqn_hints) -> list[AuthTriple]:
+    """One triple per 16-octet RAND and sqn hint, all answered by one A3/A8 call."""
     xres, kc = cs.a3a8_batch(ki, rands)
-    triples = [
-        AuthTriple(
-            rand=rands[16 * i : 16 * i + 16],
-            xres=xres[8 * i : 8 * i + 8],
-            kc=kc[8 * i : 8 * i + 8],
-            sqn_hint=counter + 1 + i,
-        )
-        for i in range(n)
+    return [
+        AuthTriple(rands[16 * i : 16 * i + 16], xres[8 * i : 8 * i + 8], kc[8 * i : 8 * i + 8], sqn)
+        for i, sqn in enumerate(sqn_hints)
     ]
-    return triples, counter + n
 
 
 def make_legacy_triple(ki: bytes, rand: bytes) -> AuthTriple:
     """Triple for a legacy subscriber; the caller supplies the random RAND."""
-    xres, kc = legacy_response(ki, rand)
-    return AuthTriple(rand=rand, xres=xres, kc=kc, sqn_hint=0)
+    return _triples(cs._key(ki, "ki"), cs._check_len("rand", rand, cs.RAND_LEN), [0])[0]

@@ -23,8 +23,10 @@ Byte strings are used directly for keys, tags and challenges:
 Every AES use is one ECB update() over a whole buffer of blocks: a frame's
 keystream, the f1 or f5 tags of a batch, the A3/A8 pairs of a batch.
 
-All functions validate lengths and raise MalformedInputError on violation.
-Everything is a pure function of its arguments.
+Every public function checks its arguments once, on entry, and raises
+MalformedInputError on a violation; behind that check it runs on private
+cores that trust their inputs.  Everything is a pure function of its
+arguments.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ _PAD_F1 = bytes(7) + bytes([0x01])
 _PAD_F5 = bytes(7) + bytes([0x05])
 _C3 = bytes([0x33]) * 16
 _C8 = bytes([0x88]) * 16
+_C3C8 = _C3 + _C8
 _TAG_DERIVE_KI = bytes([0x4B])
 _TAG_DERIVE_KA = bytes([0x4A])
 
@@ -104,9 +107,12 @@ def _check_bytes(name: str, value: bytes) -> bytes:
 
 
 def _check_len(name: str, value: bytes, expected: int) -> bytes:
-    if len(_check_bytes(name, value)) != expected:
+    """The value as plain immutable bytes, once it is proven `expected` octets."""
+    if type(value) is not bytes:
+        value = bytes(_check_bytes(name, value))
+    if len(value) != expected:
         raise MalformedInputError(f"{name} must be {expected} octets, got {len(value)}")
-    return bytes(value)
+    return value
 
 
 def _count_items(name: str, value: bytes, width: int) -> int:
@@ -146,11 +152,17 @@ def _left_words(blocks: bytes) -> bytes:
     return array("Q", blocks)[0::2].tobytes()
 
 
+# bound once: `algorithms` resolves every attribute through a Python-level
+# deprecation shim, and an ECB mode object holds no state
+_AES = algorithms.AES
+_ECB_MODE = modes.ECB()
+
+
 @lru_cache(maxsize=512)
 def _ecb(key: bytes):
     # ECB encrypts each block independently, so one cached context per key
     # can serve every call; update() is where the fast path lives.
-    return Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+    return Cipher(_AES(key), _ECB_MODE).encryptor()
 
 
 class Key128(bytes):
@@ -182,26 +194,69 @@ class Key128(bytes):
         return ctx.update(blocks)
 
 
-def _padded_prf(key: Key128, name: str, words: bytes, pad: bytes) -> bytes:
+def _key(value: bytes, name: str) -> Key128:
+    """The value as a Key128: a Key128 passes through untouched, anything else is checked."""
+    return value if type(value) is Key128 else Key128(value, name)
+
+
+# --- cores: one AES call on values the caller has already proven --------------
+#
+# The one-block cores take a Key128 and exactly one 8- or 16-octet item; the
+# card's verify path runs on them directly.  The public functions below are
+# "check, then core"; the batched ones keep the array path for many items.
+
+
+def _f1(ka: Key128, amf_sqn: bytes) -> bytes:
+    return ka._encrypt(amf_sqn + _PAD_F1)[:TAG_LEN]
+
+
+def _f5(ka: Key128, mac: bytes) -> bytes:
+    return ka._encrypt(mac + _PAD_F5)[:TAG_LEN]
+
+
+def _a3a8(ki: Key128, rand: bytes) -> tuple[bytes, bytes]:
+    """(SRES, Kc) of one RAND: its two masked blocks in one call."""
+    out = ki._encrypt(xor_bytes(rand + rand, _C3C8))
+    return out[:TAG_LEN], out[RAND_LEN : RAND_LEN + TAG_LEN]
+
+
+def _padded_prf(key: Key128, words: bytes, pad: bytes) -> bytes:
     """AES_key(v || pad)[:8] of every 8-octet word v in the buffer, from one call."""
-    blocks = array("Q", bytes(TAG_LEN) + pad) * _count_items(name, words, TAG_LEN)
+    blocks = array("Q", bytes(TAG_LEN) + pad) * (len(words) // TAG_LEN)
     blocks[0::2] = array("Q", words)
     return _left_words(key._encrypt(blocks.tobytes()))
 
 
+def f1_mac(ka: bytes, amf_sqn: bytes) -> bytes:
+    """64-bit authentication tag over a 16-bit AMF || 48-bit SQN message."""
+    return _f1(_key(ka, "ka"), _check_len("amf_sqn", amf_sqn, TAG_LEN))
+
+
+def f5_mask(ka: bytes, mac: bytes) -> bytes:
+    """64-bit encrypting mask derived from an authentication tag."""
+    return _f5(_key(ka, "ka"), _check_len("mac", mac, TAG_LEN))
+
+
+def a3_sres(ki: bytes, rand: bytes) -> bytes:
+    """Challenge-response MAC: the SIM's 64-bit signed response."""
+    return _a3a8(_key(ki, "ki"), _check_len("rand", rand, RAND_LEN))[0]
+
+
+def a8_kc(ki: bytes, rand: bytes) -> bytes:
+    """Session-key derivation: the 64-bit ciphering key Kc."""
+    return _a3a8(_key(ki, "ki"), _check_len("rand", rand, RAND_LEN))[1]
+
+
 def f1_macs(ka: bytes, amf_sqns: bytes) -> bytes:
     """f1_mac of every 8-octet message in the buffer, from one AES call."""
-    return _padded_prf(Key128(ka, "ka"), "amf_sqns", amf_sqns, _PAD_F1)
+    _count_items("amf_sqns", amf_sqns, TAG_LEN)
+    return _padded_prf(_key(ka, "ka"), amf_sqns, _PAD_F1)
 
 
 def f5_masks(ka: bytes, macs: bytes) -> bytes:
     """f5_mask of every 8-octet tag in the buffer, from one AES call."""
-    return _padded_prf(Key128(ka, "ka"), "macs", macs, _PAD_F5)
-
-
-def _masked_prf(key: Key128, blocks: bytes, mask: bytes) -> bytes:
-    """AES_key(b xor m)[:8] of every 16-octet block b and mask block m, from one call."""
-    return _left_words(key._encrypt(xor_bytes(blocks, mask)))
+    _count_items("macs", macs, TAG_LEN)
+    return _padded_prf(_key(ka, "ka"), macs, _PAD_F5)
 
 
 def a3a8_batch(ki: bytes, rands: bytes) -> tuple[bytes, bytes]:
@@ -210,30 +265,9 @@ def a3a8_batch(ki: bytes, rands: bytes) -> tuple[bytes, bytes]:
     Returns the concatenated SRES values and the concatenated Kc values,
     8 octets per RAND each.
     """
-    ki = Key128(ki, "ki")
     n = _count_items("rands", rands, RAND_LEN)
-    out = _masked_prf(ki, rands + rands, _C3 * n + _C8 * n)
+    out = _left_words(_key(ki, "ki")._encrypt(xor_bytes(rands + rands, _C3 * n + _C8 * n)))
     return out[: TAG_LEN * n], out[TAG_LEN * n :]
-
-
-def f1_mac(ka: bytes, amf_sqn: bytes) -> bytes:
-    """64-bit authentication tag over a 16-bit AMF || 48-bit SQN message."""
-    return f1_macs(ka, _check_len("amf_sqn", amf_sqn, TAG_LEN))
-
-
-def f5_mask(ka: bytes, mac: bytes) -> bytes:
-    """64-bit encrypting mask derived from an authentication tag."""
-    return f5_masks(ka, _check_len("mac", mac, TAG_LEN))
-
-
-def a3_sres(ki: bytes, rand: bytes) -> bytes:
-    """Challenge-response MAC: the SIM's 64-bit signed response."""
-    return _masked_prf(Key128(ki, "ki"), _check_len("rand", rand, RAND_LEN), _C3)
-
-
-def a8_kc(ki: bytes, rand: bytes) -> bytes:
-    """Session-key derivation: the 64-bit ciphering key Kc."""
-    return _masked_prf(Key128(ki, "ki"), _check_len("rand", rand, RAND_LEN), _C8)
 
 
 def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> KeystreamBlock:
@@ -280,8 +314,11 @@ def derive_subscriber_keys(master: bytes, imsi: str) -> tuple[Key128, Key128]:
     The input block is the 15 IMSI digits as ASCII plus a one-octet purpose
     tag, so the two keys are outputs of the same PRP on distinct blocks.
     """
-    master = Key128(master, "master")
-    digits = check_imsi(imsi).encode("ascii")
+    return _derive_keys(_key(master, "master"), check_imsi(imsi))
+
+
+def _derive_keys(master: Key128, imsi: str) -> tuple[Key128, Key128]:
+    digits = imsi.encode("ascii")
     out = master._encrypt(digits + _TAG_DERIVE_KI + digits + _TAG_DERIVE_KA)
     return Key128(out[:KEY_LEN]), Key128(out[KEY_LEN:])
 

@@ -26,6 +26,7 @@ from .adversary import Adversary, AttackKind, AttackReport, InterceptLog, RandSo
 from .errors import ConfigError, SimulationError
 from .mobile_equipment import MeProfile, MobileEquipment, Responded
 from .network_side import (
+    MAX_BATCH,
     ConsumptionPolicy,
     HomeNetwork,
     ServingNetwork,
@@ -59,6 +60,8 @@ _encode_payload = c_make_encoder(
 )
 _ENVELOPE = '{"seq_no":%d,"actor":%s,"event":%s}'
 _LINE = _ENVELOPE + "\n"
+# builds a NamedTuple from its field tuple without the generated Python __new__
+_tuple_new = tuple.__new__
 
 
 class TraceEvent(NamedTuple):
@@ -82,7 +85,7 @@ class Tracer:
 
     def __call__(self, actor: str, msg: str, **fields):
         events = self.events
-        events.append(TraceEvent(len(events), actor, {"msg": msg, **fields}))
+        events.append(_tuple_new(TraceEvent, (len(events), actor, {"msg": msg, **fields})))
 
 
 def render_trace(events: list[TraceEvent]) -> str:
@@ -125,6 +128,9 @@ class StepKind(enum.Enum):
     OPEN_CHANNEL = "OPEN_CHANNEL"
     RUN_ATTACK = "RUN_ATTACK"
     ASSERT = "ASSERT"
+
+
+_STEP_KINDS = {kind.value: kind for kind in StepKind}
 
 
 class ScenarioStep(NamedTuple):
@@ -231,8 +237,8 @@ class ScenarioConfig(NamedTuple):
         policy = ConsumptionPolicy(net.get("consumption_policy", "IN_ORDER"))
         cipher = cs.CipherAlgId(net.get("cipher", "A5_3"))
         batch_size = net.get("batch_size", 2)
-        if not _is_int(batch_size) or batch_size < 1:
-            raise ConfigError("batch_size must be a positive integer")
+        if not _is_int(batch_size) or not 1 <= batch_size <= MAX_BATCH:
+            raise ConfigError(f"batch_size must be an integer in [1, {MAX_BATCH}]")
 
         attacker = None
         if raw.get("attacker"):
@@ -254,10 +260,18 @@ class ScenarioConfig(NamedTuple):
 
         script = []
         for idx, step in enumerate(raw.get("script", [])):
-            kind = StepKind(step["op"])
-            params = {k: v for k, v in step.items() if k != "op"}
+            if not isinstance(step, dict):
+                raise ConfigError(f"script step {idx} must be a JSON object")
+            if "op" not in step:
+                raise ConfigError(f"script step {idx} has no 'op'")
+            params = step.copy()
+            op = params.pop("op")
+            try:
+                kind = _STEP_KINDS[op]
+            except (KeyError, TypeError):
+                kind = StepKind(op)  # raises the ValueError that names the op
             cls._check_step(idx, kind, params, seen, attacker)
-            script.append(ScenarioStep(kind=kind, params=params))
+            script.append(_tuple_new(ScenarioStep, (kind, params)))
 
         return cls(
             seed=seed,
@@ -286,16 +300,16 @@ class ScenarioConfig(NamedTuple):
             raise ConfigError(f"step {idx} runs an attack but none is configured")
         if kind is StepKind.REQUEST_TRIPLES:
             n = params.get("n", 1)
-            if not _is_int(n) or n < 1:
-                raise ConfigError(f"step {idx}: n must be a positive integer")
+            if not _is_int(n) or not 1 <= n <= MAX_BATCH:
+                raise ConfigError(f"step {idx}: n must be an integer in [1, {MAX_BATCH}]")
         if kind is StepKind.SEND_TRAFFIC:
             try:
                 bytes.fromhex(params["plaintext"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"step {idx}: plaintext must be a hex string") from exc
             frame = params.get("frame_index", 0)
-            if not _is_int(frame) or frame < 0:
-                raise ConfigError(f"step {idx}: frame_index must be a non-negative integer")
+            if not _is_int(frame) or not 0 <= frame < 1 << 64:
+                raise ConfigError(f"step {idx}: frame_index must be an integer in [0, 2^64)")
 
 
 def _is_int(value) -> bool:

@@ -28,6 +28,7 @@ from .errors import (
 from .sim_card import SimMode, SimState, noop_trace
 
 __all__ = [
+    "MAX_BATCH",
     "check_imsi",
     "SubscriberRecord",
     "ConsumptionPolicy",
@@ -35,6 +36,9 @@ __all__ = [
     "HomeNetwork",
     "ServingNetwork",
 ]
+
+# the most triples one request may ask for, so one batch's memory is bounded
+MAX_BATCH = 4096
 
 
 class SubscriberRecord:
@@ -80,7 +84,7 @@ class HomeNetwork:
         check_imsi(imsi)
         if imsi in self.registry:
             raise ProvisioningError(f"imsi {imsi} already provisioned")
-        ki, ka = cs.derive_subscriber_keys(master, imsi)
+        ki, ka = cs._derive_keys(cs._key(master, "master"), imsi)
         if mode is SimMode.LEGACY:
             ka = None
         record = SubscriberRecord(imsi=imsi, ki=ki, ka=ka, counter=0, mode=mode)
@@ -93,8 +97,10 @@ class HomeNetwork:
         """Issue a batch of n triples for the subscriber."""
         if imsi not in self.registry:
             raise UnknownSubscriberError(imsi)
-        if n < 1:
-            raise MalformedInputError(f"batch size must be >= 1, got {n}")
+        if not isinstance(n, int) or not 1 <= n <= MAX_BATCH:
+            raise MalformedInputError(
+                f"batch size must be an integer in [1, {MAX_BATCH}], got {n!r}"
+            )
         record = self.registry[imsi]
         if record.mode is SimMode.ENHANCED:
             triples, record.counter = auth_core.generate_triples(
@@ -109,10 +115,8 @@ class HomeNetwork:
                 sqn_last=triples[-1].sqn_hint,
             )
         else:
-            triples = [
-                auth_core.make_legacy_triple(record.ki, self.rng.randbytes(cs.RAND_LEN))
-                for _ in range(n)
-            ]
+            rands = b"".join([self.rng.randbytes(cs.RAND_LEN) for _ in range(n)])
+            triples = auth_core._triples(record.ki, rands, [0] * n)
             self.trace(self.name, "TRIPLES_ISSUED", imsi=imsi, n=n)
         return triples
 

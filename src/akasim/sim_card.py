@@ -138,13 +138,16 @@ class SimState:
         teardown_channels: tuple[int, ...] = (),
     ):
         self.imsi = cs.check_imsi(imsi)
-        self.ki = cs.Key128(ki, "ki")
-        self.ka = None if ka is None else cs.Key128(ka, "ka")
+        self.ki = cs._key(ki, "ki")
+        self.ka = None if ka is None else cs._key(ka, "ka")
+        if not isinstance(mode, SimMode):
+            raise MalformedInputError(f"mode must be a SimMode, got {mode!r}")
         if mode is SimMode.LEGACY and ka is not None:
             raise MalformedInputError("legacy SIM must not hold a ka")
         if mode is SimMode.ENHANCED and ka is None:
             raise MalformedInputError("enhanced SIM needs a ka")
         self.counter = auth_core.check_sqn48(counter)
+        _check_teardown(mode, initialized, me_class_e, teardown_phase, teardown_channels)
         self.mode = mode
         self.initialized = initialized
         self.me_class_e = me_class_e
@@ -198,9 +201,36 @@ class SimState:
             )
         except (KeyError, ValueError) as exc:
             raise MalformedInputError(f"bad SIM snapshot record: {record!r}") from exc
-        # a CLOSE_CHANNEL armed without channel ids is refused here
-        _pending_command(state)
         return state
+
+
+# the phases in which the card holds the channel ids the phone reported
+_CHANNEL_PHASES = (TeardownPhase.AWAIT_FETCH_2, TeardownPhase.AWAIT_CLOSE_RESULT)
+
+
+def _check_teardown(mode, initialized, me_class_e, phase, channels) -> None:
+    """Refuse the teardown states no card can reach.
+
+    Only a challenge rejected by an initialised ENHANCED card behind a
+    class-e phone leaves IDLE, and the card holds channel ids exactly from
+    a non-empty channel-status result until the close result.
+    """
+    if type(initialized) is not bool or type(me_class_e) is not bool:
+        raise MalformedInputError("initialized and me_class_e must be bools")
+    if not isinstance(phase, TeardownPhase):
+        raise MalformedInputError(f"teardown phase must be a TeardownPhase, got {phase!r}")
+    if phase is not TeardownPhase.IDLE and not (
+        mode is SimMode.ENHANCED and initialized and me_class_e
+    ):
+        raise MalformedInputError(
+            f"phase {phase.value} needs an initialised ENHANCED card behind a class-e phone"
+        )
+    if not isinstance(channels, tuple) or not all(type(c) is int and c >= 0 for c in channels):
+        raise MalformedInputError(f"teardown channels must be a tuple of ids, got {channels!r}")
+    if bool(channels) is not (phase in _CHANNEL_PHASES):
+        raise MalformedInputError(
+            f"phase {phase.value} {'needs' if phase in _CHANNEL_PHASES else 'holds no'} channel ids"
+        )
 
 
 def _snapshot_decimal(value: str) -> int:
@@ -267,28 +297,24 @@ class SimCard:
 
         if st.mode is SimMode.LEGACY:
             sres, kc = auth_core.legacy_response(st.ki, rand)
-            return SimResponse(sres=sres, kc=kc, status=SimStatus.NORMAL)
+            return SimResponse(sres, kc, SimStatus.NORMAL)
 
         outcome = auth_core.verify_hijacked_rand(
             st.ka, st.counter, rand, st.ki, self.rng
         )
         if isinstance(outcome, auth_core.Accepted):
             st.counter = outcome.sqn
-            return SimResponse(sres=outcome.sres, kc=outcome.kc, status=SimStatus.NORMAL)
+            return SimResponse(outcome.sres, outcome.kc, SimStatus.NORMAL)
 
         if st.me_class_e:
             st.teardown_phase = TeardownPhase.AWAIT_FETCH_1
             return SimResponse(
-                sres=outcome.placeholder_sres,
-                kc=outcome.placeholder_kc,
-                status=SimStatus.PROACTIVE_PENDING,
-                pending_length=_pending_command(st).encoded_length(),
+                outcome.placeholder_sres,
+                outcome.placeholder_kc,
+                SimStatus.PROACTIVE_PENDING,
+                _pending_command(st).encoded_length(),
             )
-        return SimResponse(
-            sres=outcome.placeholder_sres,
-            kc=outcome.placeholder_kc,
-            status=SimStatus.NORMAL,
-        )
+        return SimResponse(outcome.placeholder_sres, outcome.placeholder_kc, SimStatus.NORMAL)
 
     def fetch(self) -> StkCommand:
         """Hand the armed proactive command to the phone."""

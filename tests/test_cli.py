@@ -146,6 +146,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"op": "REQUEST_TRIPLES", "imsi": "001010000000001", "n": 4097},
+            {"op": "SEND_TRAFFIC", "imsi": "001010000000001", "plaintext": "00", "frame_index": 2**64},
+        ],
+        ids=["n_above_cap", "frame_index_2_64"],
+    )
+    def test_step_out_of_range_usage_error(self, tmp_path, capsys, step):
+        raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
+        raw["script"].append(step)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_failing_assert_exit_two(self, tmp_path):
         raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
         raw["script"].append(

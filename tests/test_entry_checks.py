@@ -1,0 +1,120 @@
+"""Entry checks of the functions that run on private cores, and the cores
+themselves against the pure-Python oracle.
+
+Each public function below checks its arguments once, on entry, and then
+hands them to cores in crypto_suite and auth_core that trust them.  These
+tests pin both halves: a bad argument still raises MalformedInputError at
+every entry, and the cores compute what tests/oracle.py computes.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle
+from akasim import auth_core as ac, crypto_suite as cs
+from akasim.errors import MalformedInputError
+from akasim.sim_card import SimCard, SimMode, SimState, TerminalProfile
+
+IMSI = "001010000000042"
+KA = bytes.fromhex("101112131415161718191a1b1c1d1e1f")
+KI = bytes.fromhex("202122232425262728292a2b2c2d2e2f")
+RAND = ac.build_hijacked_rand(KA, 0, 1)
+MSG = ac.pack_amf_sqn(0, 1)
+
+
+def _challenge(mode: SimMode, rand):
+    """SimCard.challenge on a fresh card; a refused challenge changes no state."""
+    ka = KA if mode is SimMode.ENHANCED else None
+    card = SimCard(SimState(imsi=IMSI, ki=KI, ka=ka, counter=0, mode=mode), random.Random(0))
+    card.init(TerminalProfile(class_e=True))
+    before = card.state.to_record()
+    try:
+        return card.challenge(rand)
+    except MalformedInputError:
+        assert card.state.to_record() == before
+        raise
+
+
+# entry point/argument -> (call with that argument replaced, a good value)
+ENTRIES = {
+    "verify_hijacked_rand/ka": (lambda v: ac.verify_hijacked_rand(v, 0, RAND, KI, random.Random(0)), KA),
+    "verify_hijacked_rand/rand": (lambda v: ac.verify_hijacked_rand(KA, 0, v, KI, random.Random(0)), RAND),
+    "verify_hijacked_rand/ki": (lambda v: ac.verify_hijacked_rand(KA, 0, RAND, v, random.Random(0)), KI),
+    "legacy_response/ki": (lambda v: ac.legacy_response(v, RAND), KI),
+    "legacy_response/rand": (lambda v: ac.legacy_response(KI, v), RAND),
+    "SimCard.challenge/enhanced": (lambda v: _challenge(SimMode.ENHANCED, v), RAND),
+    "SimCard.challenge/legacy": (lambda v: _challenge(SimMode.LEGACY, v), RAND),
+    "f1_mac/ka": (lambda v: cs.f1_mac(v, MSG), KA),
+    "f1_mac/amf_sqn": (lambda v: cs.f1_mac(KA, v), MSG),
+    "f5_mask/ka": (lambda v: cs.f5_mask(v, MSG), KA),
+    "f5_mask/mac": (lambda v: cs.f5_mask(KA, v), MSG),
+    "a3_sres/ki": (lambda v: cs.a3_sres(v, RAND), KI),
+    "a3_sres/rand": (lambda v: cs.a3_sres(KI, v), RAND),
+    "a8_kc/ki": (lambda v: cs.a8_kc(v, RAND), KI),
+    "a8_kc/rand": (lambda v: cs.a8_kc(KI, v), RAND),
+    "generate_triples/ki": (lambda v: ac.generate_triples(v, KA, 0, 0, 2), KI),
+    "generate_triples/ka": (lambda v: ac.generate_triples(KI, v, 0, 0, 2), KA),
+}
+BAD = {
+    "str": "00" * 16,
+    "list": list(range(16)),
+    "15 octets": bytes(15),
+    "17 octets": bytes(17),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD.values()), ids=list(BAD))
+@pytest.mark.parametrize("entry", list(ENTRIES.values()), ids=list(ENTRIES))
+def test_entry_rejects_bad_argument(entry, bad):
+    call, _ = entry
+    with pytest.raises(MalformedInputError):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES.values()), ids=list(ENTRIES))
+def test_entry_accepts_good_argument_as_bytes_or_bytearray(entry):
+    call, good = entry
+    assert call(good) == call(bytearray(good))
+
+
+keys = st.binary(min_size=16, max_size=16)
+words = st.binary(min_size=8, max_size=8)
+
+
+@given(key=keys, word=words, rand=keys)
+@settings(max_examples=100, deadline=None)
+def test_one_block_cores_match_oracle(key, word, rand):
+    k = cs.Key128(key)
+    assert cs._f1(k, word) == oracle.ref_f1(key, word)
+    assert cs._f5(k, word) == oracle.ref_f5(key, word)
+    assert cs._a3a8(k, rand) == (oracle.ref_a3(key, rand), oracle.ref_a8(key, rand))
+
+
+@given(
+    ka=keys,
+    ki=keys,
+    amf=st.integers(0, ac.AMF_MAX),
+    sqn=st.integers(1, ac.SQN_MAX),
+    lag=st.integers(0, 3),
+    flip=st.integers(0, 127),
+)
+@settings(max_examples=100, deadline=None)
+def test_verify_matches_oracle(ka, ki, amf, sqn, lag, flip):
+    rand = oracle.ref_build_rand(ka, amf, sqn)
+    honest = (oracle.ref_a3(ki, rand), oracle.ref_a8(ki, rand))
+
+    accepted = ac.verify_hijacked_rand(ka, sqn - 1, rand, ki, random.Random(0))
+    assert accepted == ac.Accepted(amf, sqn, *honest)
+
+    stale = ac.verify_hijacked_rand(ka, min(sqn + lag, ac.SQN_MAX), rand, ki, random.Random(0))
+    assert stale.reason is ac.RejectReason.SQN_NOT_FRESH
+    assert (stale.placeholder_sres, stale.placeholder_kc) != honest
+
+    forged_rand = (int.from_bytes(rand, "big") ^ 1 << flip).to_bytes(16, "big")
+    forged = ac.verify_hijacked_rand(ka, 0, forged_rand, ki, random.Random(0))
+    assert forged.reason is ac.RejectReason.MAC_MISMATCH
+    honest_forged = (oracle.ref_a3(ki, forged_rand), oracle.ref_a8(ki, forged_rand))
+    assert forged.placeholder_sres != honest_forged[0]
+    assert forged.placeholder_kc != honest_forged[1]

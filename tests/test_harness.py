@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from akasim import harness
 from akasim.errors import ConfigError
+from akasim.network_side import MAX_BATCH
 from akasim.harness import (
     AssertOutcome,
     ScenarioConfig,
@@ -90,11 +91,45 @@ class TestConfigValidation:
             {"script": [{"op": "ASSERT", "predicate": {"kind": "absent_after", "anchor": 1, "where": {}}}]},
             {"script": [{"op": "ASSERT", "predicate": {"kind": "ordered", "sequence": [{}, "x"]}}]},
             {"script": [{"op": "ASSERT", "predicate": {"kind": "field_equals", "where": {}, "field": 3, "value": 1}}]},
+            # caps: the first value above each
+            {"script": [{"op": "REQUEST_TRIPLES", "imsi": VICTIM, "n": MAX_BATCH + 1}]},
+            {"network_policy": {"batch_size": MAX_BATCH + 1}},
+            {"script": [{"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "00", "frame_index": 2**64}]},
+            # script steps that are not objects, have no op or an unknown one
+            {"script": ["ATTACH"]},
+            {"script": [[VICTIM]]},
+            {"script": [{"imsi": VICTIM}]},
+            {"script": [{"op": "JUMP", "imsi": VICTIM}]},
+            {"script": [{"op": ["ATTACH"], "imsi": VICTIM}]},
         ],
     )
     def test_rejections(self, mutation):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(base_config(**mutation))
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ("ATTACH", "script step 0 must be a JSON object"),
+            ({"imsi": VICTIM}, "script step 0 has no 'op'"),
+            ({"op": "JUMP"}, "'JUMP' is not a valid StepKind"),
+        ],
+    )
+    def test_bad_step_is_named(self, step, message):
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig.from_dict(base_config(script=[step]))
+
+    def test_caps_are_inclusive(self):
+        script = [
+            {"op": "REQUEST_TRIPLES", "imsi": VICTIM, "n": MAX_BATCH},
+            {"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "00", "frame_index": 2**64 - 1},
+        ]
+        raw = base_config(network_policy={"batch_size": MAX_BATCH}, script=script)
+        config = ScenarioConfig.from_dict(raw)  # loaded, never run
+        assert config.batch_size == MAX_BATCH == 4096
+        assert [step.params for step in config.script] == [
+            {k: v for k, v in step.items() if k != "op"} for step in script
+        ]
 
     def test_duplicate_subscriber(self):
         raw = base_config(

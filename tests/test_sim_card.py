@@ -266,6 +266,42 @@ class TestSnapshot:
         with pytest.raises(MalformedInputError):
             SimState.from_record(record)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            "mode=LEGACY counter=0 phase=AWAIT_FETCH_1 initialized=0",
+            "mode=LEGACY counter=0 phase=AWAIT_FETCH_1 initialized=1 class_e=1",
+            f"ka={KA.hex()} mode=ENHANCED counter=0 phase=AWAIT_FETCH_1 initialized=0",
+            f"ka={KA.hex()} mode=ENHANCED counter=0 phase=AWAIT_FETCH_1 initialized=1 class_e=0",
+            f"ka={KA.hex()} mode=ENHANCED counter=0 phase=IDLE initialized=1 class_e=1 channels=3",
+            f"ka={KA.hex()} mode=ENHANCED counter=0 phase=AWAIT_CHANNEL_STATUS initialized=1"
+            " class_e=1 channels=3",
+            f"ka={KA.hex()} mode=ENHANCED counter=0 phase=AWAIT_CLOSE_RESULT initialized=1 class_e=1",
+        ],
+    )
+    def test_unreachable_teardown_state_rejected(self, fields):
+        with pytest.raises(MalformedInputError):
+            SimState.from_record(f"imsi={IMSI} ki={KI.hex()} {fields}")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"teardown_phase": TeardownPhase.AWAIT_FETCH_2},
+            {"teardown_phase": TeardownPhase.IDLE, "teardown_channels": (3,)},
+            {"teardown_phase": TeardownPhase.AWAIT_FETCH_2, "teardown_channels": [3]},
+            {"teardown_phase": "AWAIT_FETCH_1"},
+            {"initialized": 1},
+        ],
+    )
+    def test_constructor_rejects_unreachable_teardown_state(self, fields):
+        volatile = {"initialized": True, "me_class_e": True, **fields}
+        with pytest.raises(MalformedInputError):
+            SimState(imsi=IMSI, ki=KI, ka=KA, counter=0, mode=SimMode.ENHANCED, **volatile)
+
+    def test_constructor_rejects_mode_that_is_not_a_sim_mode(self):
+        with pytest.raises(MalformedInputError):
+            SimState(imsi=IMSI, ki=KI, ka=KA, counter=0, mode="ENHANCED")
+
     @pytest.mark.parametrize("field", ["initialized", "class_e"])
     @pytest.mark.parametrize("value", ["true", "yes", "2", ""])
     def test_flag_other_than_0_or_1_rejected(self, field, value):
