@@ -15,6 +15,7 @@ line-delimited JSON records with stable field order, one event per line:
 from __future__ import annotations
 
 import enum
+import gc
 import itertools
 import json
 import random
@@ -22,7 +23,14 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
 from . import crypto_suite as cs
-from .adversary import Adversary, AttackKind, AttackReport, InterceptLog, RandSource
+from .adversary import (
+    Adversary,
+    AttackKind,
+    AttackReport,
+    InterceptLog,
+    LoggedExchange,
+    RandSource,
+)
 from .errors import ConfigError, SimulationError
 from .mobile_equipment import MeProfile, MobileEquipment, Responded
 from .network_side import (
@@ -58,8 +66,7 @@ __all__ = [
 _encode_payload = c_make_encoder(
     None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", False, False, True
 )
-_ENVELOPE = '{"seq_no":%d,"actor":%s,"event":%s}'
-_LINE = _ENVELOPE + "\n"
+_LINE = '{"seq_no":%d,"actor":%s,"event":%s}\n'
 # builds a NamedTuple from its field tuple without the generated Python __new__
 _tuple_new = tuple.__new__
 
@@ -68,13 +75,6 @@ class TraceEvent(NamedTuple):
     seq_no: int
     actor: str
     event: dict
-
-    def to_json_line(self) -> str:
-        return _ENVELOPE % (
-            self.seq_no,
-            encode_basestring_ascii(self.actor),
-            "".join(_encode_payload(self.event, 0)),
-        )
 
 
 class Tracer:
@@ -89,7 +89,8 @@ class Tracer:
 
 
 def render_trace(events: list[TraceEvent]) -> str:
-    """One line per event, each exactly its `to_json_line()` plus a newline."""
+    """One line per event, `json.dumps(record, separators=(",", ":"))` plus a
+    newline, where record is `{"seq_no": ..., "actor": ..., "event": ...}`."""
     return "".join(
         [
             _LINE % (seq_no, encode_basestring_ascii(actor), "".join(_encode_payload(event, 0)))
@@ -508,8 +509,8 @@ class ScenarioEngine:
                 tracer=self.tracer,
                 own_ue=own_ue,
             )
-        # plaintexts behind each logged exchange, index-parallel to the log
-        self._truth: list[list[bytes]] = []
+        # plaintexts sent under each logged exchange, keyed by the exchange
+        self._truth: dict[LoggedExchange, list[bytes]] = {}
 
     # --- step handlers -----------------------------------------------------
 
@@ -573,7 +574,6 @@ class ScenarioEngine:
         rand = self.serving.challenge(imsi)
         if self.adversary is not None:
             self.adversary.log.start_exchange(rand)
-            self._truth.append([])
         outcome = me.handle_challenge(rand)
         if isinstance(outcome, Responded):
             if self.adversary is not None:
@@ -588,10 +588,9 @@ class ScenarioEngine:
         frame_index = params.get("frame_index", 0)
         ciphertext = me.send_traffic(plaintext, frame_index)
         if self.adversary is not None:
-            if not self.adversary.log.records:
-                self._truth.append([])
-            self.adversary.log.note_frame(frame_index, me.session.cipher, ciphertext)
-            self._truth[-1].append(plaintext)
+            log = self.adversary.log
+            log.note_frame(frame_index, me.session.cipher, ciphertext)
+            self._truth.setdefault(log.records[-1], []).append(plaintext)
 
     def _run_attack(self, victim_imsi: str) -> AttackReport:
         spec = self.config.attacker
@@ -612,12 +611,7 @@ class ScenarioEngine:
         # challenge replay: ground truth is the plaintext behind the logged
         # exchange the attacker will pick
         record = adversary.log.latest_with_strong_frames()
-        truth = b""
-        if record is not None:
-            index = next(
-                i for i, r in enumerate(adversary.log.records) if r is record
-            )
-            truth = b"".join(self._truth[index])
+        truth = b"".join(self._truth[record]) if record is not None else b""
         return adversary.bbk_attack(victim, ground_truth=truth)
 
     def _attach_attacker_leg(self, own: MobileEquipment):
@@ -634,13 +628,25 @@ class ScenarioEngine:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Execute a validated config; identical configs yield identical traces."""
-    engine = ScenarioEngine(config)
-    result = engine.run()
-    engine.tracer(
-        "engine",
-        "RUN_COMPLETE",
-        aborted=result.aborted,
-        asserts_passed=result.all_asserts_passed,
-    )
-    return result
+    """Execute a validated config; identical configs yield identical traces.
+
+    The cyclic garbage collector is paused, process-wide, while the engine
+    is built and run, and put back as it was found.  The run's object graph
+    is acyclic, so reference counting frees all of it; the collector would
+    only re-walk the growing trace over and over.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        engine = ScenarioEngine(config)
+        result = engine.run()
+        engine.tracer(
+            "engine",
+            "RUN_COMPLETE",
+            aborted=result.aborted,
+            asserts_passed=result.all_asserts_passed,
+        )
+        return result
+    finally:
+        if gc_was_enabled:
+            gc.enable()

@@ -142,12 +142,14 @@ class MobileEquipment:
             raise ProtocolOrderError("challenge while detached")
         self.trace(self.name, "SIM_CHALLENGE", rand=rand.hex())
         response = self.sim.challenge(rand)
+        # trace payloads read enum members' `_value_`, the attribute behind
+        # `.value`, which is a Python-level property
         self.trace(
             self.name,
             "SIM_RESPONSE",
             sres=response.sres.hex(),
             kc=response.kc.hex(),
-            status=response.status.value,
+            status=response.status._value_,
             **(
                 {"pending_length": response.pending_length}
                 if response.pending_length is not None
@@ -184,21 +186,21 @@ class MobileEquipment:
             command = self.sim.fetch()
             if command.kind is StkKind.GET_CHANNEL_STATUS:
                 channels = tuple(sorted(self.session.channels.open_channels))
-                self.trace(self.name, "PROACTIVE_COMMAND", kind=command.kind.value)
+                self.trace(self.name, "PROACTIVE_COMMAND", kind=command.kind._value_)
                 result = ChannelStatusResult(channels=channels)
                 status = self.sim.terminal_response(result)
                 self.trace(
                     self.name,
                     "TERMINAL_RESPONSE",
-                    kind=command.kind.value,
+                    kind=command.kind._value_,
                     channels=list(channels),
-                    next_status=status.value,
+                    next_status=status._value_,
                 )
             else:
                 self.trace(
                     self.name,
                     "PROACTIVE_COMMAND",
-                    kind=command.kind.value,
+                    kind=command.kind._value_,
                     channels=list(command.channel_ids),
                 )
                 closed = self.session.channels.close(command.channel_ids)
@@ -208,9 +210,9 @@ class MobileEquipment:
                 self.trace(
                     self.name,
                     "TERMINAL_RESPONSE",
-                    kind=command.kind.value,
+                    kind=command.kind._value_,
                     success=bool(closed),
-                    next_status=status.value,
+                    next_status=status._value_,
                 )
         return closed_total
 
@@ -221,7 +223,7 @@ class MobileEquipment:
         if alg is not cs.CipherAlgId.NONE and self.session.kc is None:
             raise ProtocolOrderError("cipher start without a session key")
         self.session.cipher = alg
-        self.trace(self.name, "CIPHER_APPLIED", alg=alg.value)
+        self.trace(self.name, "CIPHER_APPLIED", alg=alg._value_)
 
     def send_traffic(self, plaintext: bytes, frame_index: int) -> bytes:
         """Encrypt and emit one traffic frame; returns the air ciphertext."""
@@ -241,7 +243,7 @@ class MobileEquipment:
             "TRAFFIC",
             network=self.session.attached_network,
             frame_index=frame_index,
-            alg=self.session.cipher.value,
+            alg=self.session.cipher._value_,
             ciphertext=ciphertext.hex(),
         )
         return ciphertext

@@ -90,7 +90,8 @@ class HomeNetwork:
         record = SubscriberRecord(imsi=imsi, ki=ki, ka=ka, counter=0, mode=mode)
         self.registry[imsi] = record
         sim_state = SimState(imsi=imsi, ki=ki, ka=ka, counter=0, mode=mode)
-        self.trace(self.name, "PROVISION", imsi=imsi, mode=mode.value)
+        # `_value_` is the attribute behind the Python-level `.value` property
+        self.trace(self.name, "PROVISION", imsi=imsi, mode=mode._value_)
         return record, sim_state
 
     def request_triples(self, imsi: str, n: int, amf: int = 0) -> list[AuthTriple]:
@@ -173,9 +174,9 @@ class ServingNetwork:
             raise ProtocolOrderError(f"no outstanding challenge for {imsi}")
         triple = self.pending.pop(imsi)
         verdict = Verdict.AUTHENTICATED if sres == triple.xres else Verdict.REJECTED
-        self.trace(self.name, "AUTH_RESULT", imsi=imsi, verdict=verdict.value)
+        self.trace(self.name, "AUTH_RESULT", imsi=imsi, verdict=verdict._value_)
         return verdict
 
     def select_cipher(self) -> cs.CipherAlgId:
-        self.trace(self.name, "CIPHER_SELECT", alg=self.cipher_choice.value)
+        self.trace(self.name, "CIPHER_SELECT", alg=self.cipher_choice._value_)
         return self.cipher_choice

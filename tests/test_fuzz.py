@@ -1,0 +1,170 @@
+"""Fuzz targets for the inputs the CLI and the record readers accept.
+
+Every input either works or fails with its documented error: `akasim run`
+returns 0, 2, 3 or 64 and never raises, and `SimState.from_record` and
+`parse_vector_line` raise nothing but `MalformedInputError`.
+"""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from akasim import cli
+from akasim.crypto_suite import parse_vector_line
+from akasim.errors import MalformedInputError
+from akasim.harness import StepKind, _is_int
+from akasim.network_side import MAX_BATCH
+from akasim.sim_card import SimState
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = [path.read_text() for path in sorted(CONFIGS.glob("*.json"))]
+
+
+class _Object(list):
+    """A JSON object as its [key, value] pairs, so a key can appear twice."""
+
+
+def _load(text: str):
+    return json.loads(text, object_pairs_hook=lambda pairs: _Object(map(list, pairs)))
+
+
+def _dump(node) -> str:
+    if isinstance(node, _Object):
+        return "{" + ",".join(json.dumps(key) + ":" + _dump(value) for key, value in node) + "}"
+    if isinstance(node, list):
+        return "[" + ",".join(_dump(value) for value in node) + "]"
+    return json.dumps(node)
+
+
+def _slots(node):
+    """Every (container, index) in the tree, for objects and arrays alike."""
+    if isinstance(node, list):
+        for index, item in enumerate(node):
+            yield node, index
+            yield from _slots(item[1] if isinstance(node, _Object) else item)
+
+
+def _get(container, index):
+    return container[index][1] if isinstance(container, _Object) else container[index]
+
+
+def _set(container, index, value):
+    if isinstance(container, _Object):
+        container[index][1] = value
+    else:
+        container[index] = value
+
+
+# ints at and just past every edge the loader knows; the caps themselves
+# are loaded and run, the values above them are refused before allocation
+_EDGE_INTS = [0, 1, -1, MAX_BATCH, MAX_BATCH + 1, 2**31, 2**48 - 1, 2**48, 2**64 - 1, 2**64, -(2**64)]
+_OTHER_VALUES = [None, True, False, 0, -1, 1.5, "", "x", "ENHANCED", "001010000000001", [], _Object()]
+_OPS = [kind.value for kind in StepKind]
+_MUTATIONS = ("drop", "retype", "duplicate", "edge", "swap", "op")
+
+
+def _mutate(data, tree) -> None:
+    kind = data.draw(st.sampled_from(_MUTATIONS))
+    slots = list(_slots(tree))
+    if kind == "edge":
+        slots = [(c, i) for c, i in slots if _is_int(_get(c, i))]
+    elif kind == "swap":
+        slots = [(c, i) for c, i in slots if i + 1 < len(c)]
+    elif kind == "op":
+        slots = [(c, i) for c, i in slots if isinstance(c, _Object) and c[i][0] == "op"]
+    if not slots:
+        return
+    container, index = data.draw(st.sampled_from(slots))
+    if kind == "drop":
+        del container[index]
+    elif kind == "retype":
+        _set(container, index, copy.deepcopy(data.draw(st.sampled_from(_OTHER_VALUES))))
+    elif kind == "duplicate":
+        container.insert(index + 1, copy.deepcopy(container[index]))
+    elif kind == "edge":
+        _set(container, index, data.draw(st.sampled_from(_EDGE_INTS)))
+    elif kind == "swap":
+        container[index], container[index + 1] = container[index + 1], container[index]
+    else:
+        _set(container, index, data.draw(st.sampled_from(_OPS)))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), text=st.sampled_from(SHIPPED), summary=st.booleans())
+def test_mutated_shipped_config_exits_with_a_documented_code(workdir, data, text, summary):
+    tree = _load(text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, tree)
+    config = workdir / "config.json"
+    config.write_text(_dump(tree))
+    argv = ["run", "--config", str(config), "--trace-out", str(workdir / "trace")]
+    assert cli.main(argv + ["--summary-json"] * summary) in (0, 2, 3, 64)
+
+
+_HEX = "0123456789abcdef"
+_SNAPSHOT_KEYS = ["imsi", "mode", "ki", "ka", "counter", "phase", "initialized", "class_e", "channels", "x"]
+_SNAPSHOT_VALUES = st.sampled_from(
+    [
+        "001010000000001",
+        "00101000000000١",
+        "ENHANCED",
+        "LEGACY",
+        "IDLE",
+        "AWAIT_FETCH_1",
+        "AWAIT_FETCH_2",
+        "AWAIT_CLOSE_RESULT",
+        "0",
+        "1",
+        "2",
+        "+5",
+        "1_0",
+        "٥",
+        "",
+        "1,2",
+        "3,",
+        ",",
+        str(2**48 - 1),
+        str(2**48),
+        "9" * 5000,
+        "00" * 16,
+        "ab" * 15,
+        "AB" * 16,
+    ]
+) | st.text(alphabet=_HEX + "G,=+-_ ", max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_SNAPSHOT_KEYS), _SNAPSHOT_VALUES), max_size=10) | st.text())
+def test_snapshot_record_loads_or_is_malformed(fields):
+    record = fields if isinstance(fields, str) else " ".join(f"{k}={v}" for k, v in fields)
+    try:
+        state = SimState.from_record(record)
+    except MalformedInputError:
+        return
+    assert SimState.from_record(state.to_record()).to_record() == state.to_record()
+
+
+_VECTOR_TOKENS = st.sampled_from(
+    ["f1_mac", "a5_keystream", "->", "#", "00", "0f" * 8, "AB", "zz", "٠", " ", "\t", "-", ">", ""]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VECTOR_TOKENS, max_size=8).map(" ".join) | st.text())
+def test_vector_line_parses_or_is_malformed(line):
+    try:
+        record = parse_vector_line(line)
+    except MalformedInputError:
+        return
+    if record is not None:
+        op, inputs, output = record
+        assert op and "->" not in op
+        assert all(set(field) <= set(_HEX) for field in inputs + [output])

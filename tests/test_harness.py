@@ -1,6 +1,8 @@
 """Scenario engine: config validation, determinism, trace predicates."""
 
+import gc
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +22,7 @@ from akasim.harness import (
 
 VICTIM = "001010000000001"
 OTHER = "001010000000002"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_config(**overrides):
@@ -441,12 +444,111 @@ class TestTraceEncoding:
         for event, line in zip(tracer.events, lines):
             record = {"seq_no": event.seq_no, "actor": event.actor, "event": event.event}
             assert line == json.dumps(record, separators=(",", ":")) + "\n"
-            assert event.to_json_line() + "\n" == line
+            assert harness.render_trace([event]) == line
 
     def test_bytes_value_is_rejected(self):
         tracer = Tracer()
         tracer("ue", "SIM_RESPONSE", sres=b"\x00" * 8)
         with pytest.raises(TypeError):
             harness.render_trace(tracer.events)
-        with pytest.raises(TypeError):
-            tracer.events[0].to_json_line()
+
+
+def many_subscriber_config(size=200):
+    """RANDOM_ORDER over four triples per card: enhanced cards reject stale
+    challenges and tear their open channel down through FETCH."""
+    imsis = [f"00101{i:010d}" for i in range(1, size + 1)]
+    script = []
+    for imsi in imsis:
+        script += [
+            {"op": "ATTACH", "imsi": imsi},
+            {"op": "OPEN_CHANNEL", "imsi": imsi},
+            {"op": "REQUEST_TRIPLES", "imsi": imsi, "n": 4},
+        ]
+    for _ in range(4):
+        for imsi in imsis:
+            script += [{"op": "ATTACH", "imsi": imsi}, {"op": "CHALLENGE", "imsi": imsi}]
+    return {
+        "seed": 7,
+        "subscribers": [
+            {"imsi": imsi, "mode": "LEGACY" if i % 4 == 0 else "ENHANCED"}
+            for i, imsi in enumerate(imsis)
+        ],
+        "network_policy": {"consumption_policy": "RANDOM_ORDER", "batch_size": 4},
+        "script": script,
+    }
+
+
+@pytest.fixture
+def restore_collector():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.fixture
+def collector_off(restore_collector):
+    """The collector off and no cyclic garbage left from before the test."""
+    gc.disable()
+    gc.collect()
+
+
+class TestCollectorPause:
+    """run_scenario pauses the cyclic collector; that is safe only while a
+    run leaves no reference cycles behind."""
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_config_leaves_no_cyclic_garbage(self, collector_off, path):
+        run_scenario(ScenarioConfig.loads(path.read_text())).trace_text()
+        assert gc.collect() == 0
+
+    def test_aborted_run_leaves_no_cyclic_garbage(self, collector_off):
+        raw = base_config(script=[{"op": "CHALLENGE", "imsi": VICTIM}])
+        aborted = run_scenario(ScenarioConfig.from_dict(raw)).aborted
+        assert gc.collect() == 0
+        assert aborted
+
+    def test_many_subscriber_run_leaves_no_cyclic_garbage(self, collector_off):
+        config = ScenarioConfig.from_dict(many_subscriber_config())
+        msgs = {event.event["msg"] for event in run_scenario(config).trace}
+        assert gc.collect() == 0
+        assert {"FETCH", "CONNECTION_DROPPED", "AUTH_RESULT"} <= msgs
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, restore_collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        run_scenario(ScenarioConfig.from_dict(base_config()))
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored_when_run_raises(
+        self, restore_collector, monkeypatch, enabled
+    ):
+        def fail(engine):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(harness.ScenarioEngine, "run", fail)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="run failed"):
+            run_scenario(ScenarioConfig.from_dict(base_config()))
+        assert gc.isenabled() is enabled
+
+    def test_collector_is_off_while_the_engine_is_built_and_run(
+        self, restore_collector, monkeypatch
+    ):
+        seen = []
+        engine_cls = harness.ScenarioEngine
+        build, run = engine_cls.__init__, engine_cls.run
+
+        def spy(method):
+            def wrapper(*args):
+                seen.append((method.__name__, gc.isenabled()))
+                return method(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(engine_cls, "__init__", spy(build))
+        monkeypatch.setattr(engine_cls, "run", spy(run))
+        gc.enable()
+        run_scenario(ScenarioConfig.from_dict(base_config()))
+        assert seen == [("__init__", False), ("run", False)]
+        assert gc.isenabled()
