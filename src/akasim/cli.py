@@ -18,10 +18,9 @@ import json
 import math
 import random
 import sys
-from collections import Counter
 
 from . import auth_core, crypto_suite as cs, harness
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, MalformedInputError, SimulationError
 
 __all__ = ["main", "generate_vector_lines", "rand_bit_stats"]
 
@@ -117,26 +116,31 @@ def rand_bit_stats(n: int, seed: int) -> dict:
     """Per-bit-position one-frequencies over n sequence-bearing challenges.
 
     Challenges are built under one seeded ka with sequential sequence
-    numbers, the exact issuance pattern of a real batch.  The bound is a
-    smoke test: each of the 128 positions must sit within 4 sigma of n/2.
+    numbers 1..n, the exact issuance pattern of a real batch.  The bound is
+    a smoke test: each of the 128 positions must sit within 4 sigma of n/2.
     """
+    if not harness._is_int(n) or not 1 <= n <= auth_core.SQN_MAX:
+        raise MalformedInputError(f"n must be an integer in [1, 2^48), got {n!r}")
+    if not harness._is_int(seed):
+        raise MalformedInputError(f"seed must be an integer, got {seed!r}")
     rng = random.Random(f"rand-stats/{seed}")
     ka = cs.Key128(rng.randbytes(cs.KEY_LEN))
     amf = 0
-    histograms = [Counter() for _ in range(cs.RAND_LEN)]
+    # masks[bit] has bit 0x80 >> bit set in every octet; the AND with a
+    # shorter column keeps only that column's own octets
+    masks = [
+        int.from_bytes(bytes([0x80 >> bit]) * _RAND_STATS_CHUNK, "big") for bit in range(8)
+    ]
+    counts = [0] * (8 * cs.RAND_LEN)
     for first in range(1, n + 1, _RAND_STATS_CHUNK):
         count = min(_RAND_STATS_CHUNK, n + 1 - first)
         rands = auth_core.build_hijacked_rands(ka, amf, first, count)
-        for pos, histogram in enumerate(histograms):
-            histogram.update(rands[pos :: cs.RAND_LEN])
+        for pos in range(cs.RAND_LEN):
+            # octet `pos` of every challenge in the chunk, as one int
+            column = int.from_bytes(rands[pos :: cs.RAND_LEN], "big")
+            for bit, mask in enumerate(masks):
+                counts[8 * pos + bit] += (column & mask).bit_count()
 
-    counts = []
-    for pos in range(cs.RAND_LEN):
-        for bit in range(8):
-            mask = 0x80 >> bit
-            counts.append(
-                sum(freq for value, freq in histograms[pos].items() if value & mask)
-            )
     sigma = math.sqrt(n) / 2.0
     deviations = [abs(c - n / 2.0) / sigma for c in counts]
     max_dev = max(deviations)
@@ -289,8 +293,8 @@ def _cmd_verify_trace(args) -> int:
 
 
 def _cmd_rand_stats(args) -> int:
-    if args.n < RAND_STATS_MIN_N:
-        print(f"error: --n must be >= {RAND_STATS_MIN_N}", file=sys.stderr)
+    if not RAND_STATS_MIN_N <= args.n <= auth_core.SQN_MAX:
+        print(f"error: --n must be in [{RAND_STATS_MIN_N}, 2^48 - 1]", file=sys.stderr)
         return EXIT_USAGE
     report = rand_bit_stats(args.n, args.seed)
     if args.summary_json:

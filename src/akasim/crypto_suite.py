@@ -78,6 +78,8 @@ _C8 = bytes([0x88]) * 16
 _C3C8 = _C3 + _C8
 _TAG_DERIVE_KI = bytes([0x4B])
 _TAG_DERIVE_KA = bytes([0x4A])
+# keystream domain tag per CipherAlgId value
+_ALG_TAG_BYTES = {"A5_1": 0xA1, "A5_2": 0xA2, "A5_3": 0xA3, "NONE": 0x00}
 
 
 class CipherAlgId(enum.Enum):
@@ -90,7 +92,7 @@ class CipherAlgId(enum.Enum):
 
     @property
     def tag_byte(self) -> int:
-        return {"A5_1": 0xA1, "A5_2": 0xA2, "A5_3": 0xA3, "NONE": 0x00}[self.value]
+        return _ALG_TAG_BYTES[self._value_]
 
 
 class KeystreamBlock(NamedTuple):

@@ -158,9 +158,8 @@ class ServingNetwork:
             raise TripleExhaustionError(f"no triples left for {imsi}")
         elif self.policy is ConsumptionPolicy.RANDOM_ORDER:
             index = self.rng.randrange(len(queue))
-            queue.rotate(-index)
-            triple = queue.popleft()
-            queue.rotate(index)
+            triple = queue[index]
+            del queue[index]
         else:
             triple = queue.popleft()
         self.last_issued[imsi] = triple

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -12,6 +13,7 @@ import pytest
 import oracle
 from akasim import auth_core as ac, cli
 from akasim import crypto_suite as cs
+from akasim.errors import MalformedInputError
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SRC = CONFIGS.parent / "src"
@@ -237,6 +239,53 @@ class TestRandStats:
         a = cli.rand_bit_stats(10_000, seed=5)
         b = cli.rand_bit_stats(10_000, seed=5)
         assert a == b
+
+    def test_report_pinned(self):
+        report = json.dumps(cli.rand_bit_stats(100_000, seed=0), sort_keys=True)
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "3266f0022719a4088c703239ced2bcf8495163c1548dbdc4613ad320effd5a0d"
+        )
+
+    def test_counts_match_oracle_across_chunk_edge(self):
+        seed = 3
+        ka = random.Random(f"rand-stats/{seed}").randbytes(cs.KEY_LEN)
+        ones = [0] * 128
+        prefixes = {}
+        for sqn in range(1, 4098):
+            value = int.from_bytes(oracle.ref_build_rand(ka, 0, sqn), "big")
+            for bit in range(128):
+                ones[bit] += value >> (127 - bit) & 1
+            if sqn in (1, 16, 4095, 4096, 4097):
+                prefixes[sqn] = list(ones)
+        for n, want in prefixes.items():
+            assert cli.rand_bit_stats(n, seed)["bit_counts"] == want, n
+
+    @pytest.mark.parametrize(
+        "n, seed",
+        [
+            (0, 0),
+            (-5, 0),
+            (True, 0),
+            (1.0, 0),
+            ("10", 0),
+            (ac.SQN_MAX + 1, 0),
+            (1, True),
+            (1, 0.0),
+            (1, None),
+        ],
+    )
+    def test_bad_arguments_rejected(self, n, seed):
+        with pytest.raises(MalformedInputError):
+            cli.rand_bit_stats(n, seed)
+
+    @pytest.mark.parametrize("n", [str(ac.SQN_MAX + 1), str(1 << 64)])
+    def test_n_above_sqn_max_refused_before_any_work(self, monkeypatch, capsys, n):
+        def no_work(*args):
+            raise AssertionError("challenges built for a refused --n")
+
+        monkeypatch.setattr(ac, "build_hijacked_rands", no_work)
+        assert cli.main(["rand-stats", "--n", n]) == 64
+        assert "2^48 - 1" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
