@@ -135,7 +135,7 @@ class Adversary:
         victim.attach(FAKE_NETWORK)
 
     def _run_victim_aka(self, victim: MobileEquipment, rand: bytes):
-        self.trace(self.name, "FAKE_AUTH_CHALLENGE", imsi=victim.sim.imsi, rand=rand.hex())
+        self.trace(self.name, msg="FAKE_AUTH_CHALLENGE", imsi=victim.sim.imsi, rand=rand.hex())
         return victim.handle_challenge(rand)
 
     # --- the eavesdropping man-in-the-middle ---------------------------------
@@ -156,7 +156,7 @@ class Adversary:
         """
         kind = AttackKind.MITM_EAVESDROP
         self.trace(
-            self.name, "ATTACK_START", kind=kind.value, rand_source=rand_source.value
+            self.name, msg="ATTACK_START", kind=kind.value, rand_source=rand_source.value
         )
         self._capture_victim(victim)
 
@@ -171,14 +171,14 @@ class Adversary:
                 # honest forwarding of the response leg as well
                 relay.verify(victim.sim.imsi, outcome.sres)
             else:
-                self.trace(self.name, "SRES_IGNORED", sres=outcome.sres.hex())
+                self.trace(self.name, msg="SRES_IGNORED", sres=outcome.sres.hex())
             victim.apply_cipher(cs.CipherAlgId.NONE)
 
         try:
             observed = victim.send_traffic(victim_traffic, frame_index=0)
         except ProtocolOrderError as exc:
             return self._report(kind, succeeded=False, failure_cause=str(exc))
-        self.trace(self.name, "PLAINTEXT_OBSERVED", plaintext=observed.hex())
+        self.trace(self.name, msg="PLAINTEXT_OBSERVED", plaintext=observed.hex())
         self._relay_upstream(observed)
         return self._report(
             kind,
@@ -209,7 +209,7 @@ class Adversary:
         if self.own_ue is None or self.own_ue.session.attached_network is None:
             return
         relayed = self.own_ue.send_traffic(plaintext, frame_index=0)
-        self.trace(self.name, "RELAY_TRAFFIC", ciphertext=relayed.hex())
+        self.trace(self.name, msg="RELAY_TRAFFIC", ciphertext=relayed.hex())
 
     # --- challenge replay / weak-cipher key recovery --------------------------
 
@@ -229,7 +229,7 @@ class Adversary:
             raise MalformedInputError(
                 "intercept log holds no exchange with strong-cipher traffic"
             )
-        self.trace(self.name, "ATTACK_START", kind=kind.value, rand=record.rand.hex())
+        self.trace(self.name, msg="ATTACK_START", kind=kind.value, rand=record.rand.hex())
         self._capture_victim(victim)
 
         outcome = self._run_victim_aka(victim, record.rand)
@@ -241,13 +241,13 @@ class Adversary:
             )
         if not isinstance(outcome, Responded):
             raise ProtocolOrderError(f"victim challenge ended in {outcome!r}, not a response")
-        self.trace(self.name, "SRES_IGNORED", sres=outcome.sres.hex())
+        self.trace(self.name, msg="SRES_IGNORED", sres=outcome.sres.hex())
 
         victim.apply_cipher(cs.CipherAlgId.A5_2)
         frame = victim.send_traffic(KNOWN_REDUNDANCY, frame_index=0)
         # weak model: frame-0 keystream begins with Kc, plaintext is zeros
         recovered_kc = cs.xor_bytes(frame[: cs.TAG_LEN], KNOWN_REDUNDANCY[: cs.TAG_LEN])
-        self.trace(self.name, "KC_RECOVERED", kc=recovered_kc.hex())
+        self.trace(self.name, msg="KC_RECOVERED", kc=recovered_kc.hex())
 
         decrypted = bytearray()
         for logged in record.frames:
@@ -259,7 +259,7 @@ class Adversary:
             )
             decrypted += cs.xor_bytes(logged.ciphertext, keystream.bytes)
         recovered = bytes(decrypted)
-        self.trace(self.name, "LOG_DECRYPTED", plaintext=recovered.hex())
+        self.trace(self.name, msg="LOG_DECRYPTED", plaintext=recovered.hex())
         return self._report(
             kind,
             succeeded=recovered == ground_truth,
@@ -270,16 +270,10 @@ class Adversary:
 
     def _report(self, kind: AttackKind, succeeded: bool, **fields) -> AttackReport:
         report = AttackReport(attack=kind, succeeded=succeeded, **fields)
-        self.trace(
-            self.name,
-            "ATTACK_RESULT",
-            kind=kind.value,
-            succeeded=report.succeeded,
-            **({"recovered_kc": report.recovered_kc.hex()} if report.recovered_kc else {}),
-            **(
-                {"failure_cause": report.failure_cause}
-                if report.failure_cause
-                else {}
-            ),
-        )
+        event = {"msg": "ATTACK_RESULT", "kind": kind.value, "succeeded": succeeded}
+        if report.recovered_kc:
+            event["recovered_kc"] = report.recovered_kc.hex()
+        if report.failure_cause:
+            event["failure_cause"] = report.failure_cause
+        self.trace(self.name, **event)
         return report

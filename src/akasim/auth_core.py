@@ -52,13 +52,13 @@ AMF_MAX = (1 << 16) - 1
 
 
 def check_sqn48(value: int) -> int:
-    if not isinstance(value, int) or not 0 <= value <= SQN_MAX:
+    if not cs._is_int(value) or not 0 <= value <= SQN_MAX:
         raise MalformedInputError(f"sqn must be an integer in [0, 2^48), got {value!r}")
     return value
 
 
 def check_amf16(value: int) -> int:
-    if not isinstance(value, int) or not 0 <= value <= AMF_MAX:
+    if not cs._is_int(value) or not 0 <= value <= AMF_MAX:
         raise MalformedInputError(f"amf must be an integer in [0, 2^16), got {value!r}")
     return value
 
@@ -129,7 +129,7 @@ def build_hijacked_rands(ka: bytes, amf: int, first_sqn: int, n: int) -> bytes:
     """
     check_amf16(amf)
     check_sqn48(first_sqn)
-    if not isinstance(n, int) or n < 1:
+    if not cs._is_int(n) or n < 1:
         raise MalformedInputError(f"challenge count must be >= 1, got {n!r}")
     check_sqn48(first_sqn + n - 1)
     return _build_rands(cs._key(ka, "ka"), amf, first_sqn, n)
@@ -226,7 +226,7 @@ def generate_triples(
     """
     check_sqn48(counter)
     check_amf16(amf)
-    if not isinstance(n, int) or n < 1:
+    if not cs._is_int(n) or n < 1:
         raise MalformedInputError(f"batch size must be >= 1, got {n!r}")
     if counter + n > SQN_MAX:
         raise CounterOverflowError(

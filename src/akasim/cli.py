@@ -119,9 +119,9 @@ def rand_bit_stats(n: int, seed: int) -> dict:
     numbers 1..n, the exact issuance pattern of a real batch.  The bound is
     a smoke test: each of the 128 positions must sit within 4 sigma of n/2.
     """
-    if not harness._is_int(n) or not 1 <= n <= auth_core.SQN_MAX:
+    if not cs._is_int(n) or not 1 <= n <= auth_core.SQN_MAX:
         raise MalformedInputError(f"n must be an integer in [1, 2^48), got {n!r}")
-    if not harness._is_int(seed):
+    if not cs._is_int(seed):
         raise MalformedInputError(f"seed must be an integer, got {seed!r}")
     rng = random.Random(f"rand-stats/{seed}")
     ka = cs.Key128(rng.randbytes(cs.KEY_LEN))

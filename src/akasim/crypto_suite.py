@@ -102,6 +102,11 @@ class KeystreamBlock(NamedTuple):
     frame_index: int
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is not the number 1 here
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_bytes(name: str, value: bytes) -> bytes:
     if not isinstance(value, (bytes, bytearray)):
         raise MalformedInputError(f"{name} must be bytes, got {type(value).__name__}")
@@ -281,11 +286,11 @@ def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> 
     verbatim.
     """
     kc = _check_len("kc", kc, TAG_LEN)
-    if not isinstance(frame_index, int) or frame_index < 0:
+    if not _is_int(frame_index) or frame_index < 0:
         raise MalformedInputError("frame_index must be a non-negative integer")
     if frame_index >= 1 << 64:
         raise MalformedInputError("frame_index must fit in 64 bits")
-    if not isinstance(length, int) or length < 0:
+    if not _is_int(length) or length < 0:
         raise MalformedInputError("length must be a non-negative integer")
     if alg is CipherAlgId.NONE:
         raise InvalidAlgorithmError("cannot generate keystream for alg NONE")

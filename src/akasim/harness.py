@@ -31,6 +31,7 @@ from .adversary import (
     LoggedExchange,
     RandSource,
 )
+from .crypto_suite import _is_int
 from .errors import ConfigError, SimulationError
 from .mobile_equipment import MeProfile, MobileEquipment, Responded
 from .network_side import (
@@ -78,14 +79,19 @@ class TraceEvent(NamedTuple):
 
 
 class Tracer:
-    """Collects the run's ordered event stream; injected into every actor."""
+    """Collects the run's ordered event stream; injected into every actor.
+
+    Every actor emits `trace(actor, msg="MSG", **fields)`: the actor is
+    positional, the payload arrives as keywords with `msg` first, and the
+    call's own keyword dict is stored as the payload, uncopied.
+    """
 
     def __init__(self):
         self.events: list[TraceEvent] = []
 
-    def __call__(self, actor: str, msg: str, **fields):
+    def __call__(self, actor: str, /, **event):
         events = self.events
-        events.append(_tuple_new(TraceEvent, (len(events), actor, {"msg": msg, **fields})))
+        events.append(_tuple_new(TraceEvent, (len(events), actor, event)))
 
 
 def render_trace(events: list[TraceEvent]) -> str:
@@ -103,13 +109,13 @@ def render_intercept_log(log: InterceptLog) -> str:
     """Export an attacker's log in the harness trace-record format."""
     tracer = Tracer()
     for record in log.records:
-        tracer("intercept", "EXCHANGE", rand=record.rand.hex())
+        tracer("intercept", msg="EXCHANGE", rand=record.rand.hex())
         if record.sres is not None:
-            tracer("intercept", "SRES", sres=record.sres.hex())
+            tracer("intercept", msg="SRES", sres=record.sres.hex())
         for frame in record.frames:
             tracer(
                 "intercept",
-                "FRAME",
+                msg="FRAME",
                 frame_index=frame.frame_index,
                 alg=frame.alg.value,
                 ciphertext=frame.ciphertext.hex(),
@@ -313,11 +319,6 @@ class ScenarioConfig(NamedTuple):
                 raise ConfigError(f"step {idx}: frame_index must be an integer in [0, 2^64)")
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but `true` is not a number in a config
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -332,22 +333,15 @@ class AssertOutcome(NamedTuple):
     detail: str
 
 
-def _match(event: TraceEvent, where: dict) -> bool:
-    for key, expected in where.items():
-        if key == "actor":
-            actual = event.actor
-        elif key == "msg":
-            actual = event.event.get("msg")
-        else:
-            actual = event.event.get(key)
-        if actual != expected:
-            return False
-    return True
-
-
 def _find(trace, where, start=0):
+    """The first event from index `start` on that meets every clause."""
+    clauses = where.items()
     for event in itertools.islice(trace, start, None):
-        if _match(event, where):
+        payload = event.event
+        for key, expected in clauses:
+            if (event.actor if key == "actor" else payload.get(key)) != expected:
+                break
+        else:
             return event
     return None
 
@@ -476,15 +470,16 @@ class ScenarioEngine:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.tracer = Tracer()
+        # every actor calls the bound method, not the instance: that skips
+        # the type's call slot and its per-call attribute lookup
+        self.trace = trace = self.tracer.__call__
         seed = config.seed
-        self.home = HomeNetwork(
-            rng=random.Random(f"{seed}/auc"), tracer=self.tracer
-        )
+        self.home = HomeNetwork(rng=random.Random(f"{seed}/auc"), tracer=trace)
         self.serving = ServingNetwork(
             policy=config.policy,
             cipher_choice=config.cipher,
             rng=random.Random(f"{seed}/vlr"),
-            tracer=self.tracer,
+            tracer=trace,
         )
         self._provision_rng = random.Random(f"{seed}/provision")
         self.ues: dict[str, MobileEquipment] = {}
@@ -493,7 +488,7 @@ class ScenarioEngine:
             _, sim_state = self.home.provision(spec.imsi, spec.mode, master)
             sim = SimCard(sim_state, rng=random.Random(f"{seed}/sim/{spec.imsi}"))
             profile = config.me_profiles.get(spec.imsi, MeProfile())
-            me = MobileEquipment(profile, sim, tracer=self.tracer)
+            me = MobileEquipment(profile, sim, tracer=trace)
             me.power_on()
             self.ues[spec.imsi] = me
 
@@ -506,7 +501,7 @@ class ScenarioEngine:
             )
             self.adversary = Adversary(
                 rng=random.Random(f"{seed}/attacker"),
-                tracer=self.tracer,
+                tracer=trace,
                 own_ue=own_ue,
             )
         # plaintexts sent under each logged exchange, keyed by the exchange
@@ -520,8 +515,8 @@ class ScenarioEngine:
             try:
                 self._execute(index, step, result)
             except SimulationError as exc:
-                self.tracer(
-                    "engine", "ABORT", step=index, error=f"{type(exc).__name__}: {exc}"
+                self.trace(
+                    "engine", msg="ABORT", step=index, error=f"{type(exc).__name__}: {exc}"
                 )
                 result.aborted = True
                 result.error = f"step {index} ({step.kind.value}): {exc}"
@@ -535,7 +530,7 @@ class ScenarioEngine:
         elif kind is StepKind.REQUEST_TRIPLES:
             imsi = params["imsi"]
             n = params.get("n", self.config.batch_size)
-            self.tracer(self.serving.name, "TRIPLES_REQUEST", imsi=imsi, n=n)
+            self.trace(self.serving.name, msg="TRIPLES_REQUEST", imsi=imsi, n=n)
             triples = self.home.request_triples(imsi, n)
             self.serving.add_triples(imsi, triples)
         elif kind is StepKind.CHALLENGE:
@@ -551,9 +546,9 @@ class ScenarioEngine:
             result.attack_reports.append(report)
         elif kind is StepKind.ASSERT:
             outcome = assert_trace(self.tracer.events, params["predicate"])
-            self.tracer(
+            self.trace(
                 "engine",
-                "ASSERT_RESULT",
+                msg="ASSERT_RESULT",
                 step=index,
                 passed=outcome.passed,
                 detail=outcome.detail,
@@ -640,9 +635,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     try:
         engine = ScenarioEngine(config)
         result = engine.run()
-        engine.tracer(
+        engine.trace(
             "engine",
-            "RUN_COMPLETE",
+            msg="RUN_COMPLETE",
             aborted=result.aborted,
             asserts_passed=result.all_asserts_passed,
         )

@@ -101,19 +101,19 @@ class MobileEquipment:
         self._powered = True
         profile = TerminalProfile(class_e=self.profile.class_e_supported)
         self.sim.init(profile)
-        self.trace(self.name, "TERMINAL_PROFILE", class_e=profile.class_e)
+        self.trace(self.name, msg="TERMINAL_PROFILE", class_e=profile.class_e)
 
     def power_cycle(self):
         """Off and on again: session gone, card keeps its counter."""
         self.session = MeSession(channels=ChannelTable(next_id=self.session.channels.next_id))
         self._powered = False
         self.sim.power_cycle()
-        self.trace(self.name, "POWER_CYCLE")
+        self.trace(self.name, msg="POWER_CYCLE")
         self.power_on()
 
     def attach(self, network: str):
         self.session.attached_network = network
-        self.trace(self.name, "ATTACH", network=network)
+        self.trace(self.name, msg="ATTACH", network=network)
 
     def detach(self):
         network = self.session.attached_network
@@ -121,11 +121,11 @@ class MobileEquipment:
         self.session.kc = None
         self.session.cipher = cs.CipherAlgId.NONE
         if network is not None:
-            self.trace(self.name, "DETACH", network=network)
+            self.trace(self.name, msg="DETACH", network=network)
 
     def open_channel(self) -> int:
         cid = self.session.channels.open()
-        self.trace(self.name, "OPEN_CHANNEL", channel=cid)
+        self.trace(self.name, msg="OPEN_CHANNEL", channel=cid)
         return cid
 
     # --- authentication ----------------------------------------------------
@@ -140,22 +140,22 @@ class MobileEquipment:
             raise ProtocolOrderError("challenge while powered off")
         if self.session.attached_network is None:
             raise ProtocolOrderError("challenge while detached")
-        self.trace(self.name, "SIM_CHALLENGE", rand=rand.hex())
+        self.trace(self.name, msg="SIM_CHALLENGE", rand=rand.hex())
         response = self.sim.challenge(rand)
         # trace payloads read enum members' `_value_`, the attribute behind
         # `.value`, which is a Python-level property
-        self.trace(
-            self.name,
-            "SIM_RESPONSE",
-            sres=response.sres.hex(),
-            kc=response.kc.hex(),
-            status=response.status._value_,
-            **(
-                {"pending_length": response.pending_length}
-                if response.pending_length is not None
-                else {}
-            ),
-        )
+        sres, kc, status = response.sres.hex(), response.kc.hex(), response.status._value_
+        if response.pending_length is None:
+            self.trace(self.name, msg="SIM_RESPONSE", sres=sres, kc=kc, status=status)
+        else:
+            self.trace(
+                self.name,
+                msg="SIM_RESPONSE",
+                sres=sres,
+                kc=kc,
+                status=status,
+                pending_length=response.pending_length,
+            )
         if response.status is SimStatus.NORMAL:
             self.session.kc = response.kc
             self._send_sres(response.sres)
@@ -166,13 +166,13 @@ class MobileEquipment:
             self._send_sres(response.sres)
         closed = self._run_fetch_loop()
         self.detach()
-        self.trace(self.name, "CONNECTION_DROPPED", closed_channels=list(closed))
+        self.trace(self.name, msg="CONNECTION_DROPPED", closed_channels=list(closed))
         return ConnectionDropped(closed_channels=closed)
 
     def _send_sres(self, sres: bytes):
         self.trace(
             self.name,
-            "SRES_TO_NETWORK",
+            msg="SRES_TO_NETWORK",
             network=self.session.attached_network,
             sres=sres.hex(),
         )
@@ -182,16 +182,16 @@ class MobileEquipment:
         closed_total: tuple[int, ...] = ()
         status = SimStatus.PROACTIVE_PENDING
         while status is SimStatus.PROACTIVE_PENDING:
-            self.trace(self.name, "FETCH")
+            self.trace(self.name, msg="FETCH")
             command = self.sim.fetch()
             if command.kind is StkKind.GET_CHANNEL_STATUS:
                 channels = tuple(sorted(self.session.channels.open_channels))
-                self.trace(self.name, "PROACTIVE_COMMAND", kind=command.kind._value_)
+                self.trace(self.name, msg="PROACTIVE_COMMAND", kind=command.kind._value_)
                 result = ChannelStatusResult(channels=channels)
                 status = self.sim.terminal_response(result)
                 self.trace(
                     self.name,
-                    "TERMINAL_RESPONSE",
+                    msg="TERMINAL_RESPONSE",
                     kind=command.kind._value_,
                     channels=list(channels),
                     next_status=status._value_,
@@ -199,7 +199,7 @@ class MobileEquipment:
             else:
                 self.trace(
                     self.name,
-                    "PROACTIVE_COMMAND",
+                    msg="PROACTIVE_COMMAND",
                     kind=command.kind._value_,
                     channels=list(command.channel_ids),
                 )
@@ -209,7 +209,7 @@ class MobileEquipment:
                 status = self.sim.terminal_response(result)
                 self.trace(
                     self.name,
-                    "TERMINAL_RESPONSE",
+                    msg="TERMINAL_RESPONSE",
                     kind=command.kind._value_,
                     success=bool(closed),
                     next_status=status._value_,
@@ -223,7 +223,7 @@ class MobileEquipment:
         if alg is not cs.CipherAlgId.NONE and self.session.kc is None:
             raise ProtocolOrderError("cipher start without a session key")
         self.session.cipher = alg
-        self.trace(self.name, "CIPHER_APPLIED", alg=alg._value_)
+        self.trace(self.name, msg="CIPHER_APPLIED", alg=alg._value_)
 
     def send_traffic(self, plaintext: bytes, frame_index: int) -> bytes:
         """Encrypt and emit one traffic frame; returns the air ciphertext."""
@@ -240,7 +240,7 @@ class MobileEquipment:
             ciphertext = cs.xor_bytes(plaintext, keystream.bytes)
         self.trace(
             self.name,
-            "TRAFFIC",
+            msg="TRAFFIC",
             network=self.session.attached_network,
             frame_index=frame_index,
             alg=self.session.cipher._value_,

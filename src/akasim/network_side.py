@@ -91,14 +91,14 @@ class HomeNetwork:
         self.registry[imsi] = record
         sim_state = SimState(imsi=imsi, ki=ki, ka=ka, counter=0, mode=mode)
         # `_value_` is the attribute behind the Python-level `.value` property
-        self.trace(self.name, "PROVISION", imsi=imsi, mode=mode._value_)
+        self.trace(self.name, msg="PROVISION", imsi=imsi, mode=mode._value_)
         return record, sim_state
 
     def request_triples(self, imsi: str, n: int, amf: int = 0) -> list[AuthTriple]:
         """Issue a batch of n triples for the subscriber."""
         if imsi not in self.registry:
             raise UnknownSubscriberError(imsi)
-        if not isinstance(n, int) or not 1 <= n <= MAX_BATCH:
+        if not cs._is_int(n) or not 1 <= n <= MAX_BATCH:
             raise MalformedInputError(
                 f"batch size must be an integer in [1, {MAX_BATCH}], got {n!r}"
             )
@@ -109,7 +109,7 @@ class HomeNetwork:
             )
             self.trace(
                 self.name,
-                "TRIPLES_ISSUED",
+                msg="TRIPLES_ISSUED",
                 imsi=imsi,
                 n=n,
                 sqn_first=triples[0].sqn_hint,
@@ -118,7 +118,7 @@ class HomeNetwork:
         else:
             rands = b"".join([self.rng.randbytes(cs.RAND_LEN) for _ in range(n)])
             triples = auth_core._triples(record.ki, rands, [0] * n)
-            self.trace(self.name, "TRIPLES_ISSUED", imsi=imsi, n=n)
+            self.trace(self.name, msg="TRIPLES_ISSUED", imsi=imsi, n=n)
         return triples
 
 
@@ -144,7 +144,7 @@ class ServingNetwork:
 
     def add_triples(self, imsi: str, triples: list[AuthTriple]):
         self.store.setdefault(imsi, deque()).extend(triples)
-        self.trace(self.name, "TRIPLES_STORED", imsi=imsi, n=len(triples))
+        self.trace(self.name, msg="TRIPLES_STORED", imsi=imsi, n=len(triples))
 
     def triple_count(self, imsi: str) -> int:
         return len(self.store.get(imsi, ()))
@@ -164,7 +164,7 @@ class ServingNetwork:
             triple = queue.popleft()
         self.last_issued[imsi] = triple
         self.pending[imsi] = triple
-        self.trace(self.name, "AUTH_CHALLENGE", imsi=imsi, rand=triple.rand.hex())
+        self.trace(self.name, msg="AUTH_CHALLENGE", imsi=imsi, rand=triple.rand.hex())
         return triple.rand
 
     def verify(self, imsi: str, sres: bytes) -> Verdict:
@@ -173,9 +173,9 @@ class ServingNetwork:
             raise ProtocolOrderError(f"no outstanding challenge for {imsi}")
         triple = self.pending.pop(imsi)
         verdict = Verdict.AUTHENTICATED if sres == triple.xres else Verdict.REJECTED
-        self.trace(self.name, "AUTH_RESULT", imsi=imsi, verdict=verdict._value_)
+        self.trace(self.name, msg="AUTH_RESULT", imsi=imsi, verdict=verdict._value_)
         return verdict
 
     def select_cipher(self) -> cs.CipherAlgId:
-        self.trace(self.name, "CIPHER_SELECT", alg=self.cipher_choice._value_)
+        self.trace(self.name, msg="CIPHER_SELECT", alg=self.cipher_choice._value_)
         return self.cipher_choice

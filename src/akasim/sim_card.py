@@ -106,7 +106,7 @@ class CloseChannelResult(NamedTuple):
 TerminalResponse = ChannelStatusResult | CloseChannelResult
 
 
-def noop_trace(actor, msg, **fields):
+def noop_trace(actor, /, **event):
     """The actors' tracer when none is injected: records nothing."""
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from akasim import auth_core as ac, crypto_suite as cs
 from akasim.errors import MalformedInputError
+from akasim.network_side import HomeNetwork
 from akasim.sim_card import SimCard, SimMode, SimState, TerminalProfile
 
 IMSI = "001010000000042"
@@ -77,6 +78,36 @@ def test_entry_rejects_bad_argument(entry, bad):
 def test_entry_accepts_good_argument_as_bytes_or_bytearray(entry):
     call, good = entry
     assert call(good) == call(bytearray(good))
+
+
+def _request_triples(n):
+    home = HomeNetwork(random.Random(0))
+    home.provision(IMSI, SimMode.ENHANCED, KA)
+    return home.request_triples(IMSI, n)
+
+
+# entry point/integer argument -> call with that argument replaced; 1 is a
+# good value for each
+INT_ENTRIES = {
+    "check_sqn48": ac.check_sqn48,
+    "check_amf16": ac.check_amf16,
+    "build_hijacked_rand/amf": lambda v: ac.build_hijacked_rand(KA, v, 1),
+    "build_hijacked_rand/sqn": lambda v: ac.build_hijacked_rand(KA, 0, v),
+    "build_hijacked_rands/n": lambda v: ac.build_hijacked_rands(KA, 0, 1, v),
+    "generate_triples/counter": lambda v: ac.generate_triples(KI, KA, v, 0, 2),
+    "generate_triples/n": lambda v: ac.generate_triples(KI, KA, 0, 0, v),
+    "a5_keystream/frame_index": lambda v: cs.a5_keystream(cs.CipherAlgId.A5_3, MSG, v, 16),
+    "a5_keystream/length": lambda v: cs.a5_keystream(cs.CipherAlgId.A5_3, MSG, 0, v),
+    "HomeNetwork.request_triples/n": _request_triples,
+}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("entry", list(INT_ENTRIES.values()), ids=list(INT_ENTRIES))
+def test_integer_entry_rejects_bool(entry, flag):
+    entry(1)
+    with pytest.raises(MalformedInputError):
+        entry(flag)
 
 
 keys = st.binary(min_size=16, max_size=16)

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from akasim import cli
-from akasim.crypto_suite import parse_vector_line
+from akasim.crypto_suite import _is_int, parse_vector_line
 from akasim.errors import MalformedInputError
-from akasim.harness import StepKind, _is_int
+from akasim.harness import StepKind
 from akasim.network_side import MAX_BATCH
 from akasim.sim_card import SimState
 

@@ -1,6 +1,7 @@
 """Scenario engine: config validation, determinism, trace predicates."""
 
 import gc
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 from akasim import harness
 from akasim.errors import ConfigError
 from akasim.network_side import MAX_BATCH
+from akasim.sim_card import noop_trace
 from akasim.harness import (
     AssertOutcome,
     ScenarioConfig,
@@ -259,7 +261,7 @@ class TestEngineFlow:
 def make_trace(*events):
     tracer = Tracer()
     for actor, msg, fields in events:
-        tracer(actor, msg, **fields)
+        tracer(actor, msg=msg, **fields)
     return tracer.events
 
 
@@ -429,8 +431,9 @@ _JSON = st.recursive(
 )
 
 
-# payload keys must not collide with the Tracer's own parameters
-_FIELDS = st.dictionaries(_TEXT.filter(lambda k: k not in ("self", "actor", "msg")), _JSON, max_size=3)
+# payload keys may be anything but `msg`, which each call passes itself;
+# `self` and `actor` are positional-only, so they are free payload keys too
+_FIELDS = st.dictionaries(_TEXT.filter(lambda k: k != "msg"), _JSON, max_size=3)
 
 
 class TestTraceEncoding:
@@ -438,7 +441,7 @@ class TestTraceEncoding:
     def test_lines_equal_json_dumps(self, calls):
         tracer = Tracer()
         for actor, msg, fields in calls:
-            tracer(actor, msg, **fields)
+            tracer(actor, msg=msg, **fields)
         lines = harness.render_trace(tracer.events).splitlines(keepends=True)
         assert len(lines) == len(calls)
         for event, line in zip(tracer.events, lines):
@@ -448,7 +451,7 @@ class TestTraceEncoding:
 
     def test_bytes_value_is_rejected(self):
         tracer = Tracer()
-        tracer("ue", "SIM_RESPONSE", sres=b"\x00" * 8)
+        tracer("ue", msg="SIM_RESPONSE", sres=b"\x00" * 8)
         with pytest.raises(TypeError):
             harness.render_trace(tracer.events)
 
@@ -476,6 +479,35 @@ def many_subscriber_config(size=200):
         "network_policy": {"consumption_policy": "RANDOM_ORDER", "batch_size": 4},
         "script": script,
     }
+
+
+# sha256 of the rendered many_subscriber_config() trace, 8,541 events
+MANY_SUBSCRIBER_TRACE_SHA256 = "f8efd5b8fb858be5a5f2e1464e1e3eba14b6730f775e2cb68307c22b71dfeb9d"
+
+
+class TestEmitProtocol:
+    """Actors emit `trace(actor, msg="MSG", **fields)`; the goldens pin the
+    wire bytes of five IN_ORDER runs, these pin the rest of the protocol."""
+
+    @pytest.mark.parametrize("trace", [Tracer(), noop_trace], ids=["Tracer", "noop_trace"])
+    def test_positional_msg_is_refused(self, trace):
+        with pytest.raises(TypeError):
+            trace("ue", "X")
+
+    def test_many_subscriber_trace_is_pinned(self):
+        text = run_scenario(ScenarioConfig.from_dict(many_subscriber_config())).trace_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == MANY_SUBSCRIBER_TRACE_SHA256
+
+    @pytest.mark.parametrize(
+        "raw",
+        [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]
+        + [many_subscriber_config()],
+        ids=[p.stem for p in sorted(CONFIGS.glob("*.json"))] + ["many_subscriber"],
+    )
+    def test_msg_is_the_first_payload_key(self, raw):
+        trace = run_scenario(ScenarioConfig.from_dict(raw)).trace
+        assert trace
+        assert all(next(iter(event.event)) == "msg" for event in trace)
 
 
 @pytest.fixture
