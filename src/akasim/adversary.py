@@ -88,6 +88,11 @@ class InterceptLog:
             self.records[-1].sres = sres
 
     def note_frame(self, frame_index: int, alg: cs.CipherAlgId, ciphertext: bytes):
+        # checked once here: bbk_attack decrypts on the trusted keystream core
+        if not isinstance(alg, cs.CipherAlgId):
+            raise MalformedInputError(f"alg must be a CipherAlgId, got {alg!r}")
+        cs._check_frame_index(frame_index)
+        cs._check_bytes("ciphertext", ciphertext)
         if not self.records:
             # traffic before any logged AKA: keep it under a null exchange
             self.records.append(LoggedExchange(rand=b""))
@@ -254,10 +259,9 @@ class Adversary:
             if logged.alg is cs.CipherAlgId.NONE:
                 decrypted += logged.ciphertext
                 continue
-            keystream = cs.a5_keystream(
-                logged.alg, recovered_kc, logged.frame_index, len(logged.ciphertext)
-            )
-            decrypted += cs.xor_bytes(logged.ciphertext, keystream.bytes)
+            ciphertext = logged.ciphertext
+            keystream = cs._keystream(logged.alg, recovered_kc, logged.frame_index, len(ciphertext))
+            decrypted += cs._xor(ciphertext, keystream)
         recovered = bytes(decrypted)
         self.trace(self.name, msg="LOG_DECRYPTED", plaintext=recovered.hex())
         return self._report(

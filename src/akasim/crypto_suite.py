@@ -32,7 +32,6 @@ arguments.
 from __future__ import annotations
 
 import enum
-import sys
 from array import array
 from functools import lru_cache
 from typing import NamedTuple
@@ -122,6 +121,11 @@ def _check_len(name: str, value: bytes, expected: int) -> bytes:
     return value
 
 
+def _check_frame_index(frame_index: int):
+    if not _is_int(frame_index) or not 0 <= frame_index < 1 << 64:
+        raise MalformedInputError("frame_index must be an integer in [0, 2^64)")
+
+
 def _count_items(name: str, value: bytes, width: int) -> int:
     """Number of `width`-octet items in a non-empty buffer of whole items."""
     if not _check_bytes(name, value) or len(value) % width:
@@ -141,6 +145,10 @@ def check_imsi(imsi: str) -> str:
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise MalformedInputError(f"xor of unequal lengths {len(a)} != {len(b)}")
+    return _xor(a, b)
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
@@ -294,25 +302,32 @@ def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> 
         raise MalformedInputError("length must be a non-negative integer")
     if alg is CipherAlgId.NONE:
         raise InvalidAlgorithmError("cannot generate keystream for alg NONE")
+    return KeystreamBlock(bytes=_keystream(alg, kc, frame_index, length), frame_index=frame_index)
 
+
+# big-endian block counters 0, 1, ... for the longest frame seen; replaced,
+# never grown in place, so a reader always slices a complete table and a
+# lost race between threads costs only a rebuild
+_block_counters = array("I")
+
+
+def _keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> bytes:
+    """a5_keystream's bytes, for arguments the caller has already proven."""
+    global _block_counters
     if alg is CipherAlgId.A5_2:
-        unit = xor_bytes(kc, frame_index.to_bytes(8, "big"))
-        reps = -(-length // TAG_LEN) if length else 0
-        return KeystreamBlock(bytes=(unit * reps)[:length], frame_index=frame_index)
+        unit = (int.from_bytes(kc, "big") ^ frame_index).to_bytes(TAG_LEN, "big")
+        return (unit * -(-length // TAG_LEN))[:length]
 
-    if not length:
-        # never hand the shared context a partial block: it would carry over
-        return KeystreamBlock(bytes=b"", frame_index=frame_index)
     # counter block i is tag || 0^3 || frame64 || i32, all encrypted at once
-    prefix = bytes([alg.tag_byte]) + bytes(3) + frame_index.to_bytes(8, "big")
     n = -(-length // 16)
-    blocks = array("I", prefix + bytes(4)) * n
-    counters = array("I", range(n))
-    if sys.byteorder == "little":
-        counters.byteswap()  # big-endian block counters
-    blocks[3::4] = counters
-    out = _ecb(kc + kc).update(blocks.tobytes())[:length]
-    return KeystreamBlock(bytes=out, frame_index=frame_index)
+    counters = _block_counters
+    if n > len(counters):
+        counters = _block_counters = array("I", b"".join(i.to_bytes(4, "big") for i in range(n)))
+    head = _ALG_TAG_BYTES[alg._value_] << 120 | frame_index << 32
+    blocks = array("I", head.to_bytes(16, "big")) * n
+    blocks[3::4] = counters[:n]
+    # whole blocks only: a partial block would carry over in the shared context
+    return _ecb(kc + kc).update(blocks.tobytes())[:length]
 
 
 def derive_subscriber_keys(master: bytes, imsi: str) -> tuple[Key128, Key128]:

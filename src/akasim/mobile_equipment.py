@@ -226,24 +226,26 @@ class MobileEquipment:
         self.trace(self.name, msg="CIPHER_APPLIED", alg=alg._value_)
 
     def send_traffic(self, plaintext: bytes, frame_index: int) -> bytes:
-        """Encrypt and emit one traffic frame; returns the air ciphertext."""
-        if self.session.attached_network is None:
+        """Check, encrypt and emit one traffic frame; returns the air ciphertext."""
+        cs._check_bytes("plaintext", plaintext)
+        cs._check_frame_index(frame_index)
+        session = self.session
+        if session.attached_network is None:
             raise ProtocolOrderError("traffic while detached")
-        if self.session.kc is None and not self.profile.accepts_unauthenticated:
+        if session.kc is None and not self.profile.accepts_unauthenticated:
             raise ProtocolOrderError("traffic before authentication")
-        if self.session.cipher is cs.CipherAlgId.NONE:
-            ciphertext = plaintext
+        cipher = session.cipher  # never other than NONE without a session key
+        if cipher is cs.CipherAlgId.NONE:
+            ciphertext = bytes(plaintext)
         else:
-            keystream = cs.a5_keystream(
-                self.session.cipher, self.session.kc, frame_index, len(plaintext)
-            )
-            ciphertext = cs.xor_bytes(plaintext, keystream.bytes)
+            keystream = cs._keystream(cipher, session.kc, frame_index, len(plaintext))
+            ciphertext = cs._xor(plaintext, keystream)
         self.trace(
             self.name,
             msg="TRAFFIC",
-            network=self.session.attached_network,
+            network=session.attached_network,
             frame_index=frame_index,
-            alg=self.session.cipher._value_,
+            alg=cipher._value_,
             ciphertext=ciphertext.hex(),
         )
         return ciphertext

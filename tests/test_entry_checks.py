@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from akasim import auth_core as ac, crypto_suite as cs
+from akasim.adversary import InterceptLog
 from akasim.errors import MalformedInputError
+from akasim.mobile_equipment import MeProfile, MobileEquipment
 from akasim.network_side import HomeNetwork
 from akasim.sim_card import SimCard, SimMode, SimState, TerminalProfile
 
@@ -108,6 +110,67 @@ def test_integer_entry_rejects_bool(entry, flag):
     entry(1)
     with pytest.raises(MalformedInputError):
         entry(flag)
+
+
+def _ciphering_ue(alg: cs.CipherAlgId, events: list):
+    state = SimState(imsi=IMSI, ki=KI, ka=None, counter=0, mode=SimMode.LEGACY)
+    ue = MobileEquipment(
+        MeProfile(),
+        SimCard(state, random.Random(0)),
+        tracer=lambda actor, **event: events.append(event["msg"]),
+    )
+    ue.power_on()
+    ue.attach("vlr")
+    ue.handle_challenge(RAND)
+    ue.apply_cipher(alg)
+    return ue
+
+
+# (plaintext, frame_index) that send_traffic refuses whatever the cipher
+BAD_TRAFFIC = {
+    "frame_index=-1": (b"ab", -1),
+    "frame_index=True": (b"ab", True),
+    "frame_index=2**64": (b"ab", 1 << 64),
+    "frame_index=2**70": (b"ab", 1 << 70),
+    "frame_index=1.0": (b"ab", 1.0),
+    "frame_index=None": (b"ab", None),
+    "plaintext=str": ("ab", 0),
+    "plaintext=list": ([1, 2], 0),
+    "plaintext=None": (None, 0),
+}
+TRAFFIC_CIPHERS = [cs.CipherAlgId.NONE, cs.CipherAlgId.A5_3]
+
+
+@pytest.mark.parametrize("args", list(BAD_TRAFFIC.values()), ids=list(BAD_TRAFFIC))
+@pytest.mark.parametrize("alg", TRAFFIC_CIPHERS, ids=lambda alg: alg.value)
+def test_send_traffic_rejects_bad_argument(alg, args):
+    events = []
+    ue = _ciphering_ue(alg, events)
+    before = len(events)
+    with pytest.raises(MalformedInputError):
+        ue.send_traffic(*args)
+    assert len(events) == before  # nothing reached the air
+
+
+@pytest.mark.parametrize("alg", TRAFFIC_CIPHERS, ids=lambda alg: alg.value)
+def test_send_traffic_accepts_bytes_or_bytearray(alg):
+    ue = _ciphering_ue(alg, [])
+    for frame_index in (0, (1 << 64) - 1):
+        sent = [ue.send_traffic(text, frame_index) for text in (b"ab", bytearray(b"ab"))]
+        assert [type(ciphertext) for ciphertext in sent] == [bytes, bytes]
+        assert sent[0] == sent[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(-1, cs.CipherAlgId.A5_3, b"ab"), (0, "A5_3", b"ab"), (0, cs.CipherAlgId.A5_3, "ab")],
+    ids=["frame_index=-1", "alg=str", "ciphertext=str"],
+)
+def test_intercept_log_rejects_bad_frame(args):
+    log = InterceptLog()
+    with pytest.raises(MalformedInputError):
+        log.note_frame(*args)
+    assert not log.records
 
 
 keys = st.binary(min_size=16, max_size=16)
