@@ -55,6 +55,13 @@ class RandSource(enum.Enum):
     SKIP_AKA = "SKIP_AKA"
 
 
+# Function bodies use these names, not `RandSource.REPLAYED`: on CPython 3.11
+# `EnumType` defines `__getattr__`, which slows every class attribute read.
+_MITM_EAVESDROP, _BBK_REPLAY = AttackKind
+_FABRICATED, _REPLAYED, _RELAY_FRESH, _SKIP_AKA = RandSource
+_A5_1, _A5_2, _A5_3, _NONE = cs.CipherAlgId
+
+
 class LoggedFrame(NamedTuple):
     frame_index: int
     alg: cs.CipherAlgId
@@ -101,7 +108,7 @@ class InterceptLog:
         )
 
     def latest_with_strong_frames(self) -> LoggedExchange | None:
-        strong = (cs.CipherAlgId.A5_1, cs.CipherAlgId.A5_3)
+        strong = (_A5_1, _A5_3)
         for record in reversed(self.records):
             if record.rand and any(f.alg in strong for f in record.frames):
                 return record
@@ -159,25 +166,25 @@ class Adversary:
         RELAY_FRESH the attacker forwards a live challenge (and the response)
         between the victim and the genuine network instead of inventing one.
         """
-        kind = AttackKind.MITM_EAVESDROP
+        kind = _MITM_EAVESDROP
         self.trace(
             self.name, msg="ATTACK_START", kind=kind.value, rand_source=rand_source.value
         )
         self._capture_victim(victim)
 
-        if rand_source is not RandSource.SKIP_AKA:
+        if rand_source is not _SKIP_AKA:
             rand = self._pick_rand(rand_source, victim, relay)
             outcome = self._run_victim_aka(victim, rand)
             if isinstance(outcome, ConnectionDropped):
                 return self._report(
                     kind, succeeded=False, failure_cause="connection dropped by SIM"
                 )
-            if rand_source is RandSource.RELAY_FRESH and relay is not None:
+            if rand_source is _RELAY_FRESH and relay is not None:
                 # honest forwarding of the response leg as well
                 relay.verify(victim.sim.imsi, outcome.sres)
             else:
                 self.trace(self.name, msg="SRES_IGNORED", sres=outcome.sres.hex())
-            victim.apply_cipher(cs.CipherAlgId.NONE)
+            victim.apply_cipher(_NONE)
 
         try:
             observed = victim.send_traffic(victim_traffic, frame_index=0)
@@ -197,13 +204,13 @@ class Adversary:
         victim: MobileEquipment,
         relay: ServingNetwork | None,
     ) -> bytes:
-        if rand_source is RandSource.FABRICATED:
+        if rand_source is _FABRICATED:
             return self.rng.randbytes(cs.RAND_LEN)
-        if rand_source is RandSource.REPLAYED:
+        if rand_source is _REPLAYED:
             if not self.log.records or not self.log.records[-1].rand:
                 raise MalformedInputError("replay requested but intercept log is empty")
             return self.log.records[-1].rand
-        if rand_source is RandSource.RELAY_FRESH:
+        if rand_source is _RELAY_FRESH:
             if relay is None:
                 raise MalformedInputError("RELAY_FRESH needs a genuine network leg")
             return relay.challenge(victim.sim.imsi)
@@ -228,7 +235,7 @@ class Adversary:
         `ground_truth` is the plaintext behind the logged strong-cipher
         frames (scenario knowledge, used only for the verdict).
         """
-        kind = AttackKind.BBK_REPLAY
+        kind = _BBK_REPLAY
         record = self.log.latest_with_strong_frames()
         if record is None:
             raise MalformedInputError(
@@ -248,7 +255,7 @@ class Adversary:
             raise ProtocolOrderError(f"victim challenge ended in {outcome!r}, not a response")
         self.trace(self.name, msg="SRES_IGNORED", sres=outcome.sres.hex())
 
-        victim.apply_cipher(cs.CipherAlgId.A5_2)
+        victim.apply_cipher(_A5_2)
         frame = victim.send_traffic(KNOWN_REDUNDANCY, frame_index=0)
         # weak model: frame-0 keystream begins with Kc, plaintext is zeros
         recovered_kc = cs.xor_bytes(frame[: cs.TAG_LEN], KNOWN_REDUNDANCY[: cs.TAG_LEN])
@@ -256,7 +263,7 @@ class Adversary:
 
         decrypted = bytearray()
         for logged in record.frames:
-            if logged.alg is cs.CipherAlgId.NONE:
+            if logged.alg is _NONE:
                 decrypted += logged.ciphertext
                 continue
             ciphertext = logged.ciphertext

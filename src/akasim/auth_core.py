@@ -106,6 +106,11 @@ class RejectReason(enum.Enum):
     SQN_NOT_FRESH = "SQN_NOT_FRESH"
 
 
+# Function bodies use these names, not `RejectReason.MAC_MISMATCH`: on CPython 3.11
+# `EnumType` defines `__getattr__`, which slows every class attribute read.
+_MAC_MISMATCH, _SQN_NOT_FRESH = RejectReason
+
+
 class Accepted(NamedTuple):
     amf: int
     sqn: int
@@ -199,9 +204,9 @@ def verify_hijacked_rand(
     amf_sqn, mac, _ = _unmask(ka, rand)
     sres, kc = cs._a3a8(ki, rand)
     if cs._f1(ka, amf_sqn.to_bytes(8, "big")) != mac:
-        reason = RejectReason.MAC_MISMATCH
+        reason = _MAC_MISMATCH
     elif amf_sqn & SQN_MAX <= counter:
-        reason = RejectReason.SQN_NOT_FRESH
+        reason = _SQN_NOT_FRESH
     else:
         return Accepted(amf_sqn >> 48, amf_sqn & SQN_MAX, sres, kc)
     return Rejected(reason, _placeholder(rng, sres), _placeholder(rng, kc))

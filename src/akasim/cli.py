@@ -44,6 +44,8 @@ _VECTOR_OPS = (
     "derive_subscriber_keys",
     "build_hijacked_rand",
 )
+# the ciphers the a5_keystream records cycle through
+_VECTOR_ALGS = (cs.CipherAlgId.A5_1, cs.CipherAlgId.A5_2, cs.CipherAlgId.A5_3)
 
 
 def generate_vector_lines(seed: int, count: int) -> list[str]:
@@ -53,7 +55,6 @@ def generate_vector_lines(seed: int, count: int) -> list[str]:
         "# primitive test vectors",
         f"# seed={seed} count={count}",
     ]
-    algs = (cs.CipherAlgId.A5_1, cs.CipherAlgId.A5_2, cs.CipherAlgId.A5_3)
     for i in range(count):
         ka = rng.randbytes(cs.KEY_LEN)
         msg = rng.randbytes(cs.TAG_LEN)
@@ -72,7 +73,7 @@ def generate_vector_lines(seed: int, count: int) -> list[str]:
         lines.append(
             cs.render_vector_line("a8_kc", [ki.hex(), rand.hex()], cs.a8_kc(ki, rand).hex())
         )
-        alg = algs[i % len(algs)]
+        alg = _VECTOR_ALGS[i % len(_VECTOR_ALGS)]
         kc = rng.randbytes(cs.TAG_LEN)
         frame = rng.randrange(1 << 16)
         length = 16

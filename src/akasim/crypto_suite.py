@@ -94,6 +94,11 @@ class CipherAlgId(enum.Enum):
         return _ALG_TAG_BYTES[self._value_]
 
 
+# Function bodies use these names, not `CipherAlgId.NONE`: on CPython 3.11
+# `EnumType` defines `__getattr__`, which slows every class attribute read.
+_A5_1, _A5_2, _A5_3, _NONE = CipherAlgId
+
+
 class KeystreamBlock(NamedTuple):
     """Keystream produced for one traffic frame."""
 
@@ -300,7 +305,7 @@ def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> 
         raise MalformedInputError("frame_index must fit in 64 bits")
     if not _is_int(length) or length < 0:
         raise MalformedInputError("length must be a non-negative integer")
-    if alg is CipherAlgId.NONE:
+    if alg is _NONE:
         raise InvalidAlgorithmError("cannot generate keystream for alg NONE")
     return KeystreamBlock(bytes=_keystream(alg, kc, frame_index, length), frame_index=frame_index)
 
@@ -314,7 +319,7 @@ _block_counters = array("I")
 def _keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> bytes:
     """a5_keystream's bytes, for arguments the caller has already proven."""
     global _block_counters
-    if alg is CipherAlgId.A5_2:
+    if alg is _A5_2:
         unit = (int.from_bytes(kc, "big") ^ frame_index).to_bytes(TAG_LEN, "big")
         return (unit * -(-length // TAG_LEN))[:length]
 

@@ -138,6 +138,25 @@ class StepKind(enum.Enum):
 
 
 _STEP_KINDS = {kind.value: kind for kind in StepKind}
+# the keys each op takes besides "op"; a closed set, like every other object
+_STEP_KEYS = {
+    "ATTACH": {"imsi"},
+    "REQUEST_TRIPLES": {"imsi", "n"},
+    "CHALLENGE": {"imsi"},
+    "SEND_TRAFFIC": {"imsi", "plaintext", "frame_index"},
+    "POWER_CYCLE_UE": {"imsi"},
+    "OPEN_CHANNEL": {"imsi"},
+    "RUN_ATTACK": {"victim"},
+    "ASSERT": {"predicate"},
+}
+
+# Function bodies use these names, not `StepKind.ASSERT`: on CPython 3.11
+# `EnumType` defines `__getattr__`, which slows every class attribute read.
+(_ATTACH, _REQUEST_TRIPLES, _CHALLENGE, _SEND_TRAFFIC,
+ _POWER_CYCLE_UE, _OPEN_CHANNEL, _RUN_ATTACK, _ASSERT) = StepKind
+_AUTHENTICATED = Verdict.AUTHENTICATED
+_MITM_EAVESDROP = AttackKind.MITM_EAVESDROP
+_RELAY_FRESH = RandSource.RELAY_FRESH
 
 
 class ScenarioStep(NamedTuple):
@@ -210,6 +229,9 @@ class ScenarioConfig(NamedTuple):
             if imsi in seen:
                 raise ConfigError(f"duplicate subscriber {imsi}")
             seen.add(imsi)
+            bad = set(sub) - {"imsi", "mode", "master"}
+            if bad:
+                raise ConfigError(f"unknown subscriber keys for {imsi}: {sorted(bad)}")
             master = bytes.fromhex(sub["master"]) if "master" in sub else None
             if master is not None and len(master) != cs.KEY_LEN:
                 raise ConfigError(f"master key for {imsi} must be 16 octets")
@@ -248,7 +270,7 @@ class ScenarioConfig(NamedTuple):
             raise ConfigError(f"batch_size must be an integer in [1, {MAX_BATCH}]")
 
         attacker = None
-        if raw.get("attacker"):
+        if raw.get("attacker") is not None:
             atk = _object(raw["attacker"], "attacker")
             bad = set(atk) - {"kind", "imsi", "rand_source", "victim_traffic"}
             if bad:
@@ -262,7 +284,7 @@ class ScenarioConfig(NamedTuple):
                 rand_source=RandSource(atk.get("rand_source", "FABRICATED")),
                 victim_traffic=bytes.fromhex(atk.get("victim_traffic", "")),
             )
-            if attacker.kind is AttackKind.MITM_EAVESDROP and not attacker.victim_traffic:
+            if attacker.kind is _MITM_EAVESDROP and not attacker.victim_traffic:
                 raise ConfigError("MITM_EAVESDROP needs non-empty victim_traffic")
 
         script = []
@@ -277,6 +299,9 @@ class ScenarioConfig(NamedTuple):
                 kind = _STEP_KINDS[op]
             except (KeyError, TypeError):
                 kind = StepKind(op)  # raises the ValueError that names the op
+            if not params.keys() <= _STEP_KEYS[op]:
+                bad = sorted(params.keys() - _STEP_KEYS[op])
+                raise ConfigError(f"unknown keys in script step {idx} ({op}): {bad}")
             cls._check_step(idx, kind, params, seen, attacker)
             script.append(_tuple_new(ScenarioStep, (kind, params)))
 
@@ -293,23 +318,23 @@ class ScenarioConfig(NamedTuple):
 
     @staticmethod
     def _check_step(idx, kind, params, known_imsis, attacker):
-        if kind is StepKind.ASSERT:
+        if kind is _ASSERT:
             if "predicate" not in params:
                 raise ConfigError(f"ASSERT step {idx} missing predicate")
             _check_predicate(params["predicate"])
             return
-        step_imsi = params.get("victim") if kind is StepKind.RUN_ATTACK else params.get("imsi")
+        step_imsi = params.get("victim") if kind is _RUN_ATTACK else params.get("imsi")
         if step_imsi is None:
             raise ConfigError(f"step {idx} ({kind.value}) needs an imsi/victim")
         if step_imsi not in known_imsis:
             raise ConfigError(f"step {idx} references unknown imsi {step_imsi}")
-        if kind is StepKind.RUN_ATTACK and attacker is None:
+        if kind is _RUN_ATTACK and attacker is None:
             raise ConfigError(f"step {idx} runs an attack but none is configured")
-        if kind is StepKind.REQUEST_TRIPLES:
+        if kind is _REQUEST_TRIPLES:
             n = params.get("n", 1)
             if not _is_int(n) or not 1 <= n <= MAX_BATCH:
                 raise ConfigError(f"step {idx}: n must be an integer in [1, {MAX_BATCH}]")
-        if kind is StepKind.SEND_TRAFFIC:
+        if kind is _SEND_TRAFFIC:
             try:
                 bytes.fromhex(params["plaintext"])
             except (KeyError, TypeError, ValueError) as exc:
@@ -525,26 +550,26 @@ class ScenarioEngine:
 
     def _execute(self, index: int, step: ScenarioStep, result: ScenarioResult):
         kind, params = step.kind, step.params
-        if kind is StepKind.ATTACH:
+        if kind is _ATTACH:
             self.ues[params["imsi"]].attach(self.serving.name)
-        elif kind is StepKind.REQUEST_TRIPLES:
+        elif kind is _REQUEST_TRIPLES:
             imsi = params["imsi"]
             n = params.get("n", self.config.batch_size)
             self.trace(self.serving.name, msg="TRIPLES_REQUEST", imsi=imsi, n=n)
             triples = self.home.request_triples(imsi, n)
             self.serving.add_triples(imsi, triples)
-        elif kind is StepKind.CHALLENGE:
+        elif kind is _CHALLENGE:
             self._challenge(params["imsi"])
-        elif kind is StepKind.SEND_TRAFFIC:
+        elif kind is _SEND_TRAFFIC:
             self._send_traffic(params)
-        elif kind is StepKind.POWER_CYCLE_UE:
+        elif kind is _POWER_CYCLE_UE:
             self.ues[params["imsi"]].power_cycle()
-        elif kind is StepKind.OPEN_CHANNEL:
+        elif kind is _OPEN_CHANNEL:
             self.ues[params["imsi"]].open_channel()
-        elif kind is StepKind.RUN_ATTACK:
+        elif kind is _RUN_ATTACK:
             report = self._run_attack(params["victim"])
             result.attack_reports.append(report)
-        elif kind is StepKind.ASSERT:
+        elif kind is _ASSERT:
             outcome = assert_trace(self.tracer.events, params["predicate"])
             self.trace(
                 "engine",
@@ -574,7 +599,7 @@ class ScenarioEngine:
             if self.adversary is not None:
                 self.adversary.log.note_sres(outcome.sres)
             verdict = self.serving.verify(imsi, outcome.sres)
-            if verdict is Verdict.AUTHENTICATED:
+            if verdict is _AUTHENTICATED:
                 me.apply_cipher(self.serving.select_cipher())
 
     def _send_traffic(self, params: dict):
@@ -591,11 +616,11 @@ class ScenarioEngine:
         spec = self.config.attacker
         adversary = self.adversary
         victim = self.ues[victim_imsi]
-        if spec.kind is AttackKind.MITM_EAVESDROP:
+        if spec.kind is _MITM_EAVESDROP:
             if adversary.own_ue is not None:
                 self._attach_attacker_leg(adversary.own_ue)
             relay = (
-                self.serving if spec.rand_source is RandSource.RELAY_FRESH else None
+                self.serving if spec.rand_source is _RELAY_FRESH else None
             )
             return adversary.fake_network_attach(
                 victim,
@@ -618,7 +643,7 @@ class ScenarioEngine:
         outcome = own.handle_challenge(rand)
         if isinstance(outcome, Responded):
             verdict = self.serving.verify(own.sim.imsi, outcome.sres)
-            if verdict is Verdict.AUTHENTICATED:
+            if verdict is _AUTHENTICATED:
                 own.apply_cipher(self.serving.select_cipher())
 
 

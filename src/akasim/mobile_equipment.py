@@ -34,6 +34,12 @@ __all__ = [
     "MobileEquipment",
 ]
 
+# Function bodies use these names, not `SimStatus.NORMAL`: on CPython 3.11
+# `EnumType` defines `__getattr__`, which slows every class attribute read.
+_NORMAL, _PROACTIVE_PENDING = SimStatus
+_GET_CHANNEL_STATUS = StkKind.GET_CHANNEL_STATUS
+_NONE = cs.CipherAlgId.NONE
+
 
 class MeProfile(NamedTuple):
     class_e_supported: bool = True
@@ -66,7 +72,7 @@ class MeSession:
 
     def __init__(self, channels: ChannelTable | None = None):
         self.kc: bytes | None = None
-        self.cipher = cs.CipherAlgId.NONE
+        self.cipher = _NONE
         self.channels = ChannelTable() if channels is None else channels
         self.attached_network: str | None = None
 
@@ -98,9 +104,9 @@ class MobileEquipment:
     def power_on(self):
         if self._powered:
             raise ProtocolOrderError("ME already powered on")
-        self._powered = True
         profile = TerminalProfile(class_e=self.profile.class_e_supported)
         self.sim.init(profile)
+        self._powered = True  # only once the card took the profile
         self.trace(self.name, msg="TERMINAL_PROFILE", class_e=profile.class_e)
 
     def power_cycle(self):
@@ -119,7 +125,7 @@ class MobileEquipment:
         network = self.session.attached_network
         self.session.attached_network = None
         self.session.kc = None
-        self.session.cipher = cs.CipherAlgId.NONE
+        self.session.cipher = _NONE
         if network is not None:
             self.trace(self.name, msg="DETACH", network=network)
 
@@ -156,7 +162,7 @@ class MobileEquipment:
                 status=status,
                 pending_length=response.pending_length,
             )
-        if response.status is SimStatus.NORMAL:
+        if response.status is _NORMAL:
             self.session.kc = response.kc
             self._send_sres(response.sres)
             return Responded(sres=response.sres)
@@ -180,11 +186,11 @@ class MobileEquipment:
     def _run_fetch_loop(self) -> tuple[int, ...]:
         """FETCH proactive commands until the card reports NORMAL."""
         closed_total: tuple[int, ...] = ()
-        status = SimStatus.PROACTIVE_PENDING
-        while status is SimStatus.PROACTIVE_PENDING:
+        status = _PROACTIVE_PENDING
+        while status is _PROACTIVE_PENDING:
             self.trace(self.name, msg="FETCH")
             command = self.sim.fetch()
-            if command.kind is StkKind.GET_CHANNEL_STATUS:
+            if command.kind is _GET_CHANNEL_STATUS:
                 channels = tuple(sorted(self.session.channels.open_channels))
                 self.trace(self.name, msg="PROACTIVE_COMMAND", kind=command.kind._value_)
                 result = ChannelStatusResult(channels=channels)
@@ -220,7 +226,7 @@ class MobileEquipment:
 
     def apply_cipher(self, alg: cs.CipherAlgId):
         """Start ciphering as commanded by the serving network."""
-        if alg is not cs.CipherAlgId.NONE and self.session.kc is None:
+        if alg is not _NONE and self.session.kc is None:
             raise ProtocolOrderError("cipher start without a session key")
         self.session.cipher = alg
         self.trace(self.name, msg="CIPHER_APPLIED", alg=alg._value_)
@@ -235,7 +241,7 @@ class MobileEquipment:
         if session.kc is None and not self.profile.accepts_unauthenticated:
             raise ProtocolOrderError("traffic before authentication")
         cipher = session.cipher  # never other than NONE without a session key
-        if cipher is cs.CipherAlgId.NONE:
+        if cipher is _NONE:
             ciphertext = bytes(plaintext)
         else:
             keystream = cs._keystream(cipher, session.kc, frame_index, len(plaintext))

@@ -68,6 +68,13 @@ class Verdict(enum.Enum):
     REJECTED = "REJECTED"
 
 
+# Function bodies use these names, not `Verdict.REJECTED`: on CPython 3.11
+# `EnumType` defines `__getattr__`, which slows every class attribute read.
+_LEGACY, _ENHANCED = SimMode
+_IN_ORDER, _RANDOM_ORDER, _REUSE = ConsumptionPolicy
+_AUTHENTICATED, _REJECTED = Verdict
+
+
 class HomeNetwork:
     """Authentication centre plus subscriber registry."""
 
@@ -85,7 +92,7 @@ class HomeNetwork:
         if imsi in self.registry:
             raise ProvisioningError(f"imsi {imsi} already provisioned")
         ki, ka = cs._derive_keys(cs._key(master, "master"), imsi)
-        if mode is SimMode.LEGACY:
+        if mode is _LEGACY:
             ka = None
         record = SubscriberRecord(imsi=imsi, ki=ki, ka=ka, counter=0, mode=mode)
         self.registry[imsi] = record
@@ -102,8 +109,9 @@ class HomeNetwork:
             raise MalformedInputError(
                 f"batch size must be an integer in [1, {MAX_BATCH}], got {n!r}"
             )
+        auth_core.check_amf16(amf)
         record = self.registry[imsi]
-        if record.mode is SimMode.ENHANCED:
+        if record.mode is _ENHANCED:
             triples, record.counter = auth_core.generate_triples(
                 record.ki, record.ka, record.counter, amf, n
             )
@@ -152,11 +160,11 @@ class ServingNetwork:
     def challenge(self, imsi: str) -> bytes:
         """Pick a triple per policy and send its RAND as the challenge."""
         queue = self.store.get(imsi)
-        if self.policy is ConsumptionPolicy.REUSE and imsi in self.last_issued:
+        if self.policy is _REUSE and imsi in self.last_issued:
             triple = self.last_issued[imsi]
         elif not queue:
             raise TripleExhaustionError(f"no triples left for {imsi}")
-        elif self.policy is ConsumptionPolicy.RANDOM_ORDER:
+        elif self.policy is _RANDOM_ORDER:
             index = self.rng.randrange(len(queue))
             triple = queue[index]
             del queue[index]
@@ -172,7 +180,7 @@ class ServingNetwork:
         if imsi not in self.pending:
             raise ProtocolOrderError(f"no outstanding challenge for {imsi}")
         triple = self.pending.pop(imsi)
-        verdict = Verdict.AUTHENTICATED if sres == triple.xres else Verdict.REJECTED
+        verdict = _AUTHENTICATED if sres == triple.xres else _REJECTED
         self.trace(self.name, msg="AUTH_RESULT", imsi=imsi, verdict=verdict._value_)
         return verdict
 

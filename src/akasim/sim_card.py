@@ -43,6 +43,11 @@ class SimMode(enum.Enum):
     ENHANCED = "ENHANCED"
 
 
+# Function bodies use these names, not `SimMode.LEGACY`: on CPython 3.11
+# `EnumType` defines `__getattr__`, which slows every class attribute read.
+_LEGACY, _ENHANCED = SimMode
+
+
 class TeardownPhase(enum.Enum):
     IDLE = "IDLE"
     AWAIT_FETCH_1 = "AWAIT_FETCH_1"
@@ -51,9 +56,15 @@ class TeardownPhase(enum.Enum):
     AWAIT_CLOSE_RESULT = "AWAIT_CLOSE_RESULT"
 
 
+_IDLE, _AWAIT_FETCH_1, _AWAIT_CHANNEL_STATUS, _AWAIT_FETCH_2, _AWAIT_CLOSE_RESULT = TeardownPhase
+
+
 class StkKind(enum.Enum):
     GET_CHANNEL_STATUS = "GET_CHANNEL_STATUS"
     CLOSE_CHANNEL = "CLOSE_CHANNEL"
+
+
+_GET_CHANNEL_STATUS, _CLOSE_CHANNEL = StkKind
 
 
 class StkCommand(NamedTuple("StkCommand", [("kind", StkKind), ("channel_ids", tuple)])):
@@ -62,7 +73,7 @@ class StkCommand(NamedTuple("StkCommand", [("kind", StkKind), ("channel_ids", tu
     __slots__ = ()
 
     def __new__(cls, kind: StkKind, channel_ids: tuple[int, ...] = ()):
-        if kind is StkKind.CLOSE_CHANNEL and not channel_ids:
+        if kind is _CLOSE_CHANNEL and not channel_ids:
             raise MalformedInputError("CLOSE_CHANNEL needs at least one channel id")
         return super().__new__(cls, kind, channel_ids)
 
@@ -74,6 +85,9 @@ class StkCommand(NamedTuple("StkCommand", [("kind", StkKind), ("channel_ids", tu
 class SimStatus(enum.Enum):
     NORMAL = "NORMAL"
     PROACTIVE_PENDING = "PROACTIVE_PENDING"
+
+
+_NORMAL, _PROACTIVE_PENDING = SimStatus
 
 
 class SimResponse(NamedTuple):
@@ -142,9 +156,9 @@ class SimState:
         self.ka = None if ka is None else cs._key(ka, "ka")
         if not isinstance(mode, SimMode):
             raise MalformedInputError(f"mode must be a SimMode, got {mode!r}")
-        if mode is SimMode.LEGACY and ka is not None:
+        if mode is _LEGACY and ka is not None:
             raise MalformedInputError("legacy SIM must not hold a ka")
-        if mode is SimMode.ENHANCED and ka is None:
+        if mode is _ENHANCED and ka is None:
             raise MalformedInputError("enhanced SIM needs a ka")
         self.counter = auth_core.check_sqn48(counter)
         _check_teardown(mode, initialized, me_class_e, teardown_phase, teardown_channels)
@@ -205,7 +219,7 @@ class SimState:
 
 
 # the phases in which the card holds the channel ids the phone reported
-_CHANNEL_PHASES = (TeardownPhase.AWAIT_FETCH_2, TeardownPhase.AWAIT_CLOSE_RESULT)
+_CHANNEL_PHASES = (_AWAIT_FETCH_2, _AWAIT_CLOSE_RESULT)
 
 
 def _check_teardown(mode, initialized, me_class_e, phase, channels) -> None:
@@ -219,8 +233,8 @@ def _check_teardown(mode, initialized, me_class_e, phase, channels) -> None:
         raise MalformedInputError("initialized and me_class_e must be bools")
     if not isinstance(phase, TeardownPhase):
         raise MalformedInputError(f"teardown phase must be a TeardownPhase, got {phase!r}")
-    if phase is not TeardownPhase.IDLE and not (
-        mode is SimMode.ENHANCED and initialized and me_class_e
+    if phase is not _IDLE and not (
+        mode is _ENHANCED and initialized and me_class_e
     ):
         raise MalformedInputError(
             f"phase {phase.value} needs an initialised ENHANCED card behind a class-e phone"
@@ -248,10 +262,10 @@ def _snapshot_flag(kv: dict, key: str) -> bool:
 
 def _pending_command(state: SimState) -> StkCommand | None:
     """The proactive command the teardown phase has armed, if any."""
-    if state.teardown_phase is TeardownPhase.AWAIT_FETCH_1:
-        return StkCommand(StkKind.GET_CHANNEL_STATUS)
-    if state.teardown_phase is TeardownPhase.AWAIT_FETCH_2:
-        return StkCommand(StkKind.CLOSE_CHANNEL, state.teardown_channels)
+    if state.teardown_phase is _AWAIT_FETCH_1:
+        return StkCommand(_GET_CHANNEL_STATUS)
+    if state.teardown_phase is _AWAIT_FETCH_2:
+        return StkCommand(_CLOSE_CHANNEL, state.teardown_channels)
     return None
 
 
@@ -271,13 +285,15 @@ class SimCard:
         st = self.state
         st.initialized = False
         st.me_class_e = False
-        st.teardown_phase = TeardownPhase.IDLE
+        st.teardown_phase = _IDLE
         st.teardown_channels = ()
 
     def init(self, profile: TerminalProfile) -> TerminalProfile:
         """Record the phone's TERMINAL PROFILE; must happen exactly once."""
         if self.state.initialized:
             raise ProtocolOrderError("SIM already initialized this power session")
+        if type(profile.class_e) is not bool:
+            raise MalformedInputError(f"class_e must be a bool, got {profile.class_e!r}")
         self.state.initialized = True
         self.state.me_class_e = profile.class_e
         return profile
@@ -292,29 +308,29 @@ class SimCard:
         st = self.state
         if not st.initialized:
             raise ProtocolOrderError("challenge before TERMINAL PROFILE")
-        if st.teardown_phase is not TeardownPhase.IDLE:
+        if st.teardown_phase is not _IDLE:
             raise ProtocolOrderError("challenge during pending teardown")
 
-        if st.mode is SimMode.LEGACY:
+        if st.mode is _LEGACY:
             sres, kc = auth_core.legacy_response(st.ki, rand)
-            return SimResponse(sres, kc, SimStatus.NORMAL)
+            return SimResponse(sres, kc, _NORMAL)
 
         outcome = auth_core.verify_hijacked_rand(
             st.ka, st.counter, rand, st.ki, self.rng
         )
         if isinstance(outcome, auth_core.Accepted):
             st.counter = outcome.sqn
-            return SimResponse(outcome.sres, outcome.kc, SimStatus.NORMAL)
+            return SimResponse(outcome.sres, outcome.kc, _NORMAL)
 
         if st.me_class_e:
-            st.teardown_phase = TeardownPhase.AWAIT_FETCH_1
+            st.teardown_phase = _AWAIT_FETCH_1
             return SimResponse(
                 outcome.placeholder_sres,
                 outcome.placeholder_kc,
-                SimStatus.PROACTIVE_PENDING,
+                _PROACTIVE_PENDING,
                 _pending_command(st).encoded_length(),
             )
-        return SimResponse(outcome.placeholder_sres, outcome.placeholder_kc, SimStatus.NORMAL)
+        return SimResponse(outcome.placeholder_sres, outcome.placeholder_kc, _NORMAL)
 
     def fetch(self) -> StkCommand:
         """Hand the armed proactive command to the phone."""
@@ -324,35 +340,35 @@ class SimCard:
             raise ProtocolOrderError(
                 f"FETCH with nothing pending (phase {st.teardown_phase.value})"
             )
-        if st.teardown_phase is TeardownPhase.AWAIT_FETCH_1:
-            st.teardown_phase = TeardownPhase.AWAIT_CHANNEL_STATUS
+        if st.teardown_phase is _AWAIT_FETCH_1:
+            st.teardown_phase = _AWAIT_CHANNEL_STATUS
         else:
-            st.teardown_phase = TeardownPhase.AWAIT_CLOSE_RESULT
+            st.teardown_phase = _AWAIT_CLOSE_RESULT
         return command
 
     def terminal_response(self, result: TerminalResponse) -> SimStatus:
         """Consume the phone's execution result and advance the teardown."""
         st = self.state
-        if st.teardown_phase is TeardownPhase.AWAIT_CHANNEL_STATUS:
+        if st.teardown_phase is _AWAIT_CHANNEL_STATUS:
             if not isinstance(result, ChannelStatusResult):
                 raise ProtocolOrderError("expected channel-status result")
             channels = tuple(result.channels)
             if not channels:
                 # nothing to close: finish the exchange right here
-                st.teardown_phase = TeardownPhase.IDLE
+                st.teardown_phase = _IDLE
                 st.teardown_channels = ()
-                return SimStatus.NORMAL
+                return _NORMAL
             st.teardown_channels = channels
-            st.teardown_phase = TeardownPhase.AWAIT_FETCH_2
-            return SimStatus.PROACTIVE_PENDING
-        if st.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT:
+            st.teardown_phase = _AWAIT_FETCH_2
+            return _PROACTIVE_PENDING
+        if st.teardown_phase is _AWAIT_CLOSE_RESULT:
             if not isinstance(result, CloseChannelResult):
                 raise ProtocolOrderError("expected close-channel result")
             # back to IDLE whatever the result code; the phone ignoring the
             # close is visible in the trace, not in card state
-            st.teardown_phase = TeardownPhase.IDLE
+            st.teardown_phase = _IDLE
             st.teardown_channels = ()
-            return SimStatus.NORMAL
+            return _NORMAL
         raise ProtocolOrderError(
             f"TERMINAL RESPONSE in phase {st.teardown_phase.value}"
         )

@@ -165,6 +165,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("attacker", [False, 0, "", [], {}], ids=repr)
+    def test_falsy_attacker_usage_error(self, tmp_path, attacker):
+        raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
+        raw["attacker"] = attacker
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg)]) == 64
+        raw["attacker"] = None  # null means no attacker
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [("subscribers", "mastr"), ("REQUEST_TRIPLES", "N"), ("ATTACH", "bogus")],
+    )
+    def test_unknown_key_usage_error(self, tmp_path, capsys, where, key):
+        raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
+        entries = raw["subscribers"] if where == "subscribers" else raw["script"]
+        next(entry for entry in entries if entry.get("op", where) == where)[key] = 4
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}'" in err
+
     def test_failing_assert_exit_two(self, tmp_path):
         raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
         raw["script"].append(

@@ -112,6 +112,19 @@ def test_integer_entry_rejects_bool(entry, flag):
         entry(flag)
 
 
+@pytest.mark.parametrize("amf", [True, False, "x", 1.0, None, -1, 1 << 16])
+@pytest.mark.parametrize("mode", [SimMode.LEGACY, SimMode.ENHANCED], ids=lambda m: m.value)
+def test_request_triples_checks_amf_in_every_mode(mode, amf):
+    events = []
+    home = HomeNetwork(random.Random(0), tracer=lambda actor, **event: events.append(event))
+    home.provision(IMSI, mode, KA)
+    assert len(home.request_triples(IMSI, 1, 0xFFFF)) == 1
+    issued = list(events)
+    with pytest.raises(MalformedInputError):
+        home.request_triples(IMSI, 1, amf)
+    assert events == issued and home.registry[IMSI].counter == (mode is SimMode.ENHANCED)
+
+
 def _ciphering_ue(alg: cs.CipherAlgId, events: list):
     state = SimState(imsi=IMSI, ki=KI, ka=None, counter=0, mode=SimMode.LEGACY)
     ue = MobileEquipment(

@@ -90,6 +90,18 @@ class TestConfigValidation:
             {"me_profiles": {VICTIM: {"leaky": None}}},
             {"network_policy": ["cipher"]},
             {"attacker": ["kind"]},
+            # an attacker is an object or null; falsy values are not "none"
+            {"attacker": False},
+            {"attacker": 0},
+            {"attacker": ""},
+            {"attacker": []},
+            {"attacker": {}},
+            # subscriber entries and script steps take no unknown keys
+            {"subscribers": [{"imsi": VICTIM, "mode": "LEGACY", "mastr": "00" * 16}]},
+            {"script": [{"op": "REQUEST_TRIPLES", "imsi": VICTIM, "N": 4}]},
+            {"script": [{"op": "ATTACH", "imsi": VICTIM, "bogus": 1}]},
+            {"attacker": {"kind": "BBK_REPLAY"}, "script": [{"op": "RUN_ATTACK", "victim": VICTIM, "imsi": VICTIM}]},
+            {"script": [{"op": "ASSERT", "predicate": {"kind": "present", "where": {}}, "imsi": VICTIM}]},
             # ASSERT predicates are checked structurally at load time
             {"script": [{"op": "ASSERT", "predicate": {"kind": "present", "where": ["msg"]}}]},
             {"script": [{"op": "ASSERT", "predicate": {"kind": "absent", "where": "AUTH_RESULT"}}]},
@@ -118,6 +130,10 @@ class TestConfigValidation:
             ("ATTACH", "script step 0 must be a JSON object"),
             ({"imsi": VICTIM}, "script step 0 has no 'op'"),
             ({"op": "JUMP"}, "'JUMP' is not a valid StepKind"),
+            (
+                {"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "00", "frame": 1},
+                r"unknown keys in script step 0 \(SEND_TRAFFIC\): \['frame'\]",
+            ),
         ],
     )
     def test_bad_step_is_named(self, step, message):

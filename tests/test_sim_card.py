@@ -10,6 +10,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 import oracle
 from akasim import auth_core as ac, crypto_suite as cs
 from akasim.errors import MalformedInputError, ProtocolOrderError
+from akasim.mobile_equipment import MeProfile, MobileEquipment
 from akasim.sim_card import (
     ChannelStatusResult,
     CloseChannelResult,
@@ -55,6 +56,24 @@ class TestInit:
         card.power_cycle()
         card.init(TerminalProfile(class_e=False))
         assert card.state.me_class_e is False
+
+    @pytest.mark.parametrize("class_e", ["yes", 1, 0, None])
+    def test_non_bool_class_e_refused(self, class_e):
+        card = enhanced_card()
+        with pytest.raises(MalformedInputError):
+            card.init(TerminalProfile(class_e=class_e))
+        assert card.state.initialized is False and card.state.me_class_e is False
+        card.init(TerminalProfile(class_e=True))  # the refused init left no trace
+
+    def test_phone_with_non_bool_class_e_refused(self):
+        card = enhanced_card()
+        me = MobileEquipment(MeProfile(class_e_supported="yes"), card)
+        with pytest.raises(MalformedInputError):
+            me.power_on()
+        assert card.state.to_record() == enhanced_card().state.to_record()
+        me.profile = MeProfile()  # the refused power-on left the phone off
+        me.power_on()
+        assert card.state.initialized and card.state.me_class_e
 
     def test_state_mode_consistency(self):
         with pytest.raises(MalformedInputError):
