@@ -205,7 +205,7 @@ def _cmd_run(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = harness.ScenarioConfig.loads(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConfigError as exc:

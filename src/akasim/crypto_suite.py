@@ -154,7 +154,9 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+    # for equal lengths either byte order gives the same octets; CPython
+    # converts little-endian without reversing
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
 def join_halves(left: bytes, right: bytes) -> bytes:

@@ -162,6 +162,8 @@ _RELAY_FRESH = RandSource.RELAY_FRESH
 class ScenarioStep(NamedTuple):
     kind: StepKind
     params: dict
+    # a SEND_TRAFFIC step's plaintext, decoded once at load; None otherwise
+    plaintext: bytes | None = None
 
 
 class SubscriberSpec(NamedTuple):
@@ -200,7 +202,9 @@ class ScenarioConfig(NamedTuple):
     def loads(cls, text: str) -> "ScenarioConfig":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (RecursionError, ValueError) as exc:
+            # ValueError covers JSONDecodeError and an integer literal past
+            # the int/str digit limit; RecursionError, nesting too deep
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -302,8 +306,8 @@ class ScenarioConfig(NamedTuple):
             if not params.keys() <= _STEP_KEYS[op]:
                 bad = sorted(params.keys() - _STEP_KEYS[op])
                 raise ConfigError(f"unknown keys in script step {idx} ({op}): {bad}")
-            cls._check_step(idx, kind, params, seen, attacker)
-            script.append(_tuple_new(ScenarioStep, (kind, params)))
+            plaintext = cls._check_step(idx, kind, params, seen, attacker)
+            script.append(_tuple_new(ScenarioStep, (kind, params, plaintext)))
 
         return cls(
             seed=seed,
@@ -318,6 +322,7 @@ class ScenarioConfig(NamedTuple):
 
     @staticmethod
     def _check_step(idx, kind, params, known_imsis, attacker):
+        """Raise ConfigError on a bad step; return a SEND_TRAFFIC plaintext."""
         if kind is _ASSERT:
             if "predicate" not in params:
                 raise ConfigError(f"ASSERT step {idx} missing predicate")
@@ -336,12 +341,14 @@ class ScenarioConfig(NamedTuple):
                 raise ConfigError(f"step {idx}: n must be an integer in [1, {MAX_BATCH}]")
         if kind is _SEND_TRAFFIC:
             try:
-                bytes.fromhex(params["plaintext"])
+                plaintext = bytes.fromhex(params["plaintext"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"step {idx}: plaintext must be a hex string") from exc
             frame = params.get("frame_index", 0)
             if not _is_int(frame) or not 0 <= frame < 1 << 64:
                 raise ConfigError(f"step {idx}: frame_index must be an integer in [0, 2^64)")
+            return plaintext
+        return None
 
 
 def _object(value, what: str) -> dict:
@@ -491,6 +498,28 @@ class ScenarioResult:
         return all(r.passed for r in self.assert_results)
 
 
+class _RoleRandom:
+    """`random.Random(seed)`, seeded on its first draw: seeding hashes the
+    string and fills the whole generator state, and most roles never draw.
+    The first draw binds the seeded generator's own methods on the
+    instance, so later draws go straight to them.  The actors draw only
+    through `randbytes` and `randrange`."""
+
+    def __init__(self, seed: str):
+        self._seed = seed
+
+    def _seeded(self) -> random.Random:
+        rng = random.Random(self._seed)
+        self.randbytes, self.randrange = rng.randbytes, rng.randrange
+        return rng
+
+    def randbytes(self, n: int) -> bytes:
+        return self._seeded().randbytes(n)
+
+    def randrange(self, *args) -> int:
+        return self._seeded().randrange(*args)
+
+
 class ScenarioEngine:
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -499,19 +528,19 @@ class ScenarioEngine:
         # the type's call slot and its per-call attribute lookup
         self.trace = trace = self.tracer.__call__
         seed = config.seed
-        self.home = HomeNetwork(rng=random.Random(f"{seed}/auc"), tracer=trace)
+        self.home = HomeNetwork(rng=_RoleRandom(f"{seed}/auc"), tracer=trace)
         self.serving = ServingNetwork(
             policy=config.policy,
             cipher_choice=config.cipher,
-            rng=random.Random(f"{seed}/vlr"),
+            rng=_RoleRandom(f"{seed}/vlr"),
             tracer=trace,
         )
-        self._provision_rng = random.Random(f"{seed}/provision")
+        provision_rng = _RoleRandom(f"{seed}/provision")
         self.ues: dict[str, MobileEquipment] = {}
         for spec in config.subscribers:
-            master = spec.master or self._provision_rng.randbytes(cs.KEY_LEN)
+            master = spec.master or provision_rng.randbytes(cs.KEY_LEN)
             _, sim_state = self.home.provision(spec.imsi, spec.mode, master)
-            sim = SimCard(sim_state, rng=random.Random(f"{seed}/sim/{spec.imsi}"))
+            sim = SimCard(sim_state, rng=_RoleRandom(f"{seed}/sim/{spec.imsi}"))
             profile = config.me_profiles.get(spec.imsi, MeProfile())
             me = MobileEquipment(profile, sim, tracer=trace)
             me.power_on()
@@ -525,7 +554,7 @@ class ScenarioEngine:
                 else None
             )
             self.adversary = Adversary(
-                rng=random.Random(f"{seed}/attacker"),
+                rng=_RoleRandom(f"{seed}/attacker"),
                 tracer=trace,
                 own_ue=own_ue,
             )
@@ -549,7 +578,7 @@ class ScenarioEngine:
         return result
 
     def _execute(self, index: int, step: ScenarioStep, result: ScenarioResult):
-        kind, params = step.kind, step.params
+        kind, params, plaintext = step
         if kind is _ATTACH:
             self.ues[params["imsi"]].attach(self.serving.name)
         elif kind is _REQUEST_TRIPLES:
@@ -561,7 +590,7 @@ class ScenarioEngine:
         elif kind is _CHALLENGE:
             self._challenge(params["imsi"])
         elif kind is _SEND_TRAFFIC:
-            self._send_traffic(params)
+            self._send_traffic(params, plaintext)
         elif kind is _POWER_CYCLE_UE:
             self.ues[params["imsi"]].power_cycle()
         elif kind is _OPEN_CHANNEL:
@@ -602,9 +631,8 @@ class ScenarioEngine:
             if verdict is _AUTHENTICATED:
                 me.apply_cipher(self.serving.select_cipher())
 
-    def _send_traffic(self, params: dict):
+    def _send_traffic(self, params: dict, plaintext: bytes):
         me = self.ues[params["imsi"]]
-        plaintext = bytes.fromhex(params["plaintext"])
         frame_index = params.get("frame_index", 0)
         ciphertext = me.send_traffic(plaintext, frame_index)
         if self.adversary is not None:
@@ -653,9 +681,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     The cyclic garbage collector is paused, process-wide, while the engine
     is built and run, and put back as it was found.  The run's object graph
     is acyclic, so reference counting frees all of it; the collector would
-    only re-walk the growing trace over and over.
+    only re-walk the growing trace over and over.  On resume, everything
+    tracked moves to the oldest generation (a freeze, then an unfreeze), so
+    the next young collection does not walk the whole run once more; a
+    later full collection still sees it.  If the caller has frozen objects,
+    the collector is only re-enabled, so theirs stay frozen.
     """
     gc_was_enabled = gc.isenabled()
+    nothing_frozen = gc.get_freeze_count() == 0
     gc.disable()
     try:
         engine = ScenarioEngine(config)
@@ -669,4 +702,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         return result
     finally:
         if gc_was_enabled:
+            if nothing_frozen:
+                gc.freeze()  # empties the young generation and its count
+                gc.unfreeze()  # into the oldest generation
             gc.enable()

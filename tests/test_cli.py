@@ -119,6 +119,13 @@ class TestRun:
     def test_missing_config_usage_error(self):
         assert cli.main(["run", "--config", "/nonexistent.json"]) == 64
 
+    def test_non_utf8_config_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert cli.main(["run", "--config", str(bad)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config:") and "Traceback" not in err
+
     def test_invalid_config_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"seed": "nope"}')

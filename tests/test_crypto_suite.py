@@ -257,6 +257,19 @@ def test_xor_keeps_leading_zero_octets():
     assert cs.xor_bytes(b"", b"") == b""
 
 
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 33, 1500, 32 * 1024])
+def test_private_xor_matches_oracle(length):
+    rng = random.Random(f"xor/{length}")
+    a, b = rng.randbytes(length), rng.randbytes(length)
+    cases = [(a, b), (bytes(length), b), (a, bytes(length))]
+    if length >= 2:
+        # zero octets at both ends of either input, and of the result
+        cases.append((b"\0" + a[1:-1] + b"\0", b"\0" + b[1:-1] + b"\0"))
+        cases.append((a, a[:1] + b[1:-1] + a[-1:]))
+    for x, y in cases:
+        assert cs._xor(x, y) == oracle.xor(x, y)
+
+
 class TestBatchedPrimitives:
     """The one-call-per-buffer paths, checked directly against the oracle."""
 

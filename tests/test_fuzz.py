@@ -109,6 +109,19 @@ def test_mutated_shipped_config_exits_with_a_documented_code(workdir, data, text
     assert cli.main(argv + ["--summary-json"] * summary) in (0, 2, 3, 64)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, '{"seed": ' + "7" * 5000 + "}"],
+    ids=["nested_100k", "int_5000_digits"],
+)
+def test_config_json_the_decoder_refuses_exits_64(workdir, capsys, text):
+    config = workdir / "undecodable.json"
+    config.write_text(text)
+    assert cli.main(["run", "--config", str(config)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 _HEX = "0123456789abcdef"
 _SNAPSHOT_KEYS = ["imsi", "mode", "ki", "ka", "counter", "phase", "initialized", "class_e", "channels", "x"]
 _SNAPSHOT_VALUES = st.sampled_from(

@@ -3,6 +3,8 @@
 import gc
 import hashlib
 import json
+import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -151,6 +153,15 @@ class TestConfigValidation:
         assert [step.params for step in config.script] == [
             {k: v for k, v in step.items() if k != "op"} for step in script
         ]
+
+    def test_send_traffic_step_carries_its_decoded_plaintext(self):
+        script = [
+            {"op": "ATTACH", "imsi": VICTIM},
+            {"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "00ff10"},
+            {"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": ""},
+        ]
+        config = ScenarioConfig.from_dict(base_config(script=script))
+        assert [step.plaintext for step in config.script] == [None, b"\x00\xff\x10", b""]
 
     def test_duplicate_subscriber(self):
         raw = base_config(
@@ -600,3 +611,102 @@ class TestCollectorPause:
         run_scenario(ScenarioConfig.from_dict(base_config()))
         assert seen == [("__init__", False), ("run", False)]
         assert gc.isenabled()
+
+    def test_cycle_made_before_the_run_is_freed_by_a_later_collection(
+        self, restore_collector
+    ):
+        class Node:
+            pass
+
+        config = ScenarioConfig.from_dict(base_config())
+        gc.disable()
+        gc.collect()
+        node = Node()
+        node.self = node
+        alive = weakref.ref(node)
+        del node
+        gc.enable()
+        run_scenario(config)
+        assert alive() is not None  # moved to the oldest generation
+        gc.collect()
+        assert alive() is None
+
+    def test_what_the_run_leaves_starts_in_the_oldest_generation(self, restore_collector):
+        config = ScenarioConfig.from_dict(base_config())
+        gc.enable()
+        trace = run_scenario(config).trace
+        assert any(obj is trace for obj in gc.get_objects(generation=2))
+
+    def test_objects_the_caller_froze_stay_frozen(self, restore_collector):
+        config = ScenarioConfig.from_dict(base_config())
+        gc.enable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            run_scenario(config)
+            assert gc.get_freeze_count() == frozen > 0
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_nothing_is_left_frozen(self, restore_collector, enabled):
+        assert gc.get_freeze_count() == 0
+        (gc.enable if enabled else gc.disable)()
+        run_scenario(ScenarioConfig.from_dict(base_config()))
+        assert gc.get_freeze_count() == 0
+
+
+@pytest.fixture
+def seeded(monkeypatch):
+    """The seed of every `random.Random` built while the test runs."""
+    seeds = []
+
+    class Recording(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Recording)
+    return seeds
+
+
+class TestRoleGenerators:
+    """Each role's generator is seeded from "<seed>/<role>" on its first
+    draw, so a role that never draws costs no seeding."""
+
+    def test_honest_run_seeds_only_the_provisioning_generator(self, seeded):
+        # the config gives no master key, so provisioning draws one; the
+        # AuC, the VLR and the card never draw
+        run_scenario(ScenarioConfig.loads((CONFIGS / "honest_enhanced.json").read_text()))
+        assert seeded == ["42/provision"]
+
+    def test_honest_run_with_master_keys_seeds_none(self, seeded):
+        subscribers = [{"imsi": VICTIM, "mode": "ENHANCED", "master": "11" * 16}]
+        run_scenario(ScenarioConfig.from_dict(base_config(subscribers=subscribers)))
+        assert seeded == []
+
+    def test_a_rejecting_card_seeds_only_its_own_generator(self, seeded):
+        raw = json.loads((CONFIGS / "bbk_enhanced.json").read_text())
+        raw["subscribers"] = [
+            {"imsi": imsi, "mode": "ENHANCED", "master": master * 16}
+            for imsi, master in ((VICTIM, "11"), (OTHER, "22"))
+        ]
+        raw["script"][:0] = [
+            {"op": "ATTACH", "imsi": OTHER},
+            {"op": "REQUEST_TRIPLES", "imsi": OTHER, "n": 2},
+            {"op": "CHALLENGE", "imsi": OTHER},
+        ]
+        result = run_scenario(ScenarioConfig.from_dict(raw))
+        assert result.all_asserts_passed and not result.aborted
+        assert seeded == [f"2002/sim/{VICTIM}"]
+
+    def test_draws_equal_an_eagerly_seeded_generator(self):
+        lazy, eager = harness._RoleRandom("7/vlr"), random.Random("7/vlr")
+        assert [lazy.randrange(5), lazy.randbytes(8), lazy.randrange(3, 9)] == [
+            eager.randrange(5),
+            eager.randbytes(8),
+            eager.randrange(3, 9),
+        ]
+        lazy = harness._RoleRandom("7/sim")
+        assert lazy.randbytes(16) == random.Random("7/sim").randbytes(16)
