@@ -31,7 +31,6 @@ __all__ = [
     "check_sqn48",
     "check_amf16",
     "pack_amf_sqn",
-    "unpack_amf_sqn",
     "HijackedRandLayout",
     "AuthTriple",
     "RejectReason",
@@ -66,12 +65,6 @@ def check_amf16(value: int) -> int:
 def pack_amf_sqn(amf: int, sqn: int) -> bytes:
     """Big-endian 16-bit AMF || 48-bit SQN, the 8-octet tag message."""
     return check_amf16(amf).to_bytes(2, "big") + check_sqn48(sqn).to_bytes(6, "big")
-
-
-def unpack_amf_sqn(block: bytes) -> tuple[int, int]:
-    if len(block) != 8:
-        raise MalformedInputError(f"amf||sqn block must be 8 octets, got {len(block)}")
-    return int.from_bytes(block[:2], "big"), int.from_bytes(block[2:], "big")
 
 
 class HijackedRandLayout(NamedTuple):

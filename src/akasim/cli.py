@@ -35,81 +35,57 @@ RAND_STATS_SIGMA_BOUND = 4.0
 # challenges built per AES batch; bounds the transient buffers at any n
 _RAND_STATS_CHUNK = 4096
 
-_VECTOR_OPS = (
-    "f1_mac",
-    "f5_mask",
-    "a3_sres",
-    "a8_kc",
-    "a5_keystream",
-    "derive_subscriber_keys",
-    "build_hijacked_rand",
-)
+# the most records gen-vectors writes per operation; every record is built
+# in memory before the file is written
+MAX_VECTOR_COUNT = 100_000
 # the ciphers the a5_keystream records cycle through
 _VECTOR_ALGS = (cs.CipherAlgId.A5_1, cs.CipherAlgId.A5_2, cs.CipherAlgId.A5_3)
 
 
 def generate_vector_lines(seed: int, count: int) -> list[str]:
     """Deterministic vector records, `count` per operation."""
+    if not cs._is_int(count) or not 0 <= count <= MAX_VECTOR_COUNT:
+        raise MalformedInputError(
+            f"count must be an integer in [0, {MAX_VECTOR_COUNT}], got {count!r}"
+        )
     rng = random.Random(f"vectors/{seed}")
-    lines = [
-        "# primitive test vectors",
-        f"# seed={seed} count={count}",
-    ]
+    lines = ["# primitive test vectors", f"# seed={seed} count={count}"]
+    # octets of ka, msg, mac, ki, rand and kc; each iteration draws its
+    # inputs once, in the order they are named below
+    sizes = (cs.KEY_LEN, cs.TAG_LEN, cs.TAG_LEN, cs.KEY_LEN, cs.RAND_LEN, cs.TAG_LEN)
+    length = 16
     for i in range(count):
-        ka = rng.randbytes(cs.KEY_LEN)
-        msg = rng.randbytes(cs.TAG_LEN)
-        lines.append(
-            cs.render_vector_line("f1_mac", [ka.hex(), msg.hex()], cs.f1_mac(ka, msg).hex())
-        )
-        mac = rng.randbytes(cs.TAG_LEN)
-        lines.append(
-            cs.render_vector_line("f5_mask", [ka.hex(), mac.hex()], cs.f5_mask(ka, mac).hex())
-        )
-        ki = rng.randbytes(cs.KEY_LEN)
-        rand = rng.randbytes(cs.RAND_LEN)
-        lines.append(
-            cs.render_vector_line("a3_sres", [ki.hex(), rand.hex()], cs.a3_sres(ki, rand).hex())
-        )
-        lines.append(
-            cs.render_vector_line("a8_kc", [ki.hex(), rand.hex()], cs.a8_kc(ki, rand).hex())
-        )
-        alg = _VECTOR_ALGS[i % len(_VECTOR_ALGS)]
-        kc = rng.randbytes(cs.TAG_LEN)
+        ka, msg, mac, ki, rand, kc = map(rng.randbytes, sizes)
         frame = rng.randrange(1 << 16)
-        length = 16
-        ks = cs.a5_keystream(alg, kc, frame, length)
-        lines.append(
-            cs.render_vector_line(
-                "a5_keystream",
-                [
-                    bytes([alg.tag_byte]).hex(),
-                    kc.hex(),
-                    frame.to_bytes(8, "big").hex(),
-                    length.to_bytes(4, "big").hex(),
-                ],
-                ks.bytes.hex(),
-            )
-        )
         master = rng.randbytes(cs.KEY_LEN)
         imsi = "".join(str(rng.randrange(10)) for _ in range(15))
-        dki, dka = cs.derive_subscriber_keys(master, imsi)
-        lines.append(
-            cs.render_vector_line(
+        amf, sqn = rng.randrange(1 << 16), rng.randrange(1 << 48)
+        alg = _VECTOR_ALGS[i % len(_VECTOR_ALGS)]
+        records = (
+            ("f1_mac", (ka, msg), cs.f1_mac(ka, msg)),
+            ("f5_mask", (ka, mac), cs.f5_mask(ka, mac)),
+            ("a3_sres", (ki, rand), cs.a3_sres(ki, rand)),
+            ("a8_kc", (ki, rand), cs.a8_kc(ki, rand)),
+            (
+                "a5_keystream",
+                (bytes([alg.tag_byte]), kc, frame.to_bytes(8, "big"), length.to_bytes(4, "big")),
+                cs.a5_keystream(alg, kc, frame, length).bytes,
+            ),
+            (
                 "derive_subscriber_keys",
-                [master.hex(), imsi.encode("ascii").hex()],
-                (dki + dka).hex(),
-            )
-        )
-        amf = rng.randrange(1 << 16)
-        sqn = rng.randrange(1 << 48)
-        built = auth_core.build_hijacked_rand(ka, amf, sqn)
-        lines.append(
-            cs.render_vector_line(
+                (master, imsi.encode("ascii")),
+                b"".join(cs.derive_subscriber_keys(master, imsi)),
+            ),
+            (
                 "build_hijacked_rand",
-                [ka.hex(), amf.to_bytes(2, "big").hex(), sqn.to_bytes(6, "big").hex()],
-                built.hex(),
-            )
+                (ka, amf.to_bytes(2, "big"), sqn.to_bytes(6, "big")),
+                auth_core.build_hijacked_rand(ka, amf, sqn),
+            ),
         )
+        lines += [
+            cs.render_vector_line(op, [value.hex() for value in inputs], output.hex())
+            for op, inputs, output in records
+        ]
     return lines
 
 
@@ -187,10 +163,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_vectors(args) -> int:
-    if args.count < 0:
-        print("error: --count must be >= 0", file=sys.stderr)
+    try:
+        lines = generate_vector_lines(args.seed, args.count)
+    except MalformedInputError as exc:
+        print(f"error: --{exc}", file=sys.stderr)
         return EXIT_USAGE
-    lines = generate_vector_lines(args.seed, args.count)
     try:
         with open(args.out, "w", encoding="ascii") as handle:
             handle.write("\n".join(lines) + "\n")

@@ -27,7 +27,6 @@ from .adversary import (
     Adversary,
     AttackKind,
     AttackReport,
-    InterceptLog,
     LoggedExchange,
     RandSource,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "assert_trace",
     "run_scenario",
     "render_trace",
-    "render_intercept_log",
 ]
 
 
@@ -105,24 +103,6 @@ def render_trace(events: list[TraceEvent]) -> str:
     )
 
 
-def render_intercept_log(log: InterceptLog) -> str:
-    """Export an attacker's log in the harness trace-record format."""
-    tracer = Tracer()
-    for record in log.records:
-        tracer("intercept", msg="EXCHANGE", rand=record.rand.hex())
-        if record.sres is not None:
-            tracer("intercept", msg="SRES", sres=record.sres.hex())
-        for frame in record.frames:
-            tracer(
-                "intercept",
-                msg="FRAME",
-                frame_index=frame.frame_index,
-                alg=frame.alg.value,
-                ciphertext=frame.ciphertext.hex(),
-            )
-    return render_trace(tracer.events)
-
-
 # --- configuration -----------------------------------------------------------
 
 
@@ -138,6 +118,8 @@ class StepKind(enum.Enum):
 
 
 _STEP_KINDS = {kind.value: kind for kind in StepKind}
+# the keys of the top-level config object
+_CONFIG_KEYS = {"seed", "subscribers", "me_profiles", "network_policy", "attacker", "script"}
 # the keys each op takes besides "op"; a closed set, like every other object
 _STEP_KEYS = {
     "ATTACH": {"imsi"},
@@ -212,16 +194,7 @@ class ScenarioConfig(NamedTuple):
     def _parse(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - {
-            "seed",
-            "subscribers",
-            "me_profiles",
-            "network_policy",
-            "attacker",
-            "script",
-        }
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _closed(raw, _CONFIG_KEYS, "config keys")
         seed = raw["seed"]
         if not _is_int(seed):
             raise ConfigError("seed must be an integer")
@@ -233,9 +206,7 @@ class ScenarioConfig(NamedTuple):
             if imsi in seen:
                 raise ConfigError(f"duplicate subscriber {imsi}")
             seen.add(imsi)
-            bad = set(sub) - {"imsi", "mode", "master"}
-            if bad:
-                raise ConfigError(f"unknown subscriber keys for {imsi}: {sorted(bad)}")
+            _closed(sub, {"imsi", "mode", "master"}, "subscriber keys for %s", imsi)
             master = bytes.fromhex(sub["master"]) if "master" in sub else None
             if master is not None and len(master) != cs.KEY_LEN:
                 raise ConfigError(f"master key for {imsi} must be 16 octets")
@@ -250,10 +221,8 @@ class ScenarioConfig(NamedTuple):
             if imsi not in seen:
                 raise ConfigError(f"me_profile for unknown subscriber {imsi}")
             prof = _object(prof, f"me_profile for {imsi}")
-            bad = set(prof) - {"class_e", "accepts_unauthenticated", "leaky"}
-            if bad:
-                raise ConfigError(f"unknown me_profile keys for {imsi}: {sorted(bad)}")
             flags = {"class_e": True, "accepts_unauthenticated": False, "leaky": False}
+            _closed(prof, flags.keys(), "me_profile keys for %s", imsi)
             flags.update(prof)
             if not all(isinstance(flag, bool) for flag in flags.values()):
                 raise ConfigError(f"me_profile flags for {imsi} must be true or false")
@@ -264,9 +233,7 @@ class ScenarioConfig(NamedTuple):
             )
 
         net = _object(raw.get("network_policy", {}), "network_policy")
-        bad = set(net) - {"consumption_policy", "cipher", "batch_size"}
-        if bad:
-            raise ConfigError(f"unknown network_policy keys: {sorted(bad)}")
+        _closed(net, {"consumption_policy", "cipher", "batch_size"}, "network_policy keys")
         policy = ConsumptionPolicy(net.get("consumption_policy", "IN_ORDER"))
         cipher = cs.CipherAlgId(net.get("cipher", "A5_3"))
         batch_size = net.get("batch_size", 2)
@@ -276,9 +243,7 @@ class ScenarioConfig(NamedTuple):
         attacker = None
         if raw.get("attacker") is not None:
             atk = _object(raw["attacker"], "attacker")
-            bad = set(atk) - {"kind", "imsi", "rand_source", "victim_traffic"}
-            if bad:
-                raise ConfigError(f"unknown attacker keys: {sorted(bad)}")
+            _closed(atk, {"kind", "imsi", "rand_source", "victim_traffic"}, "attacker keys")
             attacker_imsi = atk.get("imsi")
             if attacker_imsi is not None and attacker_imsi not in seen:
                 raise ConfigError(f"attacker imsi {attacker_imsi} not provisioned")
@@ -303,9 +268,7 @@ class ScenarioConfig(NamedTuple):
                 kind = _STEP_KINDS[op]
             except (KeyError, TypeError):
                 kind = StepKind(op)  # raises the ValueError that names the op
-            if not params.keys() <= _STEP_KEYS[op]:
-                bad = sorted(params.keys() - _STEP_KEYS[op])
-                raise ConfigError(f"unknown keys in script step {idx} ({op}): {bad}")
+            _closed(params, _STEP_KEYS[op], "keys in script step %d (%s)", idx, op)
             plaintext = cls._check_step(idx, kind, params, seen, attacker)
             script.append(_tuple_new(ScenarioStep, (kind, params, plaintext)))
 
@@ -355,6 +318,13 @@ def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object")
     return value
+
+
+def _closed(value: dict, allowed, what: str, *args) -> None:
+    """Raise ConfigError naming the keys of `value` outside `allowed`; the
+    object is named `what % args`, formatted only on failure."""
+    if not value.keys() <= allowed:
+        raise ConfigError(f"unknown {what % args}: {sorted(value.keys() - allowed)}")
 
 
 # --- trace predicates --------------------------------------------------------

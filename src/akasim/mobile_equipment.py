@@ -146,6 +146,7 @@ class MobileEquipment:
             raise ProtocolOrderError("challenge while powered off")
         if self.session.attached_network is None:
             raise ProtocolOrderError("challenge while detached")
+        rand = cs._check_len("rand", rand, cs.RAND_LEN)
         self.trace(self.name, msg="SIM_CHALLENGE", rand=rand.hex())
         response = self.sim.challenge(rand)
         # trace payloads read enum members' `_value_`, the attribute behind

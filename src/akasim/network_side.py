@@ -94,9 +94,10 @@ class HomeNetwork:
         ki, ka = cs._derive_keys(cs._key(master, "master"), imsi)
         if mode is _LEGACY:
             ka = None
+        # the card state checks the mode, so a refused call leaves no record
+        sim_state = SimState(imsi=imsi, ki=ki, ka=ka, counter=0, mode=mode)
         record = SubscriberRecord(imsi=imsi, ki=ki, ka=ka, counter=0, mode=mode)
         self.registry[imsi] = record
-        sim_state = SimState(imsi=imsi, ki=ki, ka=ka, counter=0, mode=mode)
         # `_value_` is the attribute behind the Python-level `.value` property
         self.trace(self.name, msg="PROVISION", imsi=imsi, mode=mode._value_)
         return record, sim_state
@@ -153,9 +154,6 @@ class ServingNetwork:
     def add_triples(self, imsi: str, triples: list[AuthTriple]):
         self.store.setdefault(imsi, deque()).extend(triples)
         self.trace(self.name, msg="TRIPLES_STORED", imsi=imsi, n=len(triples))
-
-    def triple_count(self, imsi: str) -> int:
-        return len(self.store.get(imsi, ()))
 
     def challenge(self, imsi: str) -> bytes:
         """Pick a triple per policy and send its RAND as the challenge."""

@@ -8,6 +8,8 @@ import random
 import subprocess
 import sys
 
+import shlex
+
 import pytest
 
 import oracle
@@ -53,8 +55,7 @@ class TestGenVectors:
     def test_count_zero_header_only(self, tmp_path):
         out = tmp_path / "v.txt"
         assert cli.main(["gen-vectors", "--out", str(out), "--seed", "1", "--count", "0"]) == 0
-        lines = out.read_text().splitlines()
-        assert lines and all(l.startswith("#") for l in lines)
+        assert out.read_bytes() == b"# primitive test vectors\n# seed=1 count=0\n"
 
     def test_records_reverify_against_reference(self, tmp_path):
         out = tmp_path / "v.txt"
@@ -97,6 +98,32 @@ class TestGenVectors:
 
     def test_unwritable_path_is_usage_error(self, tmp_path):
         assert cli.main(["gen-vectors", "--out", str(tmp_path / "no" / "dir.txt")]) == 64
+
+    def test_file_pinned(self, tmp_path):
+        out = tmp_path / "v.txt"
+        assert cli.main(["gen-vectors", "--out", str(out), "--seed", "7", "--count", "16"]) == 0
+        assert (
+            hashlib.sha256(out.read_bytes()).hexdigest()
+            == "c28a72898f7136e2504353f1fb89e8e2ac1181c143b30aedf47a9ba274972079"
+        )
+
+    @pytest.mark.parametrize("count", ["-1", str(cli.MAX_VECTOR_COUNT + 1), str(10**23)])
+    def test_count_out_of_range_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys, count
+    ):
+        def no_work(*args):
+            raise AssertionError("vectors built for a refused --count")
+
+        monkeypatch.setattr(cs, "f1_mac", no_work)
+        out = tmp_path / "v.txt"
+        assert cli.main(["gen-vectors", "--out", str(out), "--count", count]) == 64
+        assert f"[0, {cli.MAX_VECTOR_COUNT}]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [-1, True, False, 1.0, "1", None, cli.MAX_VECTOR_COUNT + 1])
+    def test_library_refuses_bad_count(self, count):
+        with pytest.raises(MalformedInputError):
+            cli.generate_vector_lines(0, count)
 
 
 class TestRun:
@@ -318,6 +345,20 @@ class TestRandStats:
         monkeypatch.setattr(ac, "build_hijacked_rands", no_work)
         assert cli.main(["rand-stats", "--n", n]) == 64
         assert "2^48 - 1" in capsys.readouterr().err
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """Every command in README's `## CLI` block exits 0, in order."""
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert len(commands) == 4 and all(argv[0] == "akasim" for argv in commands)
+    (tmp_path / "configs").symlink_to(CONFIGS)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "golden").symlink_to(CONFIGS.parent / "tests" / "golden")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -40,6 +40,23 @@ def _challenge(mode: SimMode, rand):
         raise
 
 
+def _handle_challenge(mode: SimMode, rand):
+    """MobileEquipment.handle_challenge on an attached phone; a refused
+    challenge traces nothing."""
+    ka = KA if mode is SimMode.ENHANCED else None
+    card = SimCard(SimState(imsi=IMSI, ki=KI, ka=ka, counter=0, mode=mode), random.Random(0))
+    events = []
+    ue = MobileEquipment(MeProfile(), card, tracer=lambda actor, **event: events.append(event))
+    ue.power_on()
+    ue.attach("vlr")
+    before = list(events)
+    try:
+        return ue.handle_challenge(rand)
+    except MalformedInputError:
+        assert events == before
+        raise
+
+
 # entry point/argument -> (call with that argument replaced, a good value)
 ENTRIES = {
     "verify_hijacked_rand/ka": (lambda v: ac.verify_hijacked_rand(v, 0, RAND, KI, random.Random(0)), KA),
@@ -49,6 +66,14 @@ ENTRIES = {
     "legacy_response/rand": (lambda v: ac.legacy_response(KI, v), RAND),
     "SimCard.challenge/enhanced": (lambda v: _challenge(SimMode.ENHANCED, v), RAND),
     "SimCard.challenge/legacy": (lambda v: _challenge(SimMode.LEGACY, v), RAND),
+    "MobileEquipment.handle_challenge/enhanced": (
+        lambda v: _handle_challenge(SimMode.ENHANCED, v),
+        RAND,
+    ),
+    "MobileEquipment.handle_challenge/legacy": (
+        lambda v: _handle_challenge(SimMode.LEGACY, v),
+        RAND,
+    ),
     "f1_mac/ka": (lambda v: cs.f1_mac(v, MSG), KA),
     "f1_mac/amf_sqn": (lambda v: cs.f1_mac(KA, v), MSG),
     "f5_mask/ka": (lambda v: cs.f5_mask(v, MSG), KA),
@@ -63,6 +88,7 @@ ENTRIES = {
 BAD = {
     "str": "00" * 16,
     "list": list(range(16)),
+    "None": None,
     "15 octets": bytes(15),
     "17 octets": bytes(17),
 }

@@ -20,7 +20,6 @@ from akasim.harness import (
     TraceEvent,
     Tracer,
     assert_trace,
-    render_intercept_log,
     run_scenario,
 )
 
@@ -433,19 +432,6 @@ class TestTraceFormat:
                 assert rand == rand.lower()
         seqs = [json.loads(l)["seq_no"] for l in result.trace_text().splitlines()]
         assert seqs == list(range(len(seqs)))
-
-    def test_intercept_log_export_shares_format(self):
-        from akasim.adversary import InterceptLog
-        from akasim import crypto_suite as cs
-
-        log = InterceptLog()
-        log.start_exchange(b"\xaa" * 16)
-        log.note_sres(b"\xbb" * 8)
-        log.note_frame(2, cs.CipherAlgId.A5_3, b"\xcc" * 4)
-        text = render_intercept_log(log)
-        lines = [json.loads(l) for l in text.splitlines()]
-        assert [l["event"]["msg"] for l in lines] == ["EXCHANGE", "SRES", "FRAME"]
-        assert lines[2]["event"]["ciphertext"] == "cccccccc"
 
 
 # JSON values as the tracer may carry them: text with non-ASCII and control

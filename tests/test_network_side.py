@@ -77,6 +77,16 @@ class TestProvision:
         with pytest.raises(ProvisioningError):
             auc.provision(IMSI, SimMode.LEGACY, MASTER)
 
+    @pytest.mark.parametrize("mode", ["LEGACY", "ENHANCED", None, 1])
+    def test_refused_mode_leaves_no_record(self, mode):
+        events = []
+        auc = HomeNetwork(rng=random.Random(1), tracer=lambda actor, **event: events.append(event))
+        with pytest.raises(MalformedInputError):
+            auc.provision(IMSI, mode, bytes(16))
+        assert auc.registry == {} and events == []
+        record, _ = auc.provision(IMSI, SimMode.LEGACY, bytes(16))
+        assert auc.registry == {IMSI: record}
+
     def test_provision_then_triples(self):
         auc = home()
         auc.provision(IMSI, SimMode.ENHANCED, MASTER)
@@ -148,7 +158,7 @@ class TestVlrChallenge:
         first = serving.challenge(IMSI)
         second = serving.challenge(IMSI)
         assert first == second
-        assert serving.triple_count(IMSI) == 1  # only the first pop consumed
+        assert len(serving.store[IMSI]) == 1  # only the first pop consumed
 
     def test_random_order_is_seed_deterministic(self):
         ki, triples = hand_built_triples(6)
