@@ -12,14 +12,12 @@ cipher) survive the upgrade and which do not.
 from .auth_core import (
     Accepted,
     AuthTriple,
-    HijackedRandLayout,
     Rejected,
     RejectReason,
     VerifyOutcome,
     build_hijacked_rand,
     generate_triples,
     legacy_response,
-    make_legacy_triple,
     verify_hijacked_rand,
 )
 from .crypto_suite import CipherAlgId, KeystreamBlock
@@ -32,7 +30,6 @@ __all__ = [
     "Accepted",
     "AuthTriple",
     "CipherAlgId",
-    "HijackedRandLayout",
     "KeystreamBlock",
     "Rejected",
     "RejectReason",
@@ -46,7 +43,6 @@ __all__ = [
     "build_hijacked_rand",
     "generate_triples",
     "legacy_response",
-    "make_legacy_triple",
     "run_scenario",
     "verify_hijacked_rand",
 ]

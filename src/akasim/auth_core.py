@@ -30,8 +30,6 @@ __all__ = [
     "AMF_MAX",
     "check_sqn48",
     "check_amf16",
-    "pack_amf_sqn",
-    "HijackedRandLayout",
     "AuthTriple",
     "RejectReason",
     "Accepted",
@@ -39,11 +37,9 @@ __all__ = [
     "VerifyOutcome",
     "build_hijacked_rand",
     "build_hijacked_rands",
-    "decompose_rand",
     "verify_hijacked_rand",
     "legacy_response",
     "generate_triples",
-    "make_legacy_triple",
 ]
 
 SQN_MAX = (1 << 48) - 1
@@ -60,25 +56,6 @@ def check_amf16(value: int) -> int:
     if not cs._is_int(value) or not 0 <= value <= AMF_MAX:
         raise MalformedInputError(f"amf must be an integer in [0, 2^16), got {value!r}")
     return value
-
-
-def pack_amf_sqn(amf: int, sqn: int) -> bytes:
-    """Big-endian 16-bit AMF || 48-bit SQN, the 8-octet tag message."""
-    return check_amf16(amf).to_bytes(2, "big") + check_sqn48(sqn).to_bytes(6, "big")
-
-
-class HijackedRandLayout(NamedTuple):
-    """Decomposed view of a sequence-bearing challenge.
-
-    On the construction side the fields are the generated values; on the
-    verification side they are the recovered candidates (mac is the
-    received tag, ak the mask derived from it).
-    """
-
-    amf: int
-    sqn: int
-    mac: bytes
-    ak: bytes
 
 
 class AuthTriple(NamedTuple):
@@ -139,23 +116,18 @@ def _build_rands(ka: cs.Key128, amf: int, first_sqn: int, n: int) -> bytes:
     if sys.byteorder == "little":
         words.byteswap()  # wire order: big-endian AMF || SQN
     msgs = words.tobytes()
-    macs = cs.f1_macs(ka, msgs)
-    return cs.join_halves(cs.xor_bytes(msgs, cs.f5_masks(ka, macs)), macs)
+    macs = cs._padded_prf(ka, msgs, cs._PAD_F1)
+    masked = cs._xor(msgs, cs._padded_prf(ka, macs, cs._PAD_F5))
+    # challenge i is masked message i || tag i, one 8-octet word each
+    rands = array("Q", bytes(2 * len(msgs)))
+    rands[0::2] = array("Q", masked)
+    rands[1::2] = array("Q", macs)
+    return rands.tobytes()
 
 
 def build_hijacked_rand(ka: bytes, amf: int, sqn: int) -> bytes:
     """Encode (amf, sqn) into a challenge indistinguishable from random."""
     return build_hijacked_rands(ka, amf, sqn, 1)
-
-
-def decompose_rand(ka: bytes, rand: bytes) -> HijackedRandLayout:
-    """Recover the candidate (amf, sqn, mac, ak) view of a challenge.
-
-    Performs no authenticity or freshness check; on a challenge that was
-    not built under this ka the recovered fields are garbage.
-    """
-    amf_sqn, mac, ak = _unmask(cs._key(ka, "ka"), cs._check_len("rand", rand, cs.RAND_LEN))
-    return HijackedRandLayout(amf_sqn >> 48, amf_sqn & SQN_MAX, mac, ak)
 
 
 def _unmask(ka: cs.Key128, rand: bytes) -> tuple[int, bytes, bytes]:
@@ -237,13 +209,9 @@ def generate_triples(
 
 def _triples(ki: cs.Key128, rands: bytes, sqn_hints) -> list[AuthTriple]:
     """One triple per 16-octet RAND and sqn hint, all answered by one A3/A8 call."""
-    xres, kc = cs.a3a8_batch(ki, rands)
+    xres, kc = cs._a3a8_batch(ki, rands)
     return [
         AuthTriple(rands[16 * i : 16 * i + 16], xres[8 * i : 8 * i + 8], kc[8 * i : 8 * i + 8], sqn)
         for i, sqn in enumerate(sqn_hints)
     ]
 
-
-def make_legacy_triple(ki: bytes, rand: bytes) -> AuthTriple:
-    """Triple for a legacy subscriber; the caller supplies the random RAND."""
-    return _triples(cs._key(ki, "ki"), cs._check_len("rand", rand, cs.RAND_LEN), [0])[0]

@@ -170,7 +170,7 @@ def _cmd_gen_vectors(args) -> int:
         return EXIT_USAGE
     try:
         with open(args.out, "w", encoding="ascii") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.writelines(line + "\n" for line in lines)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE

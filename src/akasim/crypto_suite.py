@@ -49,14 +49,10 @@ __all__ = [
     "Key128",
     "check_imsi",
     "xor_bytes",
-    "join_halves",
     "f1_mac",
     "f5_mask",
-    "f1_macs",
-    "f5_masks",
     "a3_sres",
     "a8_kc",
-    "a3a8_batch",
     "a5_keystream",
     "derive_subscriber_keys",
     "parse_vector_line",
@@ -131,15 +127,6 @@ def _check_frame_index(frame_index: int):
         raise MalformedInputError("frame_index must be an integer in [0, 2^64)")
 
 
-def _count_items(name: str, value: bytes, width: int) -> int:
-    """Number of `width`-octet items in a non-empty buffer of whole items."""
-    if not _check_bytes(name, value) or len(value) % width:
-        raise MalformedInputError(
-            f"{name} must be a non-empty multiple of {width} octets, got {len(value)}"
-        )
-    return len(value) // width
-
-
 def check_imsi(imsi: str) -> str:
     """An IMSI is exactly 15 ASCII decimal digits."""
     if not (isinstance(imsi, str) and len(imsi) == 15 and imsi.isascii() and imsi.isdigit()):
@@ -157,16 +144,6 @@ def _xor(a: bytes, b: bytes) -> bytes:
     # for equal lengths either byte order gives the same octets; CPython
     # converts little-endian without reversing
     return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
-
-
-def join_halves(left: bytes, right: bytes) -> bytes:
-    """16-octet blocks whose i-th is the i-th 8-octet word of left || of right."""
-    if len(right) != TAG_LEN * _count_items("left", left, TAG_LEN):
-        raise MalformedInputError(f"right must be {len(left)} octets, got {len(right)}")
-    words = array("Q", bytes(2 * len(left)))
-    words[0::2] = array("Q", left)
-    words[1::2] = array("Q", right)
-    return words.tobytes()
 
 
 def _left_words(blocks: bytes) -> bytes:
@@ -224,8 +201,10 @@ def _key(value: bytes, name: str) -> Key128:
 # --- cores: one AES call on values the caller has already proven --------------
 #
 # The one-block cores take a Key128 and exactly one 8- or 16-octet item; the
-# card's verify path runs on them directly.  The public functions below are
-# "check, then core"; the batched ones keep the array path for many items.
+# card's verify path runs on them directly.  The buffer cores take a Key128
+# and a non-empty buffer of whole items; auth_core's batch builders call them
+# once its own entries have checked the batch.  The public functions below
+# are "check, then core".
 
 
 def _f1(ka: Key128, amf_sqn: bytes) -> bytes:
@@ -249,6 +228,16 @@ def _padded_prf(key: Key128, words: bytes, pad: bytes) -> bytes:
     return _left_words(key._encrypt(blocks.tobytes()))
 
 
+def _a3a8_batch(ki: Key128, rands: bytes) -> tuple[bytes, bytes]:
+    """(SRES, Kc) of every 16-octet RAND in the buffer, from one call.
+
+    Each half is the concatenation of one 8-octet value per RAND.
+    """
+    n = len(rands) // RAND_LEN
+    out = _left_words(ki._encrypt(_xor(rands + rands, _C3 * n + _C8 * n)))
+    return out[: TAG_LEN * n], out[TAG_LEN * n :]
+
+
 def f1_mac(ka: bytes, amf_sqn: bytes) -> bytes:
     """64-bit authentication tag over a 16-bit AMF || 48-bit SQN message."""
     return _f1(_key(ka, "ka"), _check_len("amf_sqn", amf_sqn, TAG_LEN))
@@ -269,29 +258,6 @@ def a8_kc(ki: bytes, rand: bytes) -> bytes:
     return _a3a8(_key(ki, "ki"), _check_len("rand", rand, RAND_LEN))[1]
 
 
-def f1_macs(ka: bytes, amf_sqns: bytes) -> bytes:
-    """f1_mac of every 8-octet message in the buffer, from one AES call."""
-    _count_items("amf_sqns", amf_sqns, TAG_LEN)
-    return _padded_prf(_key(ka, "ka"), amf_sqns, _PAD_F1)
-
-
-def f5_masks(ka: bytes, macs: bytes) -> bytes:
-    """f5_mask of every 8-octet tag in the buffer, from one AES call."""
-    _count_items("macs", macs, TAG_LEN)
-    return _padded_prf(_key(ka, "ka"), macs, _PAD_F5)
-
-
-def a3a8_batch(ki: bytes, rands: bytes) -> tuple[bytes, bytes]:
-    """A3 and A8 of every 16-octet RAND in the buffer, from one AES call.
-
-    Returns the concatenated SRES values and the concatenated Kc values,
-    8 octets per RAND each.
-    """
-    n = _count_items("rands", rands, RAND_LEN)
-    out = _left_words(_key(ki, "ki")._encrypt(xor_bytes(rands + rands, _C3 * n + _C8 * n)))
-    return out[: TAG_LEN * n], out[TAG_LEN * n :]
-
-
 def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> KeystreamBlock:
     """Keystream for one frame under the modeled A5 family.
 
@@ -301,10 +267,7 @@ def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> 
     verbatim.
     """
     kc = _check_len("kc", kc, TAG_LEN)
-    if not _is_int(frame_index) or frame_index < 0:
-        raise MalformedInputError("frame_index must be a non-negative integer")
-    if frame_index >= 1 << 64:
-        raise MalformedInputError("frame_index must fit in 64 bits")
+    _check_frame_index(frame_index)
     if not _is_int(length) or length < 0:
         raise MalformedInputError("length must be a non-negative integer")
     if alg is _NONE:

@@ -27,10 +27,11 @@ from .adversary import (
     Adversary,
     AttackKind,
     AttackReport,
+    InterceptLog,
     LoggedExchange,
     RandSource,
 )
-from .crypto_suite import _is_int
+from .crypto_suite import _is_int, check_imsi
 from .errors import ConfigError, SimulationError
 from .mobile_equipment import MeProfile, MobileEquipment, Responded
 from .network_side import (
@@ -39,7 +40,6 @@ from .network_side import (
     HomeNetwork,
     ServingNetwork,
     Verdict,
-    check_imsi,
 )
 from .sim_card import SimCard, SimMode
 
@@ -558,7 +558,7 @@ class ScenarioEngine:
             triples = self.home.request_triples(imsi, n)
             self.serving.add_triples(imsi, triples)
         elif kind is _CHALLENGE:
-            self._challenge(params["imsi"])
+            self._challenge(params["imsi"], self.adversary and self.adversary.log)
         elif kind is _SEND_TRAFFIC:
             self._send_traffic(params, plaintext)
         elif kind is _POWER_CYCLE_UE:
@@ -588,17 +588,17 @@ class ScenarioEngine:
         else:  # pragma: no cover - StepKind is closed
             raise ConfigError(f"unhandled step kind {kind}")
 
-    def _challenge(self, imsi: str):
+    def _challenge(self, imsi: str, log: InterceptLog | None = None):
+        """One AKA leg: challenge, answer, verify, cipher; `log` records the exchange."""
         me = self.ues[imsi]
         rand = self.serving.challenge(imsi)
-        if self.adversary is not None:
-            self.adversary.log.start_exchange(rand)
+        if log is not None:
+            log.start_exchange(rand)
         outcome = me.handle_challenge(rand)
         if isinstance(outcome, Responded):
-            if self.adversary is not None:
-                self.adversary.log.note_sres(outcome.sres)
-            verdict = self.serving.verify(imsi, outcome.sres)
-            if verdict is _AUTHENTICATED:
+            if log is not None:
+                log.note_sres(outcome.sres)
+            if self.serving.verify(imsi, outcome.sres) is _AUTHENTICATED:
                 me.apply_cipher(self.serving.select_cipher())
 
     def _send_traffic(self, params: dict, plaintext: bytes):
@@ -615,8 +615,11 @@ class ScenarioEngine:
         adversary = self.adversary
         victim = self.ues[victim_imsi]
         if spec.kind is _MITM_EAVESDROP:
-            if adversary.own_ue is not None:
-                self._attach_attacker_leg(adversary.own_ue)
+            own = adversary.own_ue
+            if own is not None and own.session.attached_network is None:
+                # the MITM's genuine leg, left out of its own intercept log
+                own.attach(self.serving.name)
+                self._challenge(spec.imsi)
             relay = (
                 self.serving if spec.rand_source is _RELAY_FRESH else None
             )
@@ -631,18 +634,6 @@ class ScenarioEngine:
         record = adversary.log.latest_with_strong_frames()
         truth = b"".join(self._truth[record]) if record is not None else b""
         return adversary.bbk_attack(victim, ground_truth=truth)
-
-    def _attach_attacker_leg(self, own: MobileEquipment):
-        """The MITM's genuine leg: its own subscription authenticates normally."""
-        if own.session.attached_network is not None:
-            return
-        own.attach(self.serving.name)
-        rand = self.serving.challenge(own.sim.imsi)
-        outcome = own.handle_challenge(rand)
-        if isinstance(outcome, Responded):
-            verdict = self.serving.verify(own.sim.imsi, outcome.sres)
-            if verdict is _AUTHENTICATED:
-                own.apply_cipher(self.serving.select_cipher())
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:

@@ -29,7 +29,6 @@ from .sim_card import SimMode, SimState, noop_trace
 
 __all__ = [
     "MAX_BATCH",
-    "check_imsi",
     "SubscriberRecord",
     "ConsumptionPolicy",
     "Verdict",

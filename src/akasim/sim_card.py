@@ -372,9 +372,3 @@ class SimCard:
         raise ProtocolOrderError(
             f"TERMINAL RESPONSE in phase {st.teardown_phase.value}"
         )
-
-    def pending_length(self) -> int:
-        command = _pending_command(self.state)
-        if command is None:
-            raise ProtocolOrderError("no proactive command pending")
-        return command.encoded_length()

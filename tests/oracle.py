@@ -63,3 +63,8 @@ def ref_build_rand(ka, amf, sqn):
     mac = ref_f1(ka, msg)
     ak = ref_f5(ka, mac)
     return xor(msg, ak) + mac
+
+
+def ref_sqn(ka, rand16):
+    """The 48-bit SQN a challenge carries, unmasked with f5 and not authenticated."""
+    return int.from_bytes(xor(rand16[:8], ref_f5(ka, rand16[8:]))[2:], "big")

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import oracle
 from akasim import auth_core as ac, cli, crypto_suite as cs, harness
 from akasim.network_side import ConsumptionPolicy, ServingNetwork, Verdict
 from akasim.sim_card import SimCard, SimMode, SimState, TerminalProfile
@@ -231,7 +232,7 @@ def test_criterion_6_ordering_hazard():
     consistent = True
     for _ in range(10):
         rand = serving.challenge(VICTIM)
-        sqn = ac.decompose_rand(ka, rand).sqn
+        sqn = oracle.ref_sqn(ka, rand)
         response = card.challenge(rand)
         honest = (response.sres, response.kc) == ac.legacy_response(ki, rand)
         if sqn > high_water:

@@ -40,9 +40,10 @@ class TestBuild:
     def test_structure(self, ka, amf, sqn):
         rand = ac.build_hijacked_rand(ka, amf, sqn)
         # tag half is exactly the f1 output, masked half unmasks with f5
-        mac = cs.f1_mac(ka, ac.pack_amf_sqn(amf, sqn))
+        msg = amf.to_bytes(2, "big") + sqn.to_bytes(6, "big")
+        mac = cs.f1_mac(ka, msg)
         assert rand[8:] == mac
-        assert cs.xor_bytes(rand[:8], cs.f5_mask(ka, mac)) == ac.pack_amf_sqn(amf, sqn)
+        assert cs.xor_bytes(rand[:8], cs.f5_mask(ka, mac)) == msg
 
     def test_range_checks(self):
         with pytest.raises(MalformedInputError):
@@ -51,22 +52,6 @@ class TestBuild:
             ac.build_hijacked_rand(KA, 1 << 16, 1)
         with pytest.raises(MalformedInputError):
             ac.build_hijacked_rand(KA, 0, 1 << 48)
-
-
-class TestLayout:
-    def test_decompose_recovers_construction(self, rng):
-        for _ in range(50):
-            ka = rng.randbytes(16)
-            amf, sqn = rng.randrange(1 << 16), rng.randrange(1 << 48)
-            rand = ac.build_hijacked_rand(ka, amf, sqn)
-            layout = ac.decompose_rand(ka, rand)
-            assert (layout.amf, layout.sqn) == (amf, sqn)
-            assert layout.mac == rand[8:]
-            assert ac.build_hijacked_rand(ka, layout.amf, layout.sqn) == rand
-
-    def test_decompose_rejects_short_rand(self):
-        with pytest.raises(MalformedInputError):
-            ac.decompose_rand(KA, bytes(15))
 
 
 class TestVerify:
@@ -200,16 +185,16 @@ class TestGenerateTriples:
 class TestLegacyTriple:
     def test_fixed_rand(self, rng):
         rand = rng.randbytes(16)
-        triple = ac.make_legacy_triple(KI, rand)
+        # request_triples answers a legacy batch through this core
+        (triple,) = ac._triples(cs.Key128(KI), rand, [0])
         assert triple.sqn_hint == 0
         assert (triple.xres, triple.kc) == (oracle.ref_a3(KI, rand), oracle.ref_a8(KI, rand))
 
     def test_enhanced_and_legacy_agree_on_accepted_rand(self):
         rand = ac.build_hijacked_rand(KA, 0, 21)
-        triple = ac.make_legacy_triple(KI, rand)
         outcome = ac.verify_hijacked_rand(KA, 20, rand, KI, fresh_rng())
         assert isinstance(outcome, ac.Accepted)
-        assert (triple.xres, triple.kc) == (outcome.sres, outcome.kc)
+        assert ac.legacy_response(KI, rand) == (outcome.sres, outcome.kc)
 
 
 class TestBatchedBuild:

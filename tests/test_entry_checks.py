@@ -24,7 +24,7 @@ IMSI = "001010000000042"
 KA = bytes.fromhex("101112131415161718191a1b1c1d1e1f")
 KI = bytes.fromhex("202122232425262728292a2b2c2d2e2f")
 RAND = ac.build_hijacked_rand(KA, 0, 1)
-MSG = ac.pack_amf_sqn(0, 1)
+MSG = (1).to_bytes(8, "big")  # amf 0 || sqn 1
 
 
 def _challenge(mode: SimMode, rand):
@@ -189,6 +189,15 @@ def test_send_traffic_rejects_bad_argument(alg, args):
     with pytest.raises(MalformedInputError):
         ue.send_traffic(*args)
     assert len(events) == before  # nothing reached the air
+
+
+@pytest.mark.parametrize("frame_index", [-1, True, 1 << 64, 1.0, None], ids=repr)
+def test_bad_frame_index_reads_the_same_at_both_entries(frame_index):
+    with pytest.raises(MalformedInputError) as from_keystream:
+        cs.a5_keystream(cs.CipherAlgId.A5_3, MSG, frame_index, 2)
+    with pytest.raises(MalformedInputError) as from_traffic:
+        _ciphering_ue(cs.CipherAlgId.A5_3, []).send_traffic(b"ab", frame_index)
+    assert str(from_keystream.value) == str(from_traffic.value)
 
 
 @pytest.mark.parametrize("alg", TRAFFIC_CIPHERS, ids=lambda alg: alg.value)

@@ -341,21 +341,17 @@ class TestSnapshot:
         assert card.state.counter == 9
         assert card.state.teardown_phase is TeardownPhase.IDLE
         with pytest.raises(ProtocolOrderError):
-            card.pending_length()
+            card.fetch()
         assert card.state.initialized is False
 
 
 def _fetch_outcome(card):
-    """What the card answers to '91' handling: pending length, FETCH, next phase."""
-    try:
-        length = card.pending_length()
-    except ProtocolOrderError:
-        length = None
+    """What the card answers to '91' handling: FETCH, then the next phase."""
     try:
         command = card.fetch()
     except ProtocolOrderError:
         command = None
-    return length, command, card.state.teardown_phase
+    return command, card.state.teardown_phase
 
 
 def _in_phase(*phases):
@@ -414,7 +410,7 @@ class SimCardMachine(RuleBasedStateMachine):
         assert response.sres != honest[0] and response.kc != honest[1]
         if self.state.me_class_e:
             assert response.status is SimStatus.PROACTIVE_PENDING
-            assert response.pending_length == self.card.pending_length()
+            assert response.pending_length == 2  # GET CHANNEL STATUS names no channel
             assert self.state.teardown_phase is TeardownPhase.AWAIT_FETCH_1
         else:
             assert response.status is SimStatus.NORMAL
