@@ -54,6 +54,21 @@ class TestBuild:
             ac.build_hijacked_rand(KA, 0, 1 << 48)
 
 
+class TestLayout:
+    def test_decompose_recovers_construction(self, rng):
+        # each batched challenge is masked AMF || SQN followed by its own tag
+        for _ in range(10):
+            ka = rng.randbytes(16)
+            amf, first = rng.randrange(1 << 16), rng.randrange(1 << 47)
+            rands = ac.build_hijacked_rands(ka, amf, first, 5)
+            for i in range(5):
+                rand = rands[16 * i : 16 * i + 16]
+                msg = oracle.xor(rand[:8], oracle.ref_f5(ka, rand[8:]))
+                assert msg == amf.to_bytes(2, "big") + (first + i).to_bytes(6, "big")
+                assert rand[8:] == oracle.ref_f1(ka, msg)
+                assert oracle.ref_sqn(ka, rand) == first + i
+
+
 class TestVerify:
     @given(ka=keys, ki=keys, amf=amfs, sqn=sqns, data=st.data())
     @settings(max_examples=150, deadline=None)

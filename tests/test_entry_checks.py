@@ -62,6 +62,8 @@ ENTRIES = {
     "verify_hijacked_rand/ka": (lambda v: ac.verify_hijacked_rand(v, 0, RAND, KI, random.Random(0)), KA),
     "verify_hijacked_rand/rand": (lambda v: ac.verify_hijacked_rand(KA, 0, v, KI, random.Random(0)), RAND),
     "verify_hijacked_rand/ki": (lambda v: ac.verify_hijacked_rand(KA, 0, RAND, v, random.Random(0)), KI),
+    "build_hijacked_rand/ka": (lambda v: ac.build_hijacked_rand(v, 0, 1), KA),
+    "build_hijacked_rands/ka": (lambda v: ac.build_hijacked_rands(v, 0, 1, 2), KA),
     "legacy_response/ki": (lambda v: ac.legacy_response(v, RAND), KI),
     "legacy_response/rand": (lambda v: ac.legacy_response(KI, v), RAND),
     "SimCard.challenge/enhanced": (lambda v: _challenge(SimMode.ENHANCED, v), RAND),
