@@ -126,16 +126,10 @@ class AttackReport(NamedTuple):
 class Adversary:
     """False base station with an optional genuine subscription for relaying."""
 
-    def __init__(
-        self,
-        rng: random.Random,
-        tracer=None,
-        name="attacker",
-        own_ue: MobileEquipment | None = None,
-    ):
+    def __init__(self, rng: random.Random, tracer=None, own_ue: MobileEquipment | None = None):
         self.rng = rng
         self.trace = tracer or noop_trace
-        self.name = name
+        self.name = "attacker"
         self.own_ue = own_ue
         self.log = InterceptLog()
 

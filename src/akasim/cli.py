@@ -2,12 +2,13 @@
 
 Subcommands:
 
-    gen-vectors   write a deterministic primitive test-vector file
-    run           execute a scenario config and write its trace
-    verify-trace  byte-compare a trace file against a golden file
-    rand-stats    per-bit frequency check over generated challenges
+    gen-vectors    write a deterministic primitive test-vector file
+    check-vectors  recompute every record of a test-vector file
+    run            execute a scenario config and write its trace
+    verify-trace   byte-compare a trace file against a golden file
+    rand-stats     per-bit frequency check over generated challenges
 
-Exit codes: 0 success; 1 trace mismatch; 2 assertion failure; 3 actor
+Exit codes: 0 success; 1 trace or vector mismatch; 2 assertion failure; 3 actor
 error aborted the run; 64 usage or configuration error.
 """
 
@@ -38,8 +39,40 @@ _RAND_STATS_CHUNK = 4096
 # the most records gen-vectors writes per operation; every record is built
 # in memory before the file is written
 MAX_VECTOR_COUNT = 100_000
-# the ciphers the a5_keystream records cycle through
-_VECTOR_ALGS = (cs.CipherAlgId.A5_1, cs.CipherAlgId.A5_2, cs.CipherAlgId.A5_3)
+# a5_keystream records name the cipher by its tag octet and cycle through these
+_VECTOR_ALGS = {bytes([alg.tag_byte]): alg for alg in cs.CipherAlgId if alg.name != "NONE"}
+
+
+def _int(octets: bytes) -> int:
+    return int.from_bytes(octets, "big")
+
+
+def _a5_vector(tag: bytes, kc: bytes, frame: bytes, length: bytes) -> bytes:
+    if tag not in _VECTOR_ALGS:
+        raise MalformedInputError(f"a5_keystream tag must be a1, a2 or a3, got {tag.hex()}")
+    return cs.a5_keystream(_VECTOR_ALGS[tag], kc, _int(frame), _int(length)).bytes
+
+
+# op -> (input sizes, output size, function of the input octets), sizes in
+# octets; a5_keystream's output size is its last input, the keystream length
+_VECTOR_OPS = {
+    "f1_mac": ((cs.KEY_LEN, cs.TAG_LEN), cs.TAG_LEN, cs.f1_mac),
+    "f5_mask": ((cs.KEY_LEN, cs.TAG_LEN), cs.TAG_LEN, cs.f5_mask),
+    "a3_sres": ((cs.KEY_LEN, cs.RAND_LEN), cs.TAG_LEN, cs.a3_sres),
+    "a8_kc": ((cs.KEY_LEN, cs.RAND_LEN), cs.TAG_LEN, cs.a8_kc),
+    "a5_keystream": ((1, cs.TAG_LEN, 8, 4), None, _a5_vector),
+    # latin-1 maps each octet to one character, so check_imsi refuses a non-digit
+    "derive_subscriber_keys": (
+        (cs.KEY_LEN, 15),
+        2 * cs.KEY_LEN,
+        lambda master, imsi: b"".join(cs.derive_subscriber_keys(master, imsi.decode("latin-1"))),
+    ),
+    "build_hijacked_rand": (
+        (cs.KEY_LEN, 2, 6),
+        cs.RAND_LEN,
+        lambda ka, amf, sqn: auth_core.build_hijacked_rand(ka, _int(amf), _int(sqn)),
+    ),
+}
 
 
 def generate_vector_lines(seed: int, count: int) -> list[str]:
@@ -53,40 +86,41 @@ def generate_vector_lines(seed: int, count: int) -> list[str]:
     # octets of ka, msg, mac, ki, rand and kc; each iteration draws its
     # inputs once, in the order they are named below
     sizes = (cs.KEY_LEN, cs.TAG_LEN, cs.TAG_LEN, cs.KEY_LEN, cs.RAND_LEN, cs.TAG_LEN)
-    length = 16
+    tags, length = list(_VECTOR_ALGS), (16).to_bytes(4, "big")
     for i in range(count):
         ka, msg, mac, ki, rand, kc = map(rng.randbytes, sizes)
-        frame = rng.randrange(1 << 16)
+        frame = rng.randrange(1 << 16).to_bytes(8, "big")
         master = rng.randbytes(cs.KEY_LEN)
-        imsi = "".join(str(rng.randrange(10)) for _ in range(15))
-        amf, sqn = rng.randrange(1 << 16), rng.randrange(1 << 48)
-        alg = _VECTOR_ALGS[i % len(_VECTOR_ALGS)]
-        records = (
-            ("f1_mac", (ka, msg), cs.f1_mac(ka, msg)),
-            ("f5_mask", (ka, mac), cs.f5_mask(ka, mac)),
-            ("a3_sres", (ki, rand), cs.a3_sres(ki, rand)),
-            ("a8_kc", (ki, rand), cs.a8_kc(ki, rand)),
-            (
-                "a5_keystream",
-                (bytes([alg.tag_byte]), kc, frame.to_bytes(8, "big"), length.to_bytes(4, "big")),
-                cs.a5_keystream(alg, kc, frame, length).bytes,
-            ),
-            (
-                "derive_subscriber_keys",
-                (master, imsi.encode("ascii")),
-                b"".join(cs.derive_subscriber_keys(master, imsi)),
-            ),
-            (
-                "build_hijacked_rand",
-                (ka, amf.to_bytes(2, "big"), sqn.to_bytes(6, "big")),
-                auth_core.build_hijacked_rand(ka, amf, sqn),
-            ),
-        )
-        lines += [
-            cs.render_vector_line(op, [value.hex() for value in inputs], output.hex())
-            for op, inputs, output in records
-        ]
+        imsi = "".join(str(rng.randrange(10)) for _ in range(15)).encode("ascii")
+        amf = rng.randrange(1 << 16).to_bytes(2, "big")
+        sqn = rng.randrange(1 << 48).to_bytes(6, "big")
+        for op, *inputs in (
+            ("f1_mac", ka, msg),
+            ("f5_mask", ka, mac),
+            ("a3_sres", ki, rand),
+            ("a8_kc", ki, rand),
+            ("a5_keystream", tags[i % len(tags)], kc, frame, length),
+            ("derive_subscriber_keys", master, imsi),
+            ("build_hijacked_rand", ka, amf, sqn),
+        ):
+            output = _VECTOR_OPS[op][2](*inputs).hex()
+            lines.append(cs.render_vector_line(op, [value.hex() for value in inputs], output))
     return lines
+
+
+def _check_vector(op: str, inputs: list[str], output: str) -> bool:
+    """Whether a parsed record's output is what its op computes."""
+    if op not in _VECTOR_OPS:
+        raise MalformedInputError(f"unknown op {op!r}")
+    sizes, out_size, function = _VECTOR_OPS[op]
+    if [len(value) for value in inputs] != [2 * size for size in sizes]:
+        raise MalformedInputError(f"{op} takes inputs of {sizes} octets")
+    values = [bytes.fromhex(value) for value in inputs]
+    out_size = _int(values[-1]) if out_size is None else out_size
+    # checked before computing, so a forged length cannot size the keystream
+    if len(output) != 2 * out_size:
+        raise MalformedInputError(f"{op} output must be {out_size} octets")
+    return function(*values).hex() == output
 
 
 def rand_bit_stats(n: int, seed: int) -> dict:
@@ -144,6 +178,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vec.add_argument("--seed", type=int, default=0)
     p_vec.add_argument("--count", type=int, default=16)
 
+    p_check = sub.add_parser("check-vectors", help="recompute a primitive test-vector file")
+    p_check.add_argument("--vectors", required=True, help="vector file path")
+
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("--config", required=True, help="scenario JSON path")
     p_run.add_argument("--trace-out", help="write the trace to this path")
@@ -176,6 +213,28 @@ def _cmd_gen_vectors(args) -> int:
         return EXIT_USAGE
     print(f"wrote {len(lines)} lines to {args.out}")
     return EXIT_OK
+
+
+def _cmd_check_vectors(args) -> int:
+    checked = mismatched = 0
+    try:
+        with open(args.vectors, "r", encoding="ascii") as handle:
+            for number, line in enumerate(handle, start=1):
+                record = cs.parse_vector_line(line)
+                if record is None:
+                    continue
+                checked += 1
+                if not _check_vector(*record):
+                    mismatched += 1
+                    print(f"line {number}: {record[0]} output differs", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {args.vectors}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MalformedInputError as exc:
+        print(f"error: line {number}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    print(f"{checked} records checked, {mismatched} mismatched")
+    return EXIT_TRACE_MISMATCH if mismatched else EXIT_OK
 
 
 def _cmd_run(args) -> int:
@@ -295,6 +354,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     handlers = {
         "gen-vectors": _cmd_gen_vectors,
+        "check-vectors": _cmd_check_vectors,
         "run": _cmd_run,
         "verify-trace": _cmd_verify_trace,
         "rand-stats": _cmd_rand_stats,

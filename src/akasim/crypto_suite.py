@@ -57,7 +57,6 @@ __all__ = [
     "derive_subscriber_keys",
     "parse_vector_line",
     "render_vector_line",
-    "iter_vector_records",
 ]
 
 KEY_LEN = 16
@@ -342,10 +341,3 @@ def parse_vector_line(line: str) -> tuple[str, list[str], str] | None:
             raise MalformedInputError(f"non-hex field {field!r} in record: {line!r}")
     return parts[0], parts[1:], out
 
-
-def iter_vector_records(text: str):
-    """Yield (op, inputs, output) for every record in a vector file body."""
-    for line in text.splitlines():
-        rec = parse_vector_line(line)
-        if rec is not None:
-            yield rec

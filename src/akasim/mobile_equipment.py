@@ -91,12 +91,12 @@ ChallengeOutcome = Responded | ConnectionDropped
 class MobileEquipment:
     """One phone with its inserted card."""
 
-    def __init__(self, profile: MeProfile, sim: SimCard, tracer=None, name=None):
+    def __init__(self, profile: MeProfile, sim: SimCard, tracer=None):
         self.profile = profile
         self.sim = sim
         self.session = MeSession()
         self.trace = tracer or noop_trace
-        self.name = name or f"ue:{sim.imsi}"
+        self.name = f"ue:{sim.imsi}"
         self._powered = False
 
     # --- lifecycle ---------------------------------------------------------

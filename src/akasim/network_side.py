@@ -77,11 +77,11 @@ _AUTHENTICATED, _REJECTED = Verdict
 class HomeNetwork:
     """Authentication centre plus subscriber registry."""
 
-    def __init__(self, rng: random.Random, tracer=None, name="auc"):
+    def __init__(self, rng: random.Random, tracer=None):
         self.registry: dict[str, SubscriberRecord] = {}
         self.rng = rng
         self.trace = tracer or noop_trace
-        self.name = name
+        self.name = "auc"
 
     def provision(
         self, imsi: str, mode: SimMode, master: bytes
@@ -139,13 +139,12 @@ class ServingNetwork:
         cipher_choice: cs.CipherAlgId,
         rng: random.Random,
         tracer=None,
-        name="vlr",
     ):
         self.policy = policy
         self.cipher_choice = cipher_choice
         self.rng = rng
         self.trace = tracer or noop_trace
-        self.name = name
+        self.name = "vlr"
         self.store: dict[str, deque[AuthTriple]] = {}
         self.last_issued: dict[str, AuthTriple] = {}
         self.pending: dict[str, AuthTriple] = {}

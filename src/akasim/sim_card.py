@@ -168,55 +168,6 @@ class SimState:
         self.teardown_phase = teardown_phase
         self.teardown_channels = teardown_channels
 
-    # --- snapshot format: one line of space-separated key=value fields ----
-
-    def to_record(self) -> str:
-        fields = [
-            f"imsi={self.imsi}",
-            f"mode={self.mode.value}",
-            f"ki={self.ki.hex()}",
-        ]
-        if self.ka is not None:
-            fields.append(f"ka={self.ka.hex()}")
-        fields += [
-            f"counter={self.counter}",
-            f"phase={self.teardown_phase.value}",
-            f"initialized={int(self.initialized)}",
-            f"class_e={int(self.me_class_e)}",
-        ]
-        if self.teardown_channels:
-            fields.append("channels=" + ",".join(str(c) for c in self.teardown_channels))
-        return " ".join(fields)
-
-    @classmethod
-    def from_record(cls, record: str) -> "SimState":
-        kv = {}
-        for item in record.split():
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise MalformedInputError(f"bad snapshot field {item!r}")
-            kv[key] = value
-        try:
-            mode = SimMode(kv["mode"])
-            phase = TeardownPhase(kv.get("phase", "IDLE"))
-            channels = tuple(
-                _snapshot_decimal(c) for c in kv.get("channels", "").split(",") if c
-            )
-            state = cls(
-                imsi=kv["imsi"],
-                ki=bytes.fromhex(kv["ki"]),
-                ka=bytes.fromhex(kv["ka"]) if "ka" in kv else None,
-                counter=_snapshot_decimal(kv["counter"]),
-                mode=mode,
-                initialized=_snapshot_flag(kv, "initialized"),
-                me_class_e=_snapshot_flag(kv, "class_e"),
-                teardown_phase=phase,
-                teardown_channels=channels,
-            )
-        except (KeyError, ValueError) as exc:
-            raise MalformedInputError(f"bad SIM snapshot record: {record!r}") from exc
-        return state
-
 
 # the phases in which the card holds the channel ids the phone reported
 _CHANNEL_PHASES = (_AWAIT_FETCH_2, _AWAIT_CLOSE_RESULT)
@@ -245,19 +196,6 @@ def _check_teardown(mode, initialized, me_class_e, phase, channels) -> None:
         raise MalformedInputError(
             f"phase {phase.value} {'needs' if phase in _CHANNEL_PHASES else 'holds no'} channel ids"
         )
-
-
-def _snapshot_decimal(value: str) -> int:
-    if not (value.isascii() and value.isdigit()):
-        raise ValueError(f"expected ASCII decimal digits, not {value!r}")
-    return int(value)
-
-
-def _snapshot_flag(kv: dict, key: str) -> bool:
-    value = kv.get(key, "0")
-    if value not in ("0", "1"):
-        raise ValueError(f"{key} must be 0 or 1, not {value!r}")
-    return value == "1"
 
 
 def _pending_command(state: SimState) -> StkCommand | None:

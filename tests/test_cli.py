@@ -60,12 +60,11 @@ class TestGenVectors:
     def test_records_reverify_against_reference(self, tmp_path):
         out = tmp_path / "v.txt"
         assert cli.main(["gen-vectors", "--out", str(out), "--seed", "9", "--count", "6"]) == 0
-        checked = 0
-        for op, ins, expect in cs.iter_vector_records(out.read_text()):
-            got = self.reference_eval(op, ins)
-            assert got == expect, op
-            checked += 1
-        assert checked == 6 * 7  # six records for each of the seven ops
+        records = [cs.parse_vector_line(line) for line in out.read_text().splitlines()[2:]]
+        for op, ins, expect in records:
+            assert self.reference_eval(op, ins) == expect, op
+        assert len(records) == 6 * 7  # six records for each of the seven ops
+        assert cli.main(["check-vectors", "--vectors", str(out)]) == 0
 
     @staticmethod
     def reference_eval(op, ins):
@@ -114,7 +113,7 @@ class TestGenVectors:
         def no_work(*args):
             raise AssertionError("vectors built for a refused --count")
 
-        monkeypatch.setattr(cs, "f1_mac", no_work)
+        monkeypatch.setattr(cli, "_VECTOR_OPS", {op: ((), 0, no_work) for op in cli._VECTOR_OPS})
         out = tmp_path / "v.txt"
         assert cli.main(["gen-vectors", "--out", str(out), "--count", count]) == 64
         assert f"[0, {cli.MAX_VECTOR_COUNT}]" in capsys.readouterr().err
@@ -124,6 +123,76 @@ class TestGenVectors:
     def test_library_refuses_bad_count(self, count):
         with pytest.raises(MalformedInputError):
             cli.generate_vector_lines(0, count)
+
+
+class TestCheckVectors:
+    @pytest.fixture
+    def vectors(self, tmp_path):
+        out = tmp_path / "v.txt"
+        assert cli.main(["gen-vectors", "--out", str(out), "--seed", "7", "--count", "3"]) == 0
+        return out
+
+    def test_generated_file_checks(self, vectors, capsys):
+        assert cli.main(["check-vectors", "--vectors", str(vectors)]) == 0
+        assert capsys.readouterr().out == "21 records checked, 0 mismatched\n"
+
+    @pytest.mark.parametrize("line", range(2, 23))
+    def test_flipped_output_digit_is_a_mismatch(self, vectors, capsys, line):
+        lines = vectors.read_text().splitlines()
+        digit = lines[line][-1]
+        lines[line] = lines[line][:-1] + ("0" if digit != "0" else "1")
+        vectors.write_text("\n".join(lines) + "\n")
+        assert cli.main(["check-vectors", "--vectors", str(vectors)]) == 1
+        op = lines[line].split()[0]
+        assert f"line {line + 1}: {op} output differs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "f9_mac 00 -> 00",
+            "f1_mac " + "00" * 16 + " -> " + "00" * 8,
+            "f1_mac " + "00" * 16 + " " + "00" * 7 + " -> " + "00" * 8,
+            "f1_mac " + "00" * 16 + " " + "00" * 8 + " -> " + "00" * 9,
+            "f1_mac " + "00" * 16 + " " + "0" * 15 + " -> " + "00" * 8,
+            "a3_sres " + "00" * 16 + " " + "0" * 32 + " -> " + "0" * 15,
+            "a5_keystream 00 " + "00" * 8 + " " + "00" * 8 + " 00000002 -> 0000",
+            "a5_keystream a4 " + "00" * 8 + " " + "00" * 8 + " 00000002 -> 0000",
+            "a5_keystream a1 " + "00" * 8 + " " + "00" * 8 + " ffffffff -> 0000",
+            "derive_subscriber_keys " + "00" * 16 + " " + "3a" * 15 + " -> " + "00" * 32,
+            "derive_subscriber_keys " + "00" * 16 + " " + "ff" * 15 + " -> " + "00" * 32,
+            "f1_mac 00 11",
+            "f1_mac ZZ -> 00",
+        ],
+        ids=[
+            "unknown_op",
+            "missing_input",
+            "short_input",
+            "long_output",
+            "odd_hex_input",
+            "odd_hex_output",
+            "tag_none",
+            "tag_a4",
+            "huge_length",
+            "imsi_not_digits",
+            "imsi_not_ascii",
+            "no_arrow",
+            "non_hex",
+        ],
+    )
+    def test_malformed_record_exits_64(self, vectors, capsys, record):
+        with vectors.open("a") as handle:
+            handle.write(record + "\n")
+        assert cli.main(["check-vectors", "--vectors", str(vectors)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("body", [b"# \xff\n", None], ids=["non_ascii", "missing"])
+    def test_unreadable_file_exits_64(self, tmp_path, capsys, body):
+        path = tmp_path / "v.txt"
+        if body is not None:
+            path.write_bytes(body)
+        assert cli.main(["check-vectors", "--vectors", str(path)]) == 64
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestRun:
@@ -352,7 +421,7 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
-    assert len(commands) == 4 and all(argv[0] == "akasim" for argv in commands)
+    assert len(commands) == 5 and all(argv[0] == "akasim" for argv in commands)
     (tmp_path / "configs").symlink_to(CONFIGS)
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "golden").symlink_to(CONFIGS.parent / "tests" / "golden")

@@ -224,18 +224,6 @@ class TestVectorFormat:
         with pytest.raises(MalformedInputError):
             cs.parse_vector_line("f1_mac ZZ -> 00")
 
-    def test_iter_records(self):
-        body = "\n".join(
-            [
-                "# vectors",
-                cs.render_vector_line("a3_sres", [FIXED_KEY.hex(), FIXED_RAND.hex()], A3_FIXED),
-                "",
-                cs.render_vector_line("a8_kc", [FIXED_KEY.hex(), FIXED_RAND.hex()], A8_FIXED),
-            ]
-        )
-        records = list(cs.iter_vector_records(body))
-        assert [r[0] for r in records] == ["a3_sres", "a8_kc"]
-
 
 @given(data=st.binary(min_size=0, max_size=64))
 @settings(max_examples=50, deadline=None)

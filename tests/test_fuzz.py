@@ -1,8 +1,8 @@
-"""Fuzz targets for the inputs the CLI and the record readers accept.
+"""Fuzz targets for the inputs the CLI and the vector record reader accept.
 
 Every input either works or fails with its documented error: `akasim run`
-returns 0, 2, 3 or 64 and never raises, and `SimState.from_record` and
-`parse_vector_line` raise nothing but `MalformedInputError`.
+returns 0, 2, 3 or 64, `akasim check-vectors` returns 0, 1 or 64, neither
+raises, and `parse_vector_line` raises nothing but `MalformedInputError`.
 """
 
 import copy
@@ -17,7 +17,6 @@ from akasim.crypto_suite import _is_int, parse_vector_line
 from akasim.errors import MalformedInputError
 from akasim.harness import StepKind
 from akasim.network_side import MAX_BATCH
-from akasim.sim_card import SimState
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = [path.read_text() for path in sorted(CONFIGS.glob("*.json"))]
@@ -123,46 +122,66 @@ def test_config_json_the_decoder_refuses_exits_64(workdir, capsys, text):
 
 
 _HEX = "0123456789abcdef"
-_SNAPSHOT_KEYS = ["imsi", "mode", "ki", "ka", "counter", "phase", "initialized", "class_e", "channels", "x"]
-_SNAPSHOT_VALUES = st.sampled_from(
-    [
-        "001010000000001",
-        "00101000000000١",
-        "ENHANCED",
-        "LEGACY",
-        "IDLE",
-        "AWAIT_FETCH_1",
-        "AWAIT_FETCH_2",
-        "AWAIT_CLOSE_RESULT",
-        "0",
-        "1",
-        "2",
-        "+5",
-        "1_0",
-        "٥",
-        "",
-        "1,2",
-        "3,",
-        ",",
-        str(2**48 - 1),
-        str(2**48),
-        "9" * 5000,
-        "00" * 16,
-        "ab" * 15,
-        "AB" * 16,
-    ]
-) | st.text(alphabet=_HEX + "G,=+-_ ", max_size=40)
+_VECTOR_FIELDS = {
+    "op": ["f1_mac", "a5_keystream", "derive_subscriber_keys", "f9_mac", "F1_MAC", ""],
+    # a5_keystream's cipher tag and keystream length
+    "tag": ["a1", "a2", "a3", "a4", "00", "ff", "a"],
+    "length": ["00000000", "00000010", "00010000", "7fffffff", "ffffffff", "ffffffffff"],
+}
+_VECTOR_MUTATIONS = ("flip", "drop", "duplicate", "op", "tag", "length", "line")
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(_SNAPSHOT_KEYS), _SNAPSHOT_VALUES), max_size=10) | st.text())
-def test_snapshot_record_loads_or_is_malformed(fields):
-    record = fields if isinstance(fields, str) else " ".join(f"{k}={v}" for k, v in fields)
-    try:
-        state = SimState.from_record(record)
-    except MalformedInputError:
+@pytest.fixture(scope="module")
+def vector_lines(workdir):
+    path = workdir / "generated.txt"
+    assert cli.main(["gen-vectors", "--out", str(path), "--seed", "7", "--count", "2"]) == 0
+    return path.read_text().splitlines()
+
+
+def _mutate_record(data, lines: list[str]) -> None:
+    kind = data.draw(st.sampled_from(_VECTOR_MUTATIONS))
+    indices = range(len(lines))
+    if kind in ("tag", "length"):
+        indices = [i for i in indices if lines[i].startswith("a5_keystream ")]
+    if not indices:
         return
-    assert SimState.from_record(state.to_record()).to_record() == state.to_record()
+    index = data.draw(st.sampled_from(indices))
+    if kind == "line":
+        if data.draw(st.booleans()):
+            lines.insert(index, lines[index])
+        else:
+            del lines[index]
+        return
+    fields = lines[index].split(" ")
+    at = data.draw(st.integers(0, len(fields) - 1))
+    if kind == "flip":
+        chars = list(fields[at])
+        if chars:
+            char = data.draw(st.sampled_from(_HEX + "G "))
+            chars[data.draw(st.integers(0, len(chars) - 1))] = char
+        fields[at] = "".join(chars)
+    elif kind == "drop":
+        del fields[at]
+    elif kind == "duplicate":
+        fields.insert(at, fields[at])
+    else:
+        # the op leads a record; an a5_keystream record's tag and length
+        # are its first and fourth inputs
+        at = {"op": 0, "tag": 1, "length": 4}[kind]
+        if at < len(fields):
+            fields[at] = data.draw(st.sampled_from(_VECTOR_FIELDS[kind]))
+    lines[index] = " ".join(fields)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_vector_file_exits_0_1_or_64(workdir, vector_lines, data):
+    lines = list(vector_lines)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate_record(data, lines)
+    path = workdir / "vectors.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["check-vectors", "--vectors", str(path)]) in (0, 1, 64)
 
 
 _VECTOR_TOKENS = st.sampled_from(

@@ -1,6 +1,7 @@
 """Card state machine: challenges, counter handling, proactive teardown."""
 
 import copy
+import operator
 import random
 
 import pytest
@@ -22,6 +23,9 @@ from akasim.sim_card import (
     TeardownPhase,
     TerminalProfile,
 )
+
+# every field of a card state, to compare states by value
+_fields = operator.attrgetter(*SimState.__slots__)
 
 KI = bytes.fromhex("202122232425262728292a2b2c2d2e2f")
 KA = bytes.fromhex("101112131415161718191a1b1c1d1e1f")
@@ -70,7 +74,7 @@ class TestInit:
         me = MobileEquipment(MeProfile(class_e_supported="yes"), card)
         with pytest.raises(MalformedInputError):
             me.power_on()
-        assert card.state.to_record() == enhanced_card().state.to_record()
+        assert _fields(card.state) == _fields(enhanced_card().state)
         me.profile = MeProfile()  # the refused power-on left the phone off
         me.power_on()
         assert card.state.initialized and card.state.me_class_e
@@ -215,92 +219,23 @@ class TestTeardownChoreography:
             StkCommand(StkKind.CLOSE_CHANNEL, ())
 
 
-class TestSnapshot:
-    def test_roundtrip(self):
-        card = enhanced_card(counter=123)
-        card.init(TerminalProfile(class_e=True))
-        record = card.state.to_record()
-        restored = SimState.from_record(record)
-        assert restored.imsi == IMSI
-        assert restored.ki == KI
-        assert restored.ka == KA
-        assert restored.counter == 123
-        assert restored.mode is SimMode.ENHANCED
-        assert restored.initialized is True
-        assert restored.me_class_e is True
-
-    def test_roundtrip_preserves_teardown_phase(self):
-        card = enhanced_card(counter=9)
-        card.init(TerminalProfile(class_e=True))
-        card.challenge(ac.build_hijacked_rand(KA, 0, 1))
-        card.fetch()
-        card.terminal_response(ChannelStatusResult(channels=(3, 4)))
-        restored = SimState.from_record(card.state.to_record())
-        assert restored.teardown_phase is TeardownPhase.AWAIT_FETCH_2
-        assert restored.teardown_channels == (3, 4)
-        resumed = SimCard(restored, random.Random(0))
-        command = resumed.fetch()
-        assert command.kind is StkKind.CLOSE_CHANNEL
-        assert command.channel_ids == (3, 4)
-
-    def test_legacy_record_omits_ka(self):
-        card = legacy_card()
-        record = card.state.to_record()
-        assert "ka=" not in record
-        restored = SimState.from_record(record)
-        assert restored.ka is None
-        assert restored.mode is SimMode.LEGACY
-
-    def test_bad_record_rejected(self):
-        with pytest.raises(MalformedInputError):
-            SimState.from_record("imsi=001 garbage")
-        with pytest.raises(MalformedInputError):
-            SimState.from_record("no-equals-sign")
-
-    @pytest.mark.parametrize(
-        "record",
-        [
-            "imsi=1 ki=00 mode=LEGACY counter=0",
-            f"imsi={IMSI} ki=00 mode=LEGACY counter=0",
-            f"imsi={IMSI} ki={KI.hex()}00 mode=LEGACY counter=0",
-            f"imsi={IMSI} ki={KI.hex()} ka={KA.hex()[:-2]} mode=ENHANCED counter=0",
-            f"imsi={'٠' * 15} ki={KI.hex()} mode=LEGACY counter=0",
-        ],
-    )
-    def test_bad_key_or_imsi_rejected(self, record):
-        with pytest.raises(MalformedInputError):
-            SimState.from_record(record)
-
-    @pytest.mark.parametrize(
-        "record",
-        [
-            f"imsi={IMSI} ki={KI.hex()} mode=LEGACY counter=+5",
-            f"imsi={IMSI} ki={KI.hex()} mode=LEGACY counter=1_0",
-            f"imsi={IMSI} ki={KI.hex()} mode=LEGACY counter=\u0665",
-            f"imsi={IMSI} ki={KI.hex()} mode=LEGACY counter=0 phase=AWAIT_FETCH_2 channels=+1",
-            f"imsi={IMSI} ki={KI.hex()} mode=LEGACY counter=0 phase=AWAIT_FETCH_2",
-        ],
-    )
-    def test_bad_counter_or_channels_rejected(self, record):
-        with pytest.raises(MalformedInputError):
-            SimState.from_record(record)
-
+class TestSimState:
     @pytest.mark.parametrize(
         "fields",
         [
-            "mode=LEGACY counter=0 phase=AWAIT_FETCH_1 initialized=0",
-            "mode=LEGACY counter=0 phase=AWAIT_FETCH_1 initialized=1 class_e=1",
-            f"ka={KA.hex()} mode=ENHANCED counter=0 phase=AWAIT_FETCH_1 initialized=0",
-            f"ka={KA.hex()} mode=ENHANCED counter=0 phase=AWAIT_FETCH_1 initialized=1 class_e=0",
-            f"ka={KA.hex()} mode=ENHANCED counter=0 phase=IDLE initialized=1 class_e=1 channels=3",
-            f"ka={KA.hex()} mode=ENHANCED counter=0 phase=AWAIT_CHANNEL_STATUS initialized=1"
-            " class_e=1 channels=3",
-            f"ka={KA.hex()} mode=ENHANCED counter=0 phase=AWAIT_CLOSE_RESULT initialized=1 class_e=1",
+            {"imsi": "1"},
+            {"imsi": "٠" * 15},
+            {"ki": bytes(1)},
+            {"ki": KI + bytes(1)},
+            {"ka": KA[:-1]},
+            {"counter": -1},
+            {"counter": 2**48},
         ],
     )
-    def test_unreachable_teardown_state_rejected(self, fields):
+    def test_constructor_rejects_bad_key_imsi_or_counter(self, fields):
+        card = {"imsi": IMSI, "ki": KI, "ka": KA, "counter": 0, "mode": SimMode.ENHANCED}
         with pytest.raises(MalformedInputError):
-            SimState.from_record(f"imsi={IMSI} ki={KI.hex()} {fields}")
+            SimState(**{**card, **fields})
 
     @pytest.mark.parametrize(
         "fields",
@@ -310,28 +245,32 @@ class TestSnapshot:
             {"teardown_phase": TeardownPhase.AWAIT_FETCH_2, "teardown_channels": [3]},
             {"teardown_phase": "AWAIT_FETCH_1"},
             {"initialized": 1},
+            {"teardown_phase": TeardownPhase.AWAIT_FETCH_1, "initialized": False},
+            {"teardown_phase": TeardownPhase.AWAIT_FETCH_1, "me_class_e": False},
+            {"teardown_phase": TeardownPhase.AWAIT_CHANNEL_STATUS, "teardown_channels": (3,)},
+            {"teardown_phase": TeardownPhase.AWAIT_CLOSE_RESULT},
+            {"mode": SimMode.LEGACY, "ka": None, "teardown_phase": TeardownPhase.AWAIT_FETCH_1},
+            {
+                "mode": SimMode.LEGACY,
+                "ka": None,
+                "teardown_phase": TeardownPhase.AWAIT_FETCH_2,
+                "teardown_channels": (3,),
+            },
         ],
     )
     def test_constructor_rejects_unreachable_teardown_state(self, fields):
-        volatile = {"initialized": True, "me_class_e": True, **fields}
+        card = {"ka": KA, "mode": SimMode.ENHANCED, "initialized": True, "me_class_e": True}
         with pytest.raises(MalformedInputError):
-            SimState(imsi=IMSI, ki=KI, ka=KA, counter=0, mode=SimMode.ENHANCED, **volatile)
+            SimState(imsi=IMSI, ki=KI, counter=0, **{**card, **fields})
 
     def test_constructor_rejects_mode_that_is_not_a_sim_mode(self):
         with pytest.raises(MalformedInputError):
             SimState(imsi=IMSI, ki=KI, ka=KA, counter=0, mode="ENHANCED")
 
-    @pytest.mark.parametrize("field", ["initialized", "class_e"])
-    @pytest.mark.parametrize("value", ["true", "yes", "2", ""])
-    def test_flag_other_than_0_or_1_rejected(self, field, value):
-        record = f"imsi={IMSI} ki={KI.hex()} mode=LEGACY counter=0 {field}={value}"
-        with pytest.raises(MalformedInputError):
-            SimState.from_record(record)
-
-    def test_restored_keys_are_key128(self):
-        restored = SimState.from_record(enhanced_card().state.to_record())
-        assert isinstance(restored.ki, cs.Key128) and isinstance(restored.ka, cs.Key128)
-        assert restored.ki == KI and restored.ka == KA
+    def test_keys_are_key128(self):
+        state = enhanced_card().state
+        assert isinstance(state.ki, cs.Key128) and isinstance(state.ka, cs.Key128)
+        assert state.ki == KI and state.ka == KA
 
     def test_power_cycle_keeps_counter_resets_volatile(self):
         card = enhanced_card(counter=9)
@@ -362,8 +301,9 @@ def _in_phase(*phases):
 class SimCardMachine(RuleBasedStateMachine):
     """Random legal call sequences against one card, with illegal calls mixed in.
 
-    After every step the card's snapshot must round-trip and a card rebuilt
-    from it must answer FETCH exactly as the original would.
+    After every step the constructor must accept the card's state, so no
+    reachable state trips its teardown check, and a card rebuilt from it
+    must answer FETCH exactly as the original would.
     """
 
     # three draws in four give the enhanced card with a class-e phone, the
@@ -467,18 +407,17 @@ class SimCardMachine(RuleBasedStateMachine):
             calls["channel_status"] = lambda: self.card.terminal_response(ChannelStatusResult((1,)))
         if phase is not TeardownPhase.AWAIT_CLOSE_RESULT:
             calls["close_result"] = lambda: self.card.terminal_response(CloseChannelResult())
-        before = self.state.to_record()
+        before = _fields(self.state)
         with pytest.raises(ProtocolOrderError):
             calls[data.draw(st.sampled_from(sorted(calls)))]()
-        assert self.state.to_record() == before
+        assert _fields(self.state) == before
 
     @invariant()
-    def snapshot_round_trips(self):
-        record = self.state.to_record()
-        restored = SimState.from_record(record)
-        assert restored.to_record() == record
+    def state_rebuilds(self):
+        state = SimState(**{slot: getattr(self.state, slot) for slot in SimState.__slots__})
+        assert _fields(state) == _fields(self.state)
+        rebuilt = SimCard(state, random.Random(0))
         original = SimCard(copy.copy(self.state), random.Random(0))
-        rebuilt = SimCard(restored, random.Random(0))
         assert _fetch_outcome(rebuilt) == _fetch_outcome(original)
 
 
