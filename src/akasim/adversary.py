@@ -141,7 +141,8 @@ class Adversary:
         victim.attach(FAKE_NETWORK)
 
     def _run_victim_aka(self, victim: MobileEquipment, rand: bytes):
-        self.trace(self.name, msg="FAKE_AUTH_CHALLENGE", imsi=victim.sim.imsi, rand=rand.hex())
+        imsi = victim.sim.state.imsi
+        self.trace(self.name, msg="FAKE_AUTH_CHALLENGE", imsi=imsi, rand=rand.hex())
         return victim.handle_challenge(rand)
 
     # --- the eavesdropping man-in-the-middle ---------------------------------
@@ -175,7 +176,7 @@ class Adversary:
                 )
             if rand_source is _RELAY_FRESH and relay is not None:
                 # honest forwarding of the response leg as well
-                relay.verify(victim.sim.imsi, outcome.sres)
+                relay.verify(victim.sim.state.imsi, outcome.sres)
             else:
                 self.trace(self.name, msg="SRES_IGNORED", sres=outcome.sres.hex())
             victim.apply_cipher(_NONE)
@@ -207,7 +208,7 @@ class Adversary:
         if rand_source is _RELAY_FRESH:
             if relay is None:
                 raise MalformedInputError("RELAY_FRESH needs a genuine network leg")
-            return relay.challenge(victim.sim.imsi)
+            return relay.challenge(victim.sim.state.imsi)
         raise MalformedInputError(f"no rand for source {rand_source}")
 
     def _relay_upstream(self, plaintext: bytes):

@@ -258,7 +258,7 @@ def _cmd_run(args) -> int:
     if args.trace_out:
         try:
             with open(args.trace_out, "w", encoding="ascii") as handle:
-                handle.write(result.trace_text())
+                handle.write(harness.render_trace(result.trace))
         except OSError as exc:
             print(f"error: cannot write trace: {exc}", file=sys.stderr)
             return EXIT_USAGE

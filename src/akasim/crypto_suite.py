@@ -269,6 +269,8 @@ def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> 
     _check_frame_index(frame_index)
     if not _is_int(length) or length < 0:
         raise MalformedInputError("length must be a non-negative integer")
+    if not isinstance(alg, CipherAlgId):
+        raise MalformedInputError(f"alg must be a CipherAlgId, got {alg!r}")
     if alg is _NONE:
         raise InvalidAlgorithmError("cannot generate keystream for alg NONE")
     return KeystreamBlock(bytes=_keystream(alg, kc, frame_index, length), frame_index=frame_index)

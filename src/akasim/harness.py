@@ -460,9 +460,6 @@ class ScenarioResult:
         self.aborted = False
         self.error: str | None = None
 
-    def trace_text(self) -> str:
-        return render_trace(self.trace)
-
     @property
     def all_asserts_passed(self) -> bool:
         return all(r.passed for r in self.assert_results)

@@ -96,23 +96,21 @@ class MobileEquipment:
         self.sim = sim
         self.session = MeSession()
         self.trace = tracer or noop_trace
-        self.name = f"ue:{sim.imsi}"
-        self._powered = False
+        self.name = f"ue:{sim.state.imsi}"
 
     # --- lifecycle ---------------------------------------------------------
 
     def power_on(self):
-        if self._powered:
+        # the phone is on exactly while its card has a power session
+        if self.sim.state.initialized:
             raise ProtocolOrderError("ME already powered on")
         profile = TerminalProfile(class_e=self.profile.class_e_supported)
         self.sim.init(profile)
-        self._powered = True  # only once the card took the profile
         self.trace(self.name, msg="TERMINAL_PROFILE", class_e=profile.class_e)
 
     def power_cycle(self):
         """Off and on again: session gone, card keeps its counter."""
         self.session = MeSession(channels=ChannelTable(next_id=self.session.channels.next_id))
-        self._powered = False
         self.sim.power_cycle()
         self.trace(self.name, msg="POWER_CYCLE")
         self.power_on()
@@ -142,7 +140,7 @@ class MobileEquipment:
         The same code path serves every card type; this actor never
         branches on anything but the response status byte.
         """
-        if not self._powered:
+        if not self.sim.state.initialized:
             raise ProtocolOrderError("challenge while powered off")
         if self.session.attached_network is None:
             raise ProtocolOrderError("challenge while detached")

@@ -125,7 +125,8 @@ def noop_trace(actor, /, **event):
 
 
 class SimState:
-    """Full card state; keys and counter are the non-volatile part."""
+    """Full card state.  Provisioning writes the keys, mode and counter; the
+    volatile rest starts powered off and only the card's transitions move it."""
 
     __slots__ = (
         "imsi",
@@ -139,18 +140,7 @@ class SimState:
         "teardown_channels",
     )
 
-    def __init__(
-        self,
-        imsi: str,
-        ki: bytes,
-        ka: bytes | None,
-        counter: int,
-        mode: SimMode,
-        initialized: bool = False,
-        me_class_e: bool = False,
-        teardown_phase: TeardownPhase = TeardownPhase.IDLE,
-        teardown_channels: tuple[int, ...] = (),
-    ):
+    def __init__(self, imsi: str, ki: bytes, ka: bytes | None, counter: int, mode: SimMode):
         self.imsi = cs.check_imsi(imsi)
         self.ki = cs._key(ki, "ki")
         self.ka = None if ka is None else cs._key(ka, "ka")
@@ -161,41 +151,16 @@ class SimState:
         if mode is _ENHANCED and ka is None:
             raise MalformedInputError("enhanced SIM needs a ka")
         self.counter = auth_core.check_sqn48(counter)
-        _check_teardown(mode, initialized, me_class_e, teardown_phase, teardown_channels)
         self.mode = mode
-        self.initialized = initialized
-        self.me_class_e = me_class_e
-        self.teardown_phase = teardown_phase
-        self.teardown_channels = teardown_channels
+        _power_off(self)
 
 
-# the phases in which the card holds the channel ids the phone reported
-_CHANNEL_PHASES = (_AWAIT_FETCH_2, _AWAIT_CLOSE_RESULT)
-
-
-def _check_teardown(mode, initialized, me_class_e, phase, channels) -> None:
-    """Refuse the teardown states no card can reach.
-
-    Only a challenge rejected by an initialised ENHANCED card behind a
-    class-e phone leaves IDLE, and the card holds channel ids exactly from
-    a non-empty channel-status result until the close result.
-    """
-    if type(initialized) is not bool or type(me_class_e) is not bool:
-        raise MalformedInputError("initialized and me_class_e must be bools")
-    if not isinstance(phase, TeardownPhase):
-        raise MalformedInputError(f"teardown phase must be a TeardownPhase, got {phase!r}")
-    if phase is not _IDLE and not (
-        mode is _ENHANCED and initialized and me_class_e
-    ):
-        raise MalformedInputError(
-            f"phase {phase.value} needs an initialised ENHANCED card behind a class-e phone"
-        )
-    if not isinstance(channels, tuple) or not all(type(c) is int and c >= 0 for c in channels):
-        raise MalformedInputError(f"teardown channels must be a tuple of ids, got {channels!r}")
-    if bool(channels) is not (phase in _CHANNEL_PHASES):
-        raise MalformedInputError(
-            f"phase {phase.value} {'needs' if phase in _CHANNEL_PHASES else 'holds no'} channel ids"
-        )
+def _power_off(state: SimState) -> None:
+    """The volatile state of a card with no power session."""
+    state.initialized = False
+    state.me_class_e = False
+    state.teardown_phase = _IDLE
+    state.teardown_channels = ()
 
 
 def _pending_command(state: SimState) -> StkCommand | None:
@@ -214,17 +179,9 @@ class SimCard:
         self.state = state
         self.rng = rng
 
-    @property
-    def imsi(self) -> str:
-        return self.state.imsi
-
     def power_cycle(self):
         """Drop volatile state; keys and counter survive."""
-        st = self.state
-        st.initialized = False
-        st.me_class_e = False
-        st.teardown_phase = _IDLE
-        st.teardown_channels = ()
+        _power_off(self.state)
 
     def init(self, profile: TerminalProfile) -> TerminalProfile:
         """Record the phone's TERMINAL PROFILE; must happen exactly once."""

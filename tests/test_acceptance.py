@@ -142,7 +142,7 @@ class TestCriterion5ScenarioMatrix:
         result = _run_config(f"{name}.json")
         assert not result.aborted
         golden = (GOLDEN / f"{name}.trace").read_text()
-        return result, result.trace_text() == golden
+        return result, harness.render_trace(result.trace) == golden
 
     def test_5a_mitm_vs_legacy_succeeds(self):
         result, golden_ok = self._golden_check("mitm_legacy")
@@ -286,8 +286,8 @@ def test_criterion_8_determinism():
     ok = True
     for cfg_path in sorted(CONFIGS.glob("*.json")):
         config = harness.ScenarioConfig.loads(cfg_path.read_text())
-        first = harness.run_scenario(config).trace_text()
-        second = harness.run_scenario(config).trace_text()
+        first = harness.render_trace(harness.run_scenario(config).trace)
+        second = harness.render_trace(harness.run_scenario(config).trace)
         if first != second:
             ok = False
             break

@@ -113,6 +113,14 @@ def test_entry_accepts_good_argument_as_bytes_or_bytearray(entry):
     assert call(good) == call(bytearray(good))
 
 
+# ENTRIES takes byte arguments only: its good value must also pass as a
+# bytearray, which no CipherAlgId does
+@pytest.mark.parametrize("alg", ["A5_1", None, 3], ids=repr)
+def test_a5_keystream_rejects_alg_that_is_not_a_cipher_alg_id(alg):
+    with pytest.raises(MalformedInputError):
+        cs.a5_keystream(alg, MSG, 0, 16)
+
+
 def _request_triples(n):
     home = HomeNetwork(random.Random(0))
     home.provision(IMSI, SimMode.ENHANCED, KA)

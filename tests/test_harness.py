@@ -197,7 +197,7 @@ class TestConfigValidation:
 class TestDeterminism:
     def test_three_runs_byte_identical(self):
         config = ScenarioConfig.from_dict(base_config())
-        texts = {run_scenario(config).trace_text() for _ in range(3)}
+        texts = {harness.render_trace(run_scenario(config).trace) for _ in range(3)}
         assert len(texts) == 1
 
     def test_seed_changes_rands_not_verdicts(self):
@@ -243,7 +243,7 @@ class TestEngineFlow:
         raw = base_config(script=[{"op": "CHALLENGE", "imsi": VICTIM}])
         result = run_scenario(ScenarioConfig.from_dict(raw))
         assert result.aborted
-        assert "TripleExhaustionError" in result.trace_text() or result.error
+        assert "TripleExhaustionError" in harness.render_trace(result.trace) or result.error
         assert any(e.event["msg"] == "ABORT" for e in result.trace)
         assert any(e.event["msg"] == "PROVISION" for e in result.trace)
 
@@ -422,14 +422,14 @@ class TestTraceFormat:
     def test_line_shape_and_hex_lowercase(self):
         config = ScenarioConfig.from_dict(base_config())
         result = run_scenario(config)
-        for line in result.trace_text().splitlines():
+        for line in harness.render_trace(result.trace).splitlines():
             payload = json.loads(line)
             assert set(payload) == {"seq_no", "actor", "event"}
             assert "msg" in payload["event"]
             rand = payload["event"].get("rand")
             if rand is not None:
                 assert rand == rand.lower()
-        seqs = [json.loads(l)["seq_no"] for l in result.trace_text().splitlines()]
+        seqs = [json.loads(l)["seq_no"] for l in harness.render_trace(result.trace).splitlines()]
         assert seqs == list(range(len(seqs)))
 
 
@@ -507,7 +507,8 @@ class TestEmitProtocol:
             trace("ue", "X")
 
     def test_many_subscriber_trace_is_pinned(self):
-        text = run_scenario(ScenarioConfig.from_dict(many_subscriber_config())).trace_text()
+        result = run_scenario(ScenarioConfig.from_dict(many_subscriber_config()))
+        text = harness.render_trace(result.trace)
         assert hashlib.sha256(text.encode()).hexdigest() == MANY_SUBSCRIBER_TRACE_SHA256
 
     @pytest.mark.parametrize(
@@ -542,7 +543,7 @@ class TestCollectorPause:
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_config_leaves_no_cyclic_garbage(self, collector_off, path):
-        run_scenario(ScenarioConfig.loads(path.read_text())).trace_text()
+        harness.render_trace(run_scenario(ScenarioConfig.loads(path.read_text())).trace)
         assert gc.collect() == 0
 
     def test_aborted_run_leaves_no_cyclic_garbage(self, collector_off):

@@ -204,6 +204,18 @@ class TestLifecycle:
         with pytest.raises(ProtocolOrderError):
             me.power_on()
 
+    def test_power_state_is_the_cards(self):
+        log = EventLog()
+        me = build_ue(tracer=log)
+        me.attach("vlr")
+        me.sim.power_cycle()  # the card loses power under the phone
+        before = list(log.events)
+        with pytest.raises(ProtocolOrderError):
+            me.handle_challenge(ac.build_hijacked_rand(KA, 0, 1))
+        assert log.events == before
+        me.power_on()
+        assert log.messages()[-1] == "TERMINAL_PROFILE"
+
     def test_channel_table_close_reports_only_open(self):
         table = ChannelTable()
         a, b = table.open(), table.open()

@@ -1,6 +1,5 @@
 """Card state machine: challenges, counter handling, proactive teardown."""
 
-import copy
 import operator
 import random
 
@@ -237,31 +236,16 @@ class TestSimState:
         with pytest.raises(MalformedInputError):
             SimState(**{**card, **fields})
 
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"teardown_phase": TeardownPhase.AWAIT_FETCH_2},
-            {"teardown_phase": TeardownPhase.IDLE, "teardown_channels": (3,)},
-            {"teardown_phase": TeardownPhase.AWAIT_FETCH_2, "teardown_channels": [3]},
-            {"teardown_phase": "AWAIT_FETCH_1"},
-            {"initialized": 1},
-            {"teardown_phase": TeardownPhase.AWAIT_FETCH_1, "initialized": False},
-            {"teardown_phase": TeardownPhase.AWAIT_FETCH_1, "me_class_e": False},
-            {"teardown_phase": TeardownPhase.AWAIT_CHANNEL_STATUS, "teardown_channels": (3,)},
-            {"teardown_phase": TeardownPhase.AWAIT_CLOSE_RESULT},
-            {"mode": SimMode.LEGACY, "ka": None, "teardown_phase": TeardownPhase.AWAIT_FETCH_1},
-            {
-                "mode": SimMode.LEGACY,
-                "ka": None,
-                "teardown_phase": TeardownPhase.AWAIT_FETCH_2,
-                "teardown_channels": (3,),
-            },
-        ],
-    )
-    def test_constructor_rejects_unreachable_teardown_state(self, fields):
-        card = {"ka": KA, "mode": SimMode.ENHANCED, "initialized": True, "me_class_e": True}
-        with pytest.raises(MalformedInputError):
-            SimState(imsi=IMSI, ki=KI, counter=0, **{**card, **fields})
+    def test_volatile_state_is_not_a_constructor_input(self):
+        with pytest.raises(TypeError):
+            SimState(
+                imsi=IMSI,
+                ki=KI,
+                ka=KA,
+                counter=0,
+                mode=SimMode.ENHANCED,
+                teardown_phase=TeardownPhase.AWAIT_FETCH_1,
+            )
 
     def test_constructor_rejects_mode_that_is_not_a_sim_mode(self):
         with pytest.raises(MalformedInputError):
@@ -284,15 +268,6 @@ class TestSimState:
         assert card.state.initialized is False
 
 
-def _fetch_outcome(card):
-    """What the card answers to '91' handling: FETCH, then the next phase."""
-    try:
-        command = card.fetch()
-    except ProtocolOrderError:
-        command = None
-    return command, card.state.teardown_phase
-
-
 def _in_phase(*phases):
     """Precondition: the card is initialised and in one of the phases."""
     return lambda machine: machine.state.initialized and machine.state.teardown_phase in phases
@@ -301,9 +276,10 @@ def _in_phase(*phases):
 class SimCardMachine(RuleBasedStateMachine):
     """Random legal call sequences against one card, with illegal calls mixed in.
 
-    After every step the constructor must accept the card's state, so no
-    reachable state trips its teardown check, and a card rebuilt from it
-    must answer FETCH exactly as the original would.
+    After every step the teardown state must be one a card can reach: a
+    phase other than IDLE only on an initialised ENHANCED card behind a
+    class-e phone, and channel ids held exactly while a CLOSE CHANNEL is
+    being fetched or answered.
     """
 
     # three draws in four give the enhanced card with a class-e phone, the
@@ -413,12 +389,17 @@ class SimCardMachine(RuleBasedStateMachine):
         assert _fields(self.state) == before
 
     @invariant()
-    def state_rebuilds(self):
-        state = SimState(**{slot: getattr(self.state, slot) for slot in SimState.__slots__})
-        assert _fields(state) == _fields(self.state)
-        rebuilt = SimCard(state, random.Random(0))
-        original = SimCard(copy.copy(self.state), random.Random(0))
-        assert _fetch_outcome(rebuilt) == _fetch_outcome(original)
+    def teardown_state_is_reachable(self):
+        st = self.state
+        if st.teardown_phase is not TeardownPhase.IDLE:
+            assert st.mode is SimMode.ENHANCED and st.initialized and st.me_class_e
+        assert isinstance(st.teardown_channels, tuple)
+        assert all(type(c) is int and c >= 0 for c in st.teardown_channels)
+        holds_channels = st.teardown_phase in (
+            TeardownPhase.AWAIT_FETCH_2,
+            TeardownPhase.AWAIT_CLOSE_RESULT,
+        )
+        assert bool(st.teardown_channels) is holds_channels
 
 
 TestSimCardMachine = SimCardMachine.TestCase

@@ -21,7 +21,7 @@ import pytest
 import oracle
 from akasim import crypto_suite as cs
 from akasim.adversary import Adversary
-from akasim.harness import ScenarioConfig, run_scenario
+from akasim.harness import ScenarioConfig, render_trace, run_scenario
 from akasim.mobile_equipment import MeProfile, MobileEquipment
 from akasim.sim_card import SimCard, SimMode, SimState
 
@@ -119,7 +119,7 @@ def test_multi_frame_trace_is_pinned(cipher):
     # the attacker's forced A5/2 frame is the only other TRAFFIC event
     traffic = [e.event["alg"] for e in result.trace if e.event["msg"] == "TRAFFIC"]
     assert traffic.count(cipher) == 2 * len(TRACE_LENGTHS)
-    digest = hashlib.sha256(result.trace_text().encode()).hexdigest()
+    digest = hashlib.sha256(render_trace(result.trace).encode()).hexdigest()
     assert digest == MULTI_FRAME_TRACE_SHA256[cipher]
 
 
