@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import random
-import sys
 from array import array
 from typing import NamedTuple
 
@@ -56,6 +55,10 @@ def check_amf16(value: int) -> int:
     if not cs._is_int(value) or not 0 <= value <= AMF_MAX:
         raise MalformedInputError(f"amf must be an integer in [0, 2^16), got {value!r}")
     return value
+
+
+# builds a NamedTuple from its field tuple without the generated Python __new__
+_tuple_new = tuple.__new__
 
 
 class AuthTriple(NamedTuple):
@@ -100,7 +103,8 @@ VerifyOutcome = Accepted | Rejected
 def build_hijacked_rands(ka: bytes, amf: int, first_sqn: int, n: int) -> bytes:
     """The n challenges for sqn = first_sqn, ..., first_sqn + n - 1, concatenated.
 
-    One f1 call tags all n AMF || SQN messages and one f5 call masks them.
+    One f1 call tags the AMF || SQN messages and one f5 call masks them, for
+    up to 4,096 challenges at a time.
     """
     check_amf16(amf)
     check_sqn48(first_sqn)
@@ -110,18 +114,60 @@ def build_hijacked_rands(ka: bytes, amf: int, first_sqn: int, n: int) -> bytes:
     return _build_rands(cs._key(ka, "ka"), amf, first_sqn, n)
 
 
+# an f1 input block (message word, then pad word) and the f5 pad word
+_F1_BLOCK = array("Q", bytes(cs.TAG_LEN) + cs._PAD_F1)
+_F5_PAD = array("Q", cs._PAD_F5)
+# the most challenges one build puts in each of its buffers
+_MAX_LANES = 4096
+# (lanes, ONES, RAMP): big-endian ints whose 64-bit lane i holds 1 and i, for
+# the largest build so far; replaced, never grown in place, so a reader always
+# sees a complete table and a lost race between threads costs only a rebuild
+_lane_table = (0, 0, 0)
+
+
+def _lanes(n: int) -> tuple[int, int]:
+    """ONES and RAMP of exactly n <= _MAX_LANES lanes."""
+    global _lane_table
+    lanes, ones, ramp = _lane_table
+    if n > lanes:
+        ones = int.from_bytes(b"\0\0\0\0\0\0\0\1" * n, "big")
+        ramp = int.from_bytes(b"".join(i.to_bytes(8, "big") for i in range(n)), "big")
+        _lane_table = n, ones, ramp
+    elif n < lanes:
+        # dropping the low lanes leaves lanes 0 .. n-1 in place
+        shift = 64 * (lanes - n)
+        return ones >> shift, ramp >> shift
+    return ones, ramp
+
+
 def _build_rands(ka: cs.Key128, amf: int, first_sqn: int, n: int) -> bytes:
-    first = (amf << 48) | first_sqn
-    words = array("Q", range(first, first + n))
-    if sys.byteorder == "little":
-        words.byteswap()  # wire order: big-endian AMF || SQN
-    msgs = words.tobytes()
-    macs = cs._padded_prf(ka, msgs, cs._PAD_F1)
-    masked = cs._xor(msgs, cs._padded_prf(ka, macs, cs._PAD_F5))
+    """The n challenges from first_sqn on, for arguments already proven.
+
+    The AMF || SQN messages are the 64-bit lanes of one big-endian int.  One
+    AES call computes every tag (f1), the tag array with its pad words
+    overwritten is the input of a second call that computes every mask (f5),
+    and the f5 output array is overwritten with the challenges.  A batch of
+    more than _MAX_LANES challenges is built in pieces of that size.
+    """
+    if n > _MAX_LANES:
+        last = first_sqn + n
+        return b"".join(
+            _build_rands(ka, amf, sqn, min(_MAX_LANES, last - sqn))
+            for sqn in range(first_sqn, last, _MAX_LANES)
+        )
+    ones, ramp = _lanes(n)
+    # lanes never carry: the entries prove first_sqn + n - 1 <= SQN_MAX
+    msgs = ((amf << 48) | first_sqn) * ones + ramp
+    blocks = _F1_BLOCK * n
+    blocks[0::2] = array("Q", msgs.to_bytes(8 * n, "big"))
+    tagged = array("Q", ka._encrypt(blocks.tobytes()))
+    macs = tagged[0::2]
+    tagged[1::2] = _F5_PAD * n
+    rands = array("Q", ka._encrypt(tagged.tobytes()))
+    masked = msgs ^ int.from_bytes(rands[0::2], "big")
     # challenge i is masked message i || tag i, one 8-octet word each
-    rands = array("Q", bytes(2 * len(msgs)))
-    rands[0::2] = array("Q", masked)
-    rands[1::2] = array("Q", macs)
+    rands[0::2] = array("Q", masked.to_bytes(8 * n, "big"))
+    rands[1::2] = macs
     return rands.tobytes()
 
 
@@ -211,7 +257,10 @@ def _triples(ki: cs.Key128, rands: bytes, sqn_hints) -> list[AuthTriple]:
     """One triple per 16-octet RAND and sqn hint, all answered by one A3/A8 call."""
     xres, kc = cs._a3a8_batch(ki, rands)
     return [
-        AuthTriple(rands[16 * i : 16 * i + 16], xres[8 * i : 8 * i + 8], kc[8 * i : 8 * i + 8], sqn)
+        _tuple_new(
+            AuthTriple,
+            (rands[16 * i : 16 * i + 16], xres[8 * i : 8 * i + 8], kc[8 * i : 8 * i + 8], sqn),
+        )
         for i, sqn in enumerate(sqn_hints)
     ]
 

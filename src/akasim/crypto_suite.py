@@ -145,11 +145,6 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
-def _left_words(blocks: bytes) -> bytes:
-    """The first 8 octets of every 16-octet block, concatenated."""
-    return array("Q", blocks)[0::2].tobytes()
-
-
 # bound once: `algorithms` resolves every attribute through a Python-level
 # deprecation shim, and an ECB mode object holds no state
 _AES = algorithms.AES
@@ -200,10 +195,11 @@ def _key(value: bytes, name: str) -> Key128:
 # --- cores: one AES call on values the caller has already proven --------------
 #
 # The one-block cores take a Key128 and exactly one 8- or 16-octet item; the
-# card's verify path runs on them directly.  The buffer cores take a Key128
-# and a non-empty buffer of whole items; auth_core's batch builders call them
-# once its own entries have checked the batch.  The public functions below
-# are "check, then core".
+# card's verify path runs on them directly.  The buffer core _a3a8_batch takes
+# a Key128 and a non-empty buffer of whole RANDs; auth_core's triple builder
+# calls it once its own entries have checked the batch, and builds the
+# batched f1 and f5 blocks itself.  The public functions below are "check,
+# then core".
 
 
 def _f1(ka: Key128, amf_sqn: bytes) -> bytes:
@@ -220,20 +216,14 @@ def _a3a8(ki: Key128, rand: bytes) -> tuple[bytes, bytes]:
     return out[:TAG_LEN], out[RAND_LEN : RAND_LEN + TAG_LEN]
 
 
-def _padded_prf(key: Key128, words: bytes, pad: bytes) -> bytes:
-    """AES_key(v || pad)[:8] of every 8-octet word v in the buffer, from one call."""
-    blocks = array("Q", bytes(TAG_LEN) + pad) * (len(words) // TAG_LEN)
-    blocks[0::2] = array("Q", words)
-    return _left_words(key._encrypt(blocks.tobytes()))
-
-
 def _a3a8_batch(ki: Key128, rands: bytes) -> tuple[bytes, bytes]:
     """(SRES, Kc) of every 16-octet RAND in the buffer, from one call.
 
     Each half is the concatenation of one 8-octet value per RAND.
     """
     n = len(rands) // RAND_LEN
-    out = _left_words(ki._encrypt(_xor(rands + rands, _C3 * n + _C8 * n)))
+    blocks = array("Q", ki._encrypt(_xor(rands + rands, _C3 * n + _C8 * n)))
+    out = blocks[0::2].tobytes()  # the first 8 octets of every block
     return out[: TAG_LEN * n], out[TAG_LEN * n :]
 
 

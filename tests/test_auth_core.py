@@ -240,3 +240,57 @@ class TestBatchedBuild:
     def test_legacy_response_rejects_bad_rand(self, bad):
         with pytest.raises(MalformedInputError):
             ac.legacy_response(KI, bad)
+
+
+def _one_block_rand(ka, amf, sqn):
+    # the challenge from the one-block public primitives, which the oracle pins
+    msg = amf.to_bytes(2, "big") + sqn.to_bytes(6, "big")
+    mac = cs.f1_mac(ka, msg)
+    return cs.xor_bytes(msg, cs.f5_mask(ka, mac)) + mac
+
+
+class TestBuilderEdges:
+    """Batches at the edges of the builder's 4,096-lane table and pieces."""
+
+    # grows the table to its cap, past it, then builds smaller batches from it
+    SIZES = [1, 4095, 4096, 4097, 10_000, 4097, 4096, 4095, 1]
+    LARGEST = max(SIZES)
+
+    @staticmethod
+    def _edges(n):
+        # first and last challenge of every 4,096-challenge piece
+        return sorted({0, n - 1} | {i for k in range(4096, n, 4096) for i in (k - 1, k)})
+
+    @pytest.mark.parametrize("amf, at_top", [(0x0102, False), (ac.AMF_MAX, True)])
+    def test_sizes_match_reference(self, monkeypatch, amf, at_top):
+        monkeypatch.setattr(ac, "_lane_table", (0, 0, 0))
+        # at_top: every batch ends at SQN_MAX, else every batch starts at 1
+        base = ac.SQN_MAX - self.LARGEST + 1 if at_top else 1
+        expected = b"".join(_one_block_rand(KA, amf, base + i) for i in range(self.LARGEST))
+        for step, n in enumerate(self.SIZES):
+            first = ac.SQN_MAX - n + 1 if at_top else 1
+            want = expected[16 * (first - base) : 16 * (first - base + n)]
+            rands = ac.build_hijacked_rands(KA, amf, first, n)
+            triples, counter = ac.generate_triples(KI, KA, first - 1, amf, n)
+            assert rands == want, n
+            assert b"".join(t.rand for t in triples) == want, n
+            assert counter == first + n - 1
+            assert ac._lane_table[0] == min(4096, max(self.SIZES[: step + 1]))
+            for i in self._edges(n):
+                rand = rands[16 * i : 16 * i + 16]
+                assert rand == oracle.ref_build_rand(KA, amf, first + i), (n, i)
+                t = triples[i]
+                assert (t.sqn_hint, t.xres, t.kc) == (
+                    first + i, oracle.ref_a3(KI, rand), oracle.ref_a8(KI, rand)
+                ), (n, i)
+
+    def test_lane_table_never_exceeds_4096_lanes(self, monkeypatch):
+        monkeypatch.setattr(ac, "_lane_table", (0, 0, 0))
+        cold = ac.build_hijacked_rands(KA, 0, 1, 10_000)
+        for n in (10_000, 4097, 3 * 4096 + 5, 4096, 2):
+            ac.build_hijacked_rands(KA, 0, 1, n)
+            lanes, ones, ramp = ac._lane_table
+            assert lanes == 4096
+            # 64 KB: two ints of 4,096 64-bit lanes each
+            assert -(-ones.bit_length() // 8) + -(-ramp.bit_length() // 8) <= 64 * 1024
+        assert ac.build_hijacked_rands(KA, 0, 1, 10_000) == cold

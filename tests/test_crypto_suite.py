@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from akasim import crypto_suite as cs
+from akasim import auth_core, crypto_suite as cs
 from akasim.errors import InvalidAlgorithmError, MalformedInputError
 
 Z16 = bytes(16)
@@ -263,13 +263,15 @@ class TestBatchedPrimitives:
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_f1_f5_batches_match_reference(self, rng, n):
+        # the batched f1 and f5 calls are the challenge builder's: challenge i
+        # is message i masked with f5 of its tag, then the f1 tag itself
         ka = rng.randbytes(16)
-        msgs = [rng.randbytes(8) for _ in range(n)]
-        macs = cs._padded_prf(cs.Key128(ka), b"".join(msgs), cs._PAD_F1)
-        assert macs == b"".join(oracle.ref_f1(ka, m) for m in msgs)
-        assert cs._padded_prf(cs.Key128(ka), macs, cs._PAD_F5) == b"".join(
-            oracle.ref_f5(ka, macs[i : i + 8]) for i in range(0, 8 * n, 8)
-        )
+        amf, first = rng.randrange(1 << 16), rng.randrange(1 << 47)
+        rands = auth_core._build_rands(cs.Key128(ka), amf, first, n)
+        for i in range(n):
+            msg = amf.to_bytes(2, "big") + (first + i).to_bytes(6, "big")
+            mac = oracle.ref_f1(ka, msg)
+            assert rands[16 * i : 16 * i + 16] == oracle.xor(msg, oracle.ref_f5(ka, mac)) + mac
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_a3a8_batch_matches_reference(self, rng, n):
