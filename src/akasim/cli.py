@@ -33,8 +33,9 @@ EXIT_USAGE = 64
 
 RAND_STATS_MIN_N = 10_000
 RAND_STATS_SIGMA_BOUND = 4.0
-# challenges built per AES batch; bounds the transient buffers at any n
-_RAND_STATS_CHUNK = 4096
+# challenges per counted piece; each piece is read as one int and added into
+# the bit planes, so a plane holds 16 octets per challenge of a piece at any n
+_RAND_STATS_PIECE = 512
 
 # the most records gen-vectors writes per operation; every record is built
 # in memory before the file is written
@@ -137,20 +138,36 @@ def rand_bit_stats(n: int, seed: int) -> dict:
     rng = random.Random(f"rand-stats/{seed}")
     ka = cs.Key128(rng.randbytes(cs.KEY_LEN))
     amf = 0
-    # masks[bit] has bit 0x80 >> bit set in every octet; the AND with a
-    # shorter column keeps only that column's own octets
+    build, width = auth_core._MAX_LANES, cs.RAND_LEN * _RAND_STATS_PIECE
+    # a vertical counter: planes[j] holds bit j of the running count of every
+    # bit-lane of a piece int.  Lane k counts bit 127 - k % 128 of the
+    # challenges (bit 0 the most significant), so a shorter piece lines up at
+    # the low end
+    planes = []
+    for first in range(1, n + 1, build):
+        rands = auth_core.build_hijacked_rands(ka, amf, first, min(build, n + 1 - first))
+        for start in range(0, len(rands), width):
+            carry = int.from_bytes(rands[start : start + width], "big")
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+
+    # masks[bit] has bit 0x80 >> bit set in every octet of a column
     masks = [
-        int.from_bytes(bytes([0x80 >> bit]) * _RAND_STATS_CHUNK, "big") for bit in range(8)
+        int.from_bytes(bytes([0x80 >> bit]) * _RAND_STATS_PIECE, "big") for bit in range(8)
     ]
     counts = [0] * (8 * cs.RAND_LEN)
-    for first in range(1, n + 1, _RAND_STATS_CHUNK):
-        count = min(_RAND_STATS_CHUNK, n + 1 - first)
-        rands = auth_core.build_hijacked_rands(ka, amf, first, count)
+    for j, plane in enumerate(planes):
+        octets = plane.to_bytes(width, "big")
         for pos in range(cs.RAND_LEN):
-            # octet `pos` of every challenge in the chunk, as one int
-            column = int.from_bytes(rands[pos :: cs.RAND_LEN], "big")
+            # octet `pos` of every challenge lane, as one int
+            column = int.from_bytes(octets[pos :: cs.RAND_LEN], "big")
             for bit, mask in enumerate(masks):
-                counts[8 * pos + bit] += (column & mask).bit_count()
+                counts[8 * pos + bit] += (column & mask).bit_count() << j
 
     sigma = math.sqrt(n) / 2.0
     deviations = [abs(c - n / 2.0) / sigma for c in counts]

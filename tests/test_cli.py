@@ -388,6 +388,41 @@ class TestRandStats:
         for n, want in prefixes.items():
             assert cli.rand_bit_stats(n, seed)["bit_counts"] == want, n
 
+    @pytest.mark.parametrize("piece", [3, cli._RAND_STATS_PIECE])
+    def test_counts_match_direct_counts_at_plane_edges(self, monkeypatch, piece):
+        # 2^k and 2^k + 1 pieces for k = 0..2, where a carry ripples into a
+        # new plane; each n of 2^k * piece + 1, and the n that crosses a build
+        # call, ends on a single-challenge piece
+        monkeypatch.setattr(cli, "_RAND_STATS_PIECE", piece)
+        ns = {pieces * piece + extra for pieces in (1, 2, 4) for extra in (0, 1)}
+        ns.add(ac._MAX_LANES + 1)
+        seed = 6
+        ka = random.Random(f"rand-stats/{seed}").randbytes(cs.KEY_LEN)
+        ones = [0] * 128
+        for sqn in range(1, max(ns) + 1):
+            value = int.from_bytes(ac.build_hijacked_rand(ka, 0, sqn), "big")
+            for bit in range(128):
+                ones[bit] += value >> (127 - bit) & 1
+            if sqn in ns:
+                assert cli.rand_bit_stats(sqn, seed)["bit_counts"] == ones, sqn
+
+    def test_each_challenge_built_once_per_call(self, monkeypatch):
+        calls = []
+        build = ac.build_hijacked_rands
+
+        def recording(ka, amf, first, n):
+            calls.append((first, n))
+            return build(ka, amf, first, n)
+
+        monkeypatch.setattr(ac, "build_hijacked_rands", recording)
+        # the second call builds every challenge again: nothing is cached
+        for _ in range(2):
+            calls.clear()
+            cli.rand_bit_stats(9000, seed=4)
+            ends = [first + n for first, n in calls]
+            assert [first for first, _ in calls] == [1] + ends[:-1]
+            assert ends[-1] == 9001
+
     @pytest.mark.parametrize(
         "n, seed",
         [
