@@ -162,8 +162,10 @@ class Adversary:
         between the victim and the genuine network instead of inventing one.
         """
         kind = _MITM_EAVESDROP
+        # trace payloads read `_value_`, the attribute behind the Python-level
+        # `.value` property
         self.trace(
-            self.name, msg="ATTACK_START", kind=kind.value, rand_source=rand_source.value
+            self.name, msg="ATTACK_START", kind=kind._value_, rand_source=rand_source._value_
         )
         self._capture_victim(victim)
 
@@ -236,7 +238,7 @@ class Adversary:
             raise MalformedInputError(
                 "intercept log holds no exchange with strong-cipher traffic"
             )
-        self.trace(self.name, msg="ATTACK_START", kind=kind.value, rand=record.rand.hex())
+        self.trace(self.name, msg="ATTACK_START", kind=kind._value_, rand=record.rand.hex())
         self._capture_victim(victim)
 
         outcome = self._run_victim_aka(victim, record.rand)
@@ -276,7 +278,7 @@ class Adversary:
 
     def _report(self, kind: AttackKind, succeeded: bool, **fields) -> AttackReport:
         report = AttackReport(attack=kind, succeeded=succeeded, **fields)
-        event = {"msg": "ATTACK_RESULT", "kind": kind.value, "succeeded": succeeded}
+        event = {"msg": "ATTACK_RESULT", "kind": kind._value_, "succeeded": succeeded}
         if report.recovered_kc:
             event["recovered_kc"] = report.recovered_kc.hex()
         if report.failure_cause:

@@ -22,6 +22,7 @@ from array import array
 from typing import NamedTuple
 
 from . import crypto_suite as cs
+from .crypto_suite import _tuple_new
 from .errors import CounterOverflowError, MalformedInputError
 
 __all__ = [
@@ -55,10 +56,6 @@ def check_amf16(value: int) -> int:
     if not cs._is_int(value) or not 0 <= value <= AMF_MAX:
         raise MalformedInputError(f"amf must be an integer in [0, 2^16), got {value!r}")
     return value
-
-
-# builds a NamedTuple from its field tuple without the generated Python __new__
-_tuple_new = tuple.__new__
 
 
 class AuthTriple(NamedTuple):
@@ -219,8 +216,8 @@ def verify_hijacked_rand(
     elif amf_sqn & SQN_MAX <= counter:
         reason = _SQN_NOT_FRESH
     else:
-        return Accepted(amf_sqn >> 48, amf_sqn & SQN_MAX, sres, kc)
-    return Rejected(reason, _placeholder(rng, sres), _placeholder(rng, kc))
+        return _tuple_new(Accepted, (amf_sqn >> 48, amf_sqn & SQN_MAX, sres, kc))
+    return _tuple_new(Rejected, (reason, _placeholder(rng, sres), _placeholder(rng, kc)))
 
 
 def legacy_response(ki: bytes, rand: bytes) -> tuple[bytes, bytes]:

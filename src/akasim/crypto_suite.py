@@ -101,6 +101,11 @@ class KeystreamBlock(NamedTuple):
     frame_index: int
 
 
+# builds a NamedTuple from its field tuple without the generated Python
+# __new__; only for a class with no __new__ of its own, given every field
+_tuple_new = tuple.__new__
+
+
 def _is_int(value) -> bool:
     # bool is an int subclass, but True is not the number 1 here
     return isinstance(value, int) and not isinstance(value, bool)

@@ -31,7 +31,7 @@ from .adversary import (
     LoggedExchange,
     RandSource,
 )
-from .crypto_suite import _is_int, check_imsi
+from .crypto_suite import _is_int, _tuple_new, check_imsi
 from .errors import ConfigError, SimulationError
 from .mobile_equipment import MeProfile, MobileEquipment, Responded
 from .network_side import (
@@ -66,8 +66,6 @@ _encode_payload = c_make_encoder(
     None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", False, False, True
 )
 _LINE = '{"seq_no":%d,"actor":%s,"event":%s}\n'
-# builds a NamedTuple from its field tuple without the generated Python __new__
-_tuple_new = tuple.__new__
 
 
 class TraceEvent(NamedTuple):
@@ -117,7 +115,13 @@ class StepKind(enum.Enum):
     ASSERT = "ASSERT"
 
 
-_STEP_KINDS = {kind.value: kind for kind in StepKind}
+# the members of each enum a config names, keyed by value: a lookup here
+# skips the Enum call, which is left to raise on a miss (see `_member`)
+_BY_VALUE = {
+    enum_cls: {member._value_: member for member in enum_cls}
+    for enum_cls in (StepKind, SimMode, ConsumptionPolicy, cs.CipherAlgId, AttackKind, RandSource)
+}
+_STEP_KINDS = _BY_VALUE[StepKind]
 # the keys of the top-level config object
 _CONFIG_KEYS = {"seed", "subscribers", "me_profiles", "network_policy", "attacker", "script"}
 # the keys each op takes besides "op"; a closed set, like every other object
@@ -139,6 +143,8 @@ _STEP_KEYS = {
 _AUTHENTICATED = Verdict.AUTHENTICATED
 _MITM_EAVESDROP = AttackKind.MITM_EAVESDROP
 _RELAY_FRESH = RandSource.RELAY_FRESH
+# the phone of a subscriber that `me_profiles` does not name
+_DEFAULT_PROFILE = MeProfile()
 
 
 class ScenarioStep(NamedTuple):
@@ -146,6 +152,8 @@ class ScenarioStep(NamedTuple):
     params: dict
     # a SEND_TRAFFIC step's plaintext, decoded once at load; None otherwise
     plaintext: bytes | None = None
+    # an ASSERT step's predicate, checked and compiled once at load; None otherwise
+    predicate: _Predicate | None = None
 
 
 class SubscriberSpec(NamedTuple):
@@ -210,9 +218,8 @@ class ScenarioConfig(NamedTuple):
             master = bytes.fromhex(sub["master"]) if "master" in sub else None
             if master is not None and len(master) != cs.KEY_LEN:
                 raise ConfigError(f"master key for {imsi} must be 16 octets")
-            subscribers.append(
-                SubscriberSpec(imsi=imsi, mode=SimMode(sub["mode"]), master=master)
-            )
+            mode = _member(SimMode, sub["mode"])
+            subscribers.append(_tuple_new(SubscriberSpec, (imsi, mode, master)))
         if not subscribers:
             raise ConfigError("at least one subscriber is required")
 
@@ -226,16 +233,15 @@ class ScenarioConfig(NamedTuple):
             flags.update(prof)
             if not all(isinstance(flag, bool) for flag in flags.values()):
                 raise ConfigError(f"me_profile flags for {imsi} must be true or false")
-            me_profiles[imsi] = MeProfile(
-                class_e_supported=flags["class_e"],
-                accepts_unauthenticated=flags["accepts_unauthenticated"],
-                leaky=flags["leaky"],
+            me_profiles[imsi] = _tuple_new(
+                MeProfile,
+                (flags["class_e"], flags["accepts_unauthenticated"], flags["leaky"]),
             )
 
         net = _object(raw.get("network_policy", {}), "network_policy")
         _closed(net, {"consumption_policy", "cipher", "batch_size"}, "network_policy keys")
-        policy = ConsumptionPolicy(net.get("consumption_policy", "IN_ORDER"))
-        cipher = cs.CipherAlgId(net.get("cipher", "A5_3"))
+        policy = _member(ConsumptionPolicy, net.get("consumption_policy", "IN_ORDER"))
+        cipher = _member(cs.CipherAlgId, net.get("cipher", "A5_3"))
         batch_size = net.get("batch_size", 2)
         if not _is_int(batch_size) or not 1 <= batch_size <= MAX_BATCH:
             raise ConfigError(f"batch_size must be an integer in [1, {MAX_BATCH}]")
@@ -248,9 +254,9 @@ class ScenarioConfig(NamedTuple):
             if attacker_imsi is not None and attacker_imsi not in seen:
                 raise ConfigError(f"attacker imsi {attacker_imsi} not provisioned")
             attacker = AttackerSpec(
-                kind=AttackKind(atk["kind"]),
+                kind=_member(AttackKind, atk["kind"]),
                 imsi=attacker_imsi,
-                rand_source=RandSource(atk.get("rand_source", "FABRICATED")),
+                rand_source=_member(RandSource, atk.get("rand_source", "FABRICATED")),
                 victim_traffic=bytes.fromhex(atk.get("victim_traffic", "")),
             )
             if attacker.kind is _MITM_EAVESDROP and not attacker.victim_traffic:
@@ -269,8 +275,7 @@ class ScenarioConfig(NamedTuple):
             except (KeyError, TypeError):
                 kind = StepKind(op)  # raises the ValueError that names the op
             _closed(params, _STEP_KEYS[op], "keys in script step %d (%s)", idx, op)
-            plaintext = cls._check_step(idx, kind, params, seen, attacker)
-            script.append(_tuple_new(ScenarioStep, (kind, params, plaintext)))
+            script.append(cls._check_step(idx, kind, params, seen, attacker))
 
         return cls(
             seed=seed,
@@ -284,13 +289,13 @@ class ScenarioConfig(NamedTuple):
         )
 
     @staticmethod
-    def _check_step(idx, kind, params, known_imsis, attacker):
-        """Raise ConfigError on a bad step; return a SEND_TRAFFIC plaintext."""
+    def _check_step(idx, kind, params, known_imsis, attacker) -> ScenarioStep:
+        """Raise ConfigError on a bad step; return the loaded step."""
         if kind is _ASSERT:
             if "predicate" not in params:
                 raise ConfigError(f"ASSERT step {idx} missing predicate")
-            _check_predicate(params["predicate"])
-            return
+            predicate = _compile_predicate(params["predicate"])
+            return _tuple_new(ScenarioStep, (kind, params, None, predicate))
         step_imsi = params.get("victim") if kind is _RUN_ATTACK else params.get("imsi")
         if step_imsi is None:
             raise ConfigError(f"step {idx} ({kind.value}) needs an imsi/victim")
@@ -310,8 +315,16 @@ class ScenarioConfig(NamedTuple):
             frame = params.get("frame_index", 0)
             if not _is_int(frame) or not 0 <= frame < 1 << 64:
                 raise ConfigError(f"step {idx}: frame_index must be an integer in [0, 2^64)")
-            return plaintext
-        return None
+            return _tuple_new(ScenarioStep, (kind, params, plaintext, None))
+        return _tuple_new(ScenarioStep, (kind, params, None, None))
+
+
+def _member(enum_cls, value):
+    """`enum_cls(value)`, read from `_BY_VALUE` when the value is there."""
+    try:
+        return _BY_VALUE[enum_cls][value]
+    except (KeyError, TypeError):
+        return enum_cls(value)  # raises the ValueError that names the value
 
 
 def _object(value, what: str) -> dict:
@@ -335,13 +348,28 @@ class AssertOutcome(NamedTuple):
     detail: str
 
 
-def _find(trace, where, start=0):
-    """The first event from index `start` on that meets every clause."""
-    clauses = where.items()
+# the actor of a match clause that names none: every envelope matches it
+_ANY_ACTOR = object()
+
+
+class _Predicate(NamedTuple):
+    kind: str
+    # `where`, `anchor` then `where`, or `sequence`, each as `(actor, items)`:
+    # the envelope actor it needs, or _ANY_ACTOR, and its payload pairs
+    clauses: tuple
+    field: str | None
+    value: object
+
+
+def _find(trace, clause, start=0):
+    """The first event from index `start` on that meets a compiled clause."""
+    actor, items = clause
     for event in itertools.islice(trace, start, None):
+        if actor is not _ANY_ACTOR and event.actor != actor:
+            continue
         payload = event.event
-        for key, expected in clauses:
-            if (event.actor if key == "actor" else payload.get(key)) != expected:
+        for key, expected in items:
+            if payload.get(key) != expected:
                 break
         else:
             return event
@@ -358,8 +386,9 @@ _PREDICATE_KEYS = {
 }
 
 
-def _check_predicate(predicate) -> None:
-    """Raise ConfigError unless `predicate` is a well-formed matcher."""
+def _compile_predicate(predicate) -> _Predicate:
+    """Check `predicate` and compile it; raise ConfigError unless it is a
+    well-formed matcher whose keys are `kind` and what its kind needs."""
     if not isinstance(predicate, dict) or "kind" not in predicate:
         raise ConfigError(f"malformed predicate: {predicate!r}")
     kind = predicate["kind"]
@@ -373,71 +402,83 @@ def _check_predicate(predicate) -> None:
         clauses = predicate["sequence"]
         if not isinstance(clauses, list) or not clauses:
             raise ConfigError("ordered predicate needs a non-empty sequence")
+    elif kind == "absent_after":
+        clauses = (predicate["anchor"], predicate["where"])
     else:
-        clauses = [predicate[key] for key in required if key in ("where", "anchor")]
-    if not all(isinstance(clause, dict) for clause in clauses):
-        raise ConfigError(f"predicate {kind!r}: every match clause must be a JSON object")
+        clauses = (predicate["where"],)
+    compiled = []
+    for where in clauses:
+        if not isinstance(where, dict):
+            raise ConfigError(f"predicate {kind!r}: every match clause must be a JSON object")
+        if "actor" in where:
+            items = where.copy()
+            compiled.append((items.pop("actor"), tuple(items.items())))
+        else:
+            compiled.append((_ANY_ACTOR, tuple(where.items())))
     if kind == "field_equals" and not isinstance(predicate["field"], str):
         raise ConfigError("field_equals predicate: field must be a string")
+    # every needed key is there, so any more key is one the kind does not take
+    if len(predicate) > 1 + len(required):
+        _closed(predicate, {"kind", *required}, "keys in predicate %r", kind)
+    return _tuple_new(
+        _Predicate, (kind, tuple(compiled), predicate.get("field"), predicate.get("value"))
+    )
 
 
-def assert_trace(trace: list[TraceEvent], predicate: dict) -> AssertOutcome:
+def assert_trace(trace: list[TraceEvent], predicate: dict | _Predicate) -> AssertOutcome:
     """Evaluate a declarative matcher over the event sequence.
 
     Kinds: present, absent, ordered, absent_after, field_equals.  A `where`
     clause is a dict of field=value requirements; `actor` and `msg` address
-    the envelope, anything else the event payload.  A malformed predicate
-    raises ConfigError.
+    the envelope, anything else the event payload.  A dict predicate is
+    checked and compiled here, and a malformed one raises ConfigError; the
+    compiled form a loaded ASSERT step carries is trusted.
     """
-    _check_predicate(predicate)
-    kind = predicate["kind"]
+    if type(predicate) is not _Predicate:
+        predicate = _compile_predicate(predicate)
+    kind, clauses, fname, value = predicate
 
-    if kind == "present":
-        hit = _find(trace, predicate["where"])
-        if hit:
-            return AssertOutcome(True, f"matched at seq_no {hit.seq_no}")
-        return AssertOutcome(False, "no event matched")
-
-    if kind == "absent":
-        hit = _find(trace, predicate["where"])
-        if hit:
-            return AssertOutcome(False, f"unexpected match at seq_no {hit.seq_no}")
-        return AssertOutcome(True, "no event matched")
-
-    if kind == "ordered":
+    if kind == "present" or kind == "absent":
+        hit = _find(trace, clauses[0])
+        if hit is None:
+            passed, detail = kind == "absent", "no event matched"
+        elif kind == "present":
+            passed, detail = True, f"matched at seq_no {hit.seq_no}"
+        else:
+            passed, detail = False, f"unexpected match at seq_no {hit.seq_no}"
+    elif kind == "ordered":
         start = 0
-        for i, where in enumerate(predicate["sequence"]):
-            hit = _find(trace, where, start)
+        for i, clause in enumerate(clauses):
+            hit = _find(trace, clause, start)
             if hit is None:
-                return AssertOutcome(
-                    False, f"element {i} not found after seq_no {start - 1}"
-                )
+                passed, detail = False, f"element {i} not found after seq_no {start - 1}"
+                break
             start = hit.seq_no + 1
-        return AssertOutcome(True, f"sequence complete by seq_no {start - 1}")
-
-    if kind == "absent_after":
-        anchor = _find(trace, predicate["anchor"])
+        else:
+            passed, detail = True, f"sequence complete by seq_no {start - 1}"
+    elif kind == "absent_after":
+        anchor = _find(trace, clauses[0])
         if anchor is None:
-            return AssertOutcome(True, "anchor never occurred (vacuous)")
-        hit = _find(trace, predicate["where"], anchor.seq_no + 1)
-        if hit:
-            return AssertOutcome(
-                False,
-                f"match at seq_no {hit.seq_no} after anchor at {anchor.seq_no}",
-            )
-        return AssertOutcome(True, f"nothing after anchor at seq_no {anchor.seq_no}")
-
-    # field_equals
-    fname, value = predicate["field"], predicate["value"]
-    hit = _find(trace, predicate["where"])
-    if hit is None:
-        return AssertOutcome(False, "no event matched the where clause")
-    actual = hit.event.get(fname)
-    if actual == value:
-        return AssertOutcome(True, f"field {fname} matches at seq_no {hit.seq_no}")
-    return AssertOutcome(
-        False, f"field {fname} is {actual!r} at seq_no {hit.seq_no}, wanted {value!r}"
-    )
+            passed, detail = True, "anchor never occurred (vacuous)"
+        else:
+            hit = _find(trace, clauses[1], anchor.seq_no + 1)
+            if hit is None:
+                passed, detail = True, f"nothing after anchor at seq_no {anchor.seq_no}"
+            else:
+                passed = False
+                detail = f"match at seq_no {hit.seq_no} after anchor at {anchor.seq_no}"
+    else:  # field_equals
+        hit = _find(trace, clauses[0])
+        if hit is None:
+            passed, detail = False, "no event matched the where clause"
+        else:
+            actual = hit.event.get(fname)
+            if actual == value:
+                passed, detail = True, f"field {fname} matches at seq_no {hit.seq_no}"
+            else:
+                passed = False
+                detail = f"field {fname} is {actual!r} at seq_no {hit.seq_no}, wanted {value!r}"
+    return _tuple_new(AssertOutcome, (passed, detail))
 
 
 # --- engine --------------------------------------------------------------
@@ -508,7 +549,7 @@ class ScenarioEngine:
             master = spec.master or provision_rng.randbytes(cs.KEY_LEN)
             _, sim_state = self.home.provision(spec.imsi, spec.mode, master)
             sim = SimCard(sim_state, rng=_RoleRandom(f"{seed}/sim/{spec.imsi}"))
-            profile = config.me_profiles.get(spec.imsi, MeProfile())
+            profile = config.me_profiles.get(spec.imsi, _DEFAULT_PROFILE)
             me = MobileEquipment(profile, sim, tracer=trace)
             me.power_on()
             self.ues[spec.imsi] = me
@@ -545,7 +586,7 @@ class ScenarioEngine:
         return result
 
     def _execute(self, index: int, step: ScenarioStep, result: ScenarioResult):
-        kind, params, plaintext = step
+        kind, params, plaintext, predicate = step
         if kind is _ATTACH:
             self.ues[params["imsi"]].attach(self.serving.name)
         elif kind is _REQUEST_TRIPLES:
@@ -566,21 +607,10 @@ class ScenarioEngine:
             report = self._run_attack(params["victim"])
             result.attack_reports.append(report)
         elif kind is _ASSERT:
-            outcome = assert_trace(self.tracer.events, params["predicate"])
-            self.trace(
-                "engine",
-                msg="ASSERT_RESULT",
-                step=index,
-                passed=outcome.passed,
-                detail=outcome.detail,
-            )
+            passed, detail = assert_trace(self.tracer.events, predicate)
+            self.trace("engine", msg="ASSERT_RESULT", step=index, passed=passed, detail=detail)
             result.assert_results.append(
-                AssertResult(
-                    step_index=index,
-                    passed=outcome.passed,
-                    detail=outcome.detail,
-                    predicate=params["predicate"],
-                )
+                _tuple_new(AssertResult, (index, passed, detail, params["predicate"]))
             )
         else:  # pragma: no cover - StepKind is closed
             raise ConfigError(f"unhandled step kind {kind}")

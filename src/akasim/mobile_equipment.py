@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import crypto_suite as cs
+from .crypto_suite import _tuple_new
 from .errors import ProtocolOrderError
 from .sim_card import (
     ChannelStatusResult,
@@ -104,7 +105,7 @@ class MobileEquipment:
         # the phone is on exactly while its card has a power session
         if self.sim.state.initialized:
             raise ProtocolOrderError("ME already powered on")
-        profile = TerminalProfile(class_e=self.profile.class_e_supported)
+        profile = _tuple_new(TerminalProfile, (self.profile.class_e_supported,))
         self.sim.init(profile)
         self.trace(self.name, msg="TERMINAL_PROFILE", class_e=profile.class_e)
 
@@ -164,7 +165,7 @@ class MobileEquipment:
         if response.status is _NORMAL:
             self.session.kc = response.kc
             self._send_sres(response.sres)
-            return Responded(sres=response.sres)
+            return _tuple_new(Responded, (response.sres,))
 
         # '91' status: the card wants something before this goes further
         if self.profile.leaky:
@@ -172,7 +173,7 @@ class MobileEquipment:
         closed = self._run_fetch_loop()
         self.detach()
         self.trace(self.name, msg="CONNECTION_DROPPED", closed_channels=list(closed))
-        return ConnectionDropped(closed_channels=closed)
+        return _tuple_new(ConnectionDropped, (closed,))
 
     def _send_sres(self, sres: bytes):
         self.trace(
@@ -192,7 +193,7 @@ class MobileEquipment:
             if command.kind is _GET_CHANNEL_STATUS:
                 channels = tuple(sorted(self.session.channels.open_channels))
                 self.trace(self.name, msg="PROACTIVE_COMMAND", kind=command.kind._value_)
-                result = ChannelStatusResult(channels=channels)
+                result = _tuple_new(ChannelStatusResult, (channels,))
                 status = self.sim.terminal_response(result)
                 self.trace(
                     self.name,
@@ -210,7 +211,7 @@ class MobileEquipment:
                 )
                 closed = self.session.channels.close(command.channel_ids)
                 closed_total += closed
-                result = CloseChannelResult(success=bool(closed))
+                result = _tuple_new(CloseChannelResult, (bool(closed),))
                 status = self.sim.terminal_response(result)
                 self.trace(
                     self.name,

@@ -124,7 +124,8 @@ class HomeNetwork:
                 sqn_last=triples[-1].sqn_hint,
             )
         else:
-            rands = b"".join([self.rng.randbytes(cs.RAND_LEN) for _ in range(n)])
+            # one draw: the same octets and generator state as n 16-octet draws
+            rands = self.rng.randbytes(cs.RAND_LEN * n)
             triples = auth_core._triples(record.ki, rands, [0] * n)
             self.trace(self.name, msg="TRIPLES_ISSUED", imsi=imsi, n=n)
         return triples

@@ -20,6 +20,7 @@ import random
 from typing import NamedTuple
 
 from . import auth_core, crypto_suite as cs
+from .crypto_suite import _tuple_new
 from .errors import MalformedInputError, ProtocolOrderError
 
 __all__ = [
@@ -80,6 +81,10 @@ class StkCommand(NamedTuple("StkCommand", [("kind", StkKind), ("channel_ids", tu
     def encoded_length(self) -> int:
         # modeled command size: kind octet + length octet + one octet per id
         return 2 + len(self.channel_ids)
+
+
+# GET CHANNEL STATUS names no channel, so one command serves every teardown
+_CHANNEL_STATUS_COMMAND = StkCommand(_GET_CHANNEL_STATUS)
 
 
 class SimStatus(enum.Enum):
@@ -166,7 +171,7 @@ def _power_off(state: SimState) -> None:
 def _pending_command(state: SimState) -> StkCommand | None:
     """The proactive command the teardown phase has armed, if any."""
     if state.teardown_phase is _AWAIT_FETCH_1:
-        return StkCommand(_GET_CHANNEL_STATUS)
+        return _CHANNEL_STATUS_COMMAND
     if state.teardown_phase is _AWAIT_FETCH_2:
         return StkCommand(_CLOSE_CHANNEL, state.teardown_channels)
     return None
@@ -208,24 +213,21 @@ class SimCard:
 
         if st.mode is _LEGACY:
             sres, kc = auth_core.legacy_response(st.ki, rand)
-            return SimResponse(sres, kc, _NORMAL)
+            return _tuple_new(SimResponse, (sres, kc, _NORMAL, None))
 
         outcome = auth_core.verify_hijacked_rand(
             st.ka, st.counter, rand, st.ki, self.rng
         )
         if isinstance(outcome, auth_core.Accepted):
             st.counter = outcome.sqn
-            return SimResponse(outcome.sres, outcome.kc, _NORMAL)
+            return _tuple_new(SimResponse, (outcome.sres, outcome.kc, _NORMAL, None))
 
+        sres, kc = outcome.placeholder_sres, outcome.placeholder_kc
         if st.me_class_e:
             st.teardown_phase = _AWAIT_FETCH_1
-            return SimResponse(
-                outcome.placeholder_sres,
-                outcome.placeholder_kc,
-                _PROACTIVE_PENDING,
-                _pending_command(st).encoded_length(),
-            )
-        return SimResponse(outcome.placeholder_sres, outcome.placeholder_kc, _NORMAL)
+            pending = _CHANNEL_STATUS_COMMAND.encoded_length()
+            return _tuple_new(SimResponse, (sres, kc, _PROACTIVE_PENDING, pending))
+        return _tuple_new(SimResponse, (sres, kc, _NORMAL, None))
 
     def fetch(self) -> StkCommand:
         """Hand the armed proactive command to the phone."""

@@ -293,6 +293,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{key}'" in err
 
+    def test_unknown_predicate_key_usage_error(self, tmp_path, capsys):
+        # the ASSERT would pass without its stray key: the key alone exits 64
+        raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
+        predicate = {"kind": "absent", "where": {"msg": "AUTH_RESULT", "verdict": "REJECTED"}}
+        raw["script"].append({"op": "ASSERT", "predicate": {**predicate, "negate": True}})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'negate'" in err and "Traceback" not in err
+        raw["script"][-1]["predicate"] = predicate
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+
     def test_failing_assert_exit_two(self, tmp_path):
         raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
         raw["script"].append(

@@ -418,6 +418,165 @@ class TestAssertTrace:
             assert_trace(self.trace, predicate)
 
 
+# One fixed trace and what each predicate makes of it, recorded before
+# predicates were compiled at load; the compiled matcher must agree.  Event 2
+# carries an `actor` of its own in the payload.
+SEMANTICS_TRACE = make_trace(
+    ("vlr", "AUTH_CHALLENGE", {"imsi": VICTIM, "rand": "aa"}),
+    ("ue", "SIM_RESPONSE", {"status": "NORMAL"}),
+    ("attacker", "ATTACK_START", {"kind": "BBK_REPLAY", "actor": "vlr"}),
+    ("ue", "SRES_TO_NETWORK", {"sres": "bb"}),
+    ("attacker", "ATTACK_RESULT", {"kind": "BBK_REPLAY", "succeeded": True}),
+    ("ue", "SRES_TO_NETWORK", {"sres": "cc"}),
+    ("vlr", "AUTH_RESULT", {"imsi": VICTIM, "verdict": "AUTHENTICATED"}),
+)
+SEMANTICS = [
+    # a payload key that is missing matches null
+    ('{"kind": "present", "where": {"msg": "SIM_RESPONSE", "pending_length": null}}',
+     True, "matched at seq_no 1"),
+    ('{"kind": "absent", "where": {"msg": "SIM_RESPONSE", "pending_length": null}}',
+     False, "unexpected match at seq_no 1"),
+    # `actor` is the envelope's, whatever the payload holds under that key
+    ('{"kind": "present", "where": {"actor": "vlr", "msg": "ATTACK_START"}}',
+     False, "no event matched"),
+    ('{"kind": "present", "where": {"actor": "attacker", "msg": "ATTACK_START"}}',
+     True, "matched at seq_no 2"),
+    ('{"kind": "present", "where": {"actor": "vlr"}}', True, "matched at seq_no 0"),
+    # ... but `field` reads the payload
+    ('{"kind": "field_equals", "where": {"msg": "ATTACK_START"}, "field": "actor", "value": "vlr"}',
+     True, "field actor matches at seq_no 2"),
+    ('{"kind": "field_equals", "where": {"msg": "AUTH_RESULT"}, "field": "actor", "value": "vlr"}',
+     False, "field actor is None at seq_no 6, wanted 'vlr'"),
+    # an empty where matches the first event
+    ('{"kind": "present", "where": {}}', True, "matched at seq_no 0"),
+    ('{"kind": "absent", "where": {}}', False, "unexpected match at seq_no 0"),
+    # Python equality: 1 and 1.0 match true, "true" does not
+    ('{"kind": "present", "where": {"msg": "ATTACK_RESULT", "succeeded": 1}}',
+     True, "matched at seq_no 4"),
+    ('{"kind": "field_equals", "where": {"msg": "ATTACK_RESULT"}, "field": "succeeded", "value": 1}',
+     True, "field succeeded matches at seq_no 4"),
+    ('{"kind": "field_equals", "where": {"msg": "ATTACK_RESULT"}, "field": "succeeded", "value": 1.0}',
+     True, "field succeeded matches at seq_no 4"),
+    ('{"kind": "field_equals", "where": {"msg": "ATTACK_RESULT"}, "field": "succeeded", "value": "true"}',
+     False, "field succeeded is True at seq_no 4, wanted 'true'"),
+    # ordered with repeated clauses: each element starts after the last hit
+    ('{"kind": "ordered", "sequence": [{"msg": "SRES_TO_NETWORK"}, {"msg": "SRES_TO_NETWORK"}]}',
+     True, "sequence complete by seq_no 5"),
+    ('{"kind": "ordered", "sequence": [{"msg": "SRES_TO_NETWORK"}, {"msg": "SRES_TO_NETWORK"},'
+     ' {"msg": "SRES_TO_NETWORK"}]}',
+     False, "element 2 not found after seq_no 5"),
+    ('{"kind": "ordered", "sequence": [{"msg": "AUTH_RESULT"}, {"msg": "AUTH_RESULT"}]}',
+     False, "element 1 not found after seq_no 6"),
+    ('{"kind": "ordered", "sequence": [{}, {}, {}, {}, {}, {}, {}]}',
+     True, "sequence complete by seq_no 6"),
+    ('{"kind": "ordered", "sequence": [{}, {}, {}, {}, {}, {}, {}, {}]}',
+     False, "element 7 not found after seq_no 6"),
+    # absent_after anchored on the last event has nothing left to scan
+    ('{"kind": "absent_after", "anchor": {"msg": "AUTH_RESULT"}, "where": {}}',
+     True, "nothing after anchor at seq_no 6"),
+    ('{"kind": "absent_after", "anchor": {"actor": "vlr", "msg": "AUTH_RESULT"}, "where": {"actor": "vlr"}}',
+     True, "nothing after anchor at seq_no 6"),
+    ('{"kind": "absent_after", "anchor": {"msg": "AUTH_CHALLENGE"}, "where": {"actor": "vlr"}}',
+     False, "match at seq_no 6 after anchor at 0"),
+    ('{"kind": "absent_after", "anchor": {"msg": "NO_SUCH"}, "where": {}}',
+     True, "anchor never occurred (vacuous)"),
+    # field_equals on a missing field reads None
+    ('{"kind": "field_equals", "where": {"msg": "AUTH_RESULT"}, "field": "reason", "value": "MAC_MISMATCH"}',
+     False, "field reason is None at seq_no 6, wanted 'MAC_MISMATCH'"),
+    ('{"kind": "field_equals", "where": {"msg": "AUTH_RESULT"}, "field": "reason", "value": null}',
+     True, "field reason matches at seq_no 6"),
+    ('{"kind": "field_equals", "where": {"msg": "NO_SUCH"}, "field": "x", "value": null}',
+     False, "no event matched the where clause"),
+]
+
+
+class TestPredicateSemantics:
+    @pytest.mark.parametrize("text, passed, detail", SEMANTICS)
+    def test_dict_predicate(self, text, passed, detail):
+        assert assert_trace(SEMANTICS_TRACE, json.loads(text)) == (passed, detail)
+
+    @pytest.mark.parametrize("text, passed, detail", SEMANTICS)
+    def test_predicate_loaded_in_a_config(self, text, passed, detail):
+        raw = base_config(script=[{"op": "ASSERT", "predicate": json.loads(text)}])
+        (step,) = ScenarioConfig.from_dict(raw).script
+        assert step.params == {"predicate": json.loads(text)}
+        assert assert_trace(SEMANTICS_TRACE, step.predicate) == (passed, detail)
+
+
+class TestPredicateCompile:
+    def test_only_assert_steps_carry_a_predicate(self):
+        script = [
+            {"op": "ATTACH", "imsi": VICTIM},
+            {"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "00"},
+            {"op": "ASSERT", "predicate": {"kind": "present", "where": {"actor": "vlr", "msg": "X"}}},
+        ]
+        steps = ScenarioConfig.from_dict(base_config(script=script)).script
+        assert [step.predicate for step in steps[:2]] == [None, None]
+        assert steps[2].predicate == ("present", (("vlr", (("msg", "X"),)),), None, None)
+
+    def test_a_clause_naming_no_actor_compiles_to_any_actor(self):
+        compiled = harness._compile_predicate(
+            {"kind": "absent_after", "anchor": {"msg": "A"}, "where": {"msg": "B", "n": 1}}
+        )
+        assert compiled == (
+            "absent_after",
+            ((harness._ANY_ACTOR, (("msg", "A"),)), (harness._ANY_ACTOR, (("msg", "B"), ("n", 1)))),
+            None,
+            None,
+        )
+
+    def test_loading_and_running_compiles_each_predicate_once(self, monkeypatch):
+        compiled = []
+        compile_predicate = harness._compile_predicate
+
+        def spy(predicate):
+            compiled.append(predicate)
+            return compile_predicate(predicate)
+
+        monkeypatch.setattr(harness, "_compile_predicate", spy)
+        for path in sorted(CONFIGS.glob("*.json")):
+            compiled.clear()
+            config = ScenarioConfig.loads(path.read_text())
+            result = run_scenario(config)
+            predicates = [step.params["predicate"] for step in config.script if step.predicate]
+            assert len(predicates) == len(result.assert_results) >= 2
+            assert compiled == predicates, path.name
+            assert [r.predicate for r in result.assert_results] == predicates
+
+    @pytest.mark.parametrize(
+        "predicate, key",
+        [
+            ({"kind": "present", "where": {}, "field": "x"}, "field"),
+            ({"kind": "absent", "where": {}, "anchor": {}}, "anchor"),
+            ({"kind": "ordered", "sequence": [{}], "where": {}}, "where"),
+            ({"kind": "absent_after", "anchor": {}, "where": {}, "sequence": [{}]}, "sequence"),
+            ({"kind": "field_equals", "where": {}, "field": "x", "value": 1, "vaule": 1}, "vaule"),
+        ],
+    )
+    def test_predicate_keys_are_closed(self, predicate, key):
+        message = rf"unknown keys in predicate '{predicate['kind']}': \['{key}'\]"
+        with pytest.raises(ConfigError, match=message):
+            assert_trace(SEMANTICS_TRACE, predicate)
+        raw = base_config(script=[{"op": "ASSERT", "predicate": predicate}])
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            ({"subscribers": [{"imsi": VICTIM, "mode": "LEGAC"}]}, "'LEGAC' is not a valid SimMode"),
+            ({"subscribers": [{"imsi": VICTIM, "mode": ["LEGACY"]}]}, r"\['LEGACY'\] is not a valid SimMode"),
+            ({"network_policy": {"consumption_policy": "SHUFFLE"}}, "'SHUFFLE' is not a valid ConsumptionPolicy"),
+            ({"network_policy": {"cipher": "A5_4"}}, "'A5_4' is not a valid CipherAlgId"),
+            ({"attacker": {"kind": {}}}, r"\{\} is not a valid AttackKind"),
+            ({"attacker": {"kind": "BBK_REPLAY", "rand_source": 1}}, "1 is not a valid RandSource"),
+        ],
+    )
+    def test_unknown_enum_values_keep_the_enum_error(self, mutation, message):
+        with pytest.raises(ConfigError, match=f"bad scenario config: {message}"):
+            ScenarioConfig.from_dict(base_config(**mutation))
+
+
 class TestTraceFormat:
     def test_line_shape_and_hex_lowercase(self):
         config = ScenarioConfig.from_dict(base_config())

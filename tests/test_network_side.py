@@ -117,6 +117,21 @@ class TestRequestTriples:
         assert len({t.rand for t in triples}) == 10
         assert all(t.sqn_hint == 0 for t in triples)
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 4096])
+    def test_legacy_batch_is_one_draw_of_n_rands(self, n):
+        auc = home()
+        auc.provision(IMSI, SimMode.LEGACY, MASTER)
+        triples = auc.request_triples(IMSI, n)
+        twin = random.Random(1)
+        assert b"".join(t.rand for t in triples) == b"".join(
+            twin.randbytes(cs.RAND_LEN) for _ in range(n)
+        )
+        assert auc.rng.getstate() == twin.getstate()
+        ki = auc.registry[IMSI].ki
+        assert [(t.xres, t.kc) for t in triples[:4]] == [
+            (oracle.ref_a3(ki, t.rand), oracle.ref_a8(ki, t.rand)) for t in triples[:4]
+        ]
+
     def test_unknown_imsi(self):
         with pytest.raises(UnknownSubscriberError):
             home().request_triples(IMSI, 1)
