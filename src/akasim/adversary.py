@@ -69,16 +69,15 @@ class LoggedFrame(NamedTuple):
 
 
 class LoggedExchange:
-    __slots__ = ("rand", "sres", "frames")
+    __slots__ = ("rand", "frames")
 
     def __init__(self, rand: bytes):
         self.rand = rand
-        self.sres: bytes | None = None
         self.frames: list[LoggedFrame] = []
 
 
 class InterceptLog:
-    """Append-only record of everything overheard on the air interface."""
+    """Append-only record of the challenges and frames overheard on the air."""
 
     __slots__ = ("records",)
 
@@ -89,10 +88,6 @@ class InterceptLog:
         record = LoggedExchange(rand=rand)
         self.records.append(record)
         return record
-
-    def note_sres(self, sres: bytes):
-        if self.records:
-            self.records[-1].sres = sres
 
     def note_frame(self, frame_index: int, alg: cs.CipherAlgId, ciphertext: bytes):
         # checked once here: bbk_attack decrypts on the trusted keystream core

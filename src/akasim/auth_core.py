@@ -59,16 +59,12 @@ def check_amf16(value: int) -> int:
 
 
 class AuthTriple(NamedTuple):
-    """(RAND, XRES, Kc) as delivered from home to serving network.
-
-    sqn_hint is the home-network ordering key; it never crosses the wire
-    (legacy triples carry 0).
-    """
+    """(RAND, XRES, Kc) as delivered from home to serving network; an
+    enhanced triple's sequence number travels only inside its RAND."""
 
     rand: bytes
     xres: bytes
     kc: bytes
-    sqn_hint: int = 0
 
 
 class RejectReason(enum.Enum):
@@ -247,17 +243,17 @@ def generate_triples(
         )
     ki, ka = cs._key(ki, "ki"), cs._key(ka, "ka")
     rands = _build_rands(ka, amf, counter + 1, n)
-    return _triples(ki, rands, range(counter + 1, counter + n + 1)), counter + n
+    return _triples(ki, rands), counter + n
 
 
-def _triples(ki: cs.Key128, rands: bytes, sqn_hints) -> list[AuthTriple]:
-    """One triple per 16-octet RAND and sqn hint, all answered by one A3/A8 call."""
+def _triples(ki: cs.Key128, rands: bytes) -> list[AuthTriple]:
+    """One triple per 16-octet RAND, all answered by one A3/A8 call."""
     xres, kc = cs._a3a8_batch(ki, rands)
     return [
         _tuple_new(
             AuthTriple,
-            (rands[16 * i : 16 * i + 16], xres[8 * i : 8 * i + 8], kc[8 * i : 8 * i + 8], sqn),
+            (rands[16 * i : 16 * i + 16], xres[8 * i : 8 * i + 8], kc[8 * i : 8 * i + 8]),
         )
-        for i, sqn in enumerate(sqn_hints)
+        for i in range(len(rands) // cs.RAND_LEN)
     ]
 

@@ -309,6 +309,9 @@ def _summarize(result: harness.ScenarioResult) -> dict:
                 "kind": r.attack.value,
                 "succeeded": r.succeeded,
                 "recovered_kc": r.recovered_kc.hex() if r.recovered_kc else None,
+                "recovered_plaintext": (
+                    None if r.recovered_plaintext is None else r.recovered_plaintext.hex()
+                ),
                 "failure_cause": r.failure_cause,
             }
             for r in result.attack_reports

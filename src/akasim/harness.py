@@ -301,8 +301,12 @@ class ScenarioConfig(NamedTuple):
             raise ConfigError(f"step {idx} ({kind.value}) needs an imsi/victim")
         if step_imsi not in known_imsis:
             raise ConfigError(f"step {idx} references unknown imsi {step_imsi}")
-        if kind is _RUN_ATTACK and attacker is None:
-            raise ConfigError(f"step {idx} runs an attack but none is configured")
+        if kind is _RUN_ATTACK:
+            if attacker is None:
+                raise ConfigError(f"step {idx} runs an attack but none is configured")
+            if step_imsi == attacker.imsi:
+                # its genuine relay leg would ride the fake network it captured
+                raise ConfigError(f"step {idx} ({kind.value}): victim {step_imsi} is the attacker")
         if kind is _REQUEST_TRIPLES:
             n = params.get("n", 1)
             if not _is_int(n) or not 1 <= n <= MAX_BATCH:
@@ -436,7 +440,7 @@ def assert_trace(trace: list[TraceEvent], predicate: dict | _Predicate) -> Asser
     """
     if type(predicate) is not _Predicate:
         predicate = _compile_predicate(predicate)
-    kind, clauses, fname, value = predicate
+    kind, clauses, field, value = predicate
 
     if kind == "present" or kind == "absent":
         hit = _find(trace, clauses[0])
@@ -472,12 +476,12 @@ def assert_trace(trace: list[TraceEvent], predicate: dict | _Predicate) -> Asser
         if hit is None:
             passed, detail = False, "no event matched the where clause"
         else:
-            actual = hit.event.get(fname)
+            actual = hit.event.get(field)
             if actual == value:
-                passed, detail = True, f"field {fname} matches at seq_no {hit.seq_no}"
+                passed, detail = True, f"field {field} matches at seq_no {hit.seq_no}"
             else:
                 passed = False
-                detail = f"field {fname} is {actual!r} at seq_no {hit.seq_no}, wanted {value!r}"
+                detail = f"field {field} is {actual!r} at seq_no {hit.seq_no}, wanted {value!r}"
     return _tuple_new(AssertOutcome, (passed, detail))
 
 
@@ -488,18 +492,20 @@ class AssertResult(NamedTuple):
     step_index: int
     passed: bool
     detail: str
-    predicate: dict
 
 
 class ScenarioResult:
-    __slots__ = ("trace", "attack_reports", "assert_results", "aborted", "error")
+    __slots__ = ("trace", "attack_reports", "assert_results", "error")
 
     def __init__(self, trace: list[TraceEvent]):
         self.trace = trace
         self.attack_reports: list[AttackReport] = []
         self.assert_results: list[AssertResult] = []
-        self.aborted = False
         self.error: str | None = None
+
+    @property
+    def aborted(self) -> bool:
+        return self.error is not None
 
     @property
     def all_asserts_passed(self) -> bool:
@@ -547,7 +553,7 @@ class ScenarioEngine:
         self.ues: dict[str, MobileEquipment] = {}
         for spec in config.subscribers:
             master = spec.master or provision_rng.randbytes(cs.KEY_LEN)
-            _, sim_state = self.home.provision(spec.imsi, spec.mode, master)
+            sim_state = self.home.provision(spec.imsi, spec.mode, master)
             sim = SimCard(sim_state, rng=_RoleRandom(f"{seed}/sim/{spec.imsi}"))
             profile = config.me_profiles.get(spec.imsi, _DEFAULT_PROFILE)
             me = MobileEquipment(profile, sim, tracer=trace)
@@ -580,7 +586,6 @@ class ScenarioEngine:
                 self.trace(
                     "engine", msg="ABORT", step=index, error=f"{type(exc).__name__}: {exc}"
                 )
-                result.aborted = True
                 result.error = f"step {index} ({step.kind.value}): {exc}"
                 break
         return result
@@ -609,9 +614,7 @@ class ScenarioEngine:
         elif kind is _ASSERT:
             passed, detail = assert_trace(self.tracer.events, predicate)
             self.trace("engine", msg="ASSERT_RESULT", step=index, passed=passed, detail=detail)
-            result.assert_results.append(
-                _tuple_new(AssertResult, (index, passed, detail, params["predicate"]))
-            )
+            result.assert_results.append(_tuple_new(AssertResult, (index, passed, detail)))
         else:  # pragma: no cover - StepKind is closed
             raise ConfigError(f"unhandled step kind {kind}")
 
@@ -623,8 +626,6 @@ class ScenarioEngine:
             log.start_exchange(rand)
         outcome = me.handle_challenge(rand)
         if isinstance(outcome, Responded):
-            if log is not None:
-                log.note_sres(outcome.sres)
             if self.serving.verify(imsi, outcome.sres) is _AUTHENTICATED:
                 me.apply_cipher(self.serving.select_cipher())
 

@@ -83,10 +83,15 @@ class Responded(NamedTuple):
 
 
 class ConnectionDropped(NamedTuple):
-    closed_channels: tuple[int, ...]
+    """The card tore the session down; the channels it closed are on the
+    wire, in the CONNECTION_DROPPED event."""
 
 
 ChallengeOutcome = Responded | ConnectionDropped
+
+# neither outcome carries a value, so one of each serves every teardown
+_CONNECTION_DROPPED = ConnectionDropped()
+_CLOSE_CHANNEL_RESULT = CloseChannelResult()
 
 
 class MobileEquipment:
@@ -173,7 +178,7 @@ class MobileEquipment:
         closed = self._run_fetch_loop()
         self.detach()
         self.trace(self.name, msg="CONNECTION_DROPPED", closed_channels=list(closed))
-        return _tuple_new(ConnectionDropped, (closed,))
+        return _CONNECTION_DROPPED
 
     def _send_sres(self, sres: bytes):
         self.trace(
@@ -211,8 +216,7 @@ class MobileEquipment:
                 )
                 closed = self.session.channels.close(command.channel_ids)
                 closed_total += closed
-                result = _tuple_new(CloseChannelResult, (bool(closed),))
-                status = self.sim.terminal_response(result)
+                status = self.sim.terminal_response(_CLOSE_CHANNEL_RESULT)
                 self.trace(
                     self.name,
                     msg="TERMINAL_RESPONSE",

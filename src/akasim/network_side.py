@@ -41,15 +41,14 @@ MAX_BATCH = 4096
 
 
 class SubscriberRecord:
-    """AuC-side mirror of one card at provisioning time.
-
-    The record and the provisioned card hold the same key objects.
+    """AuC-side mirror of one card at provisioning time, keyed by its IMSI
+    in the registry.  The record and the provisioned card hold the same key
+    objects.
     """
 
-    __slots__ = ("imsi", "ki", "ka", "counter", "mode")
+    __slots__ = ("ki", "ka", "counter", "mode")
 
-    def __init__(self, imsi: str, ki: Key128, ka: Key128 | None, counter: int, mode: SimMode):
-        self.imsi = imsi
+    def __init__(self, ki: Key128, ka: Key128 | None, counter: int, mode: SimMode):
         self.ki = ki
         self.ka = ka
         self.counter = counter
@@ -83,10 +82,8 @@ class HomeNetwork:
         self.trace = tracer or noop_trace
         self.name = "auc"
 
-    def provision(
-        self, imsi: str, mode: SimMode, master: bytes
-    ) -> tuple[SubscriberRecord, SimState]:
-        """Create matching AuC and card records for a new subscriber."""
+    def provision(self, imsi: str, mode: SimMode, master: bytes) -> SimState:
+        """Register a new subscriber and return the state of its card."""
         check_imsi(imsi)
         if imsi in self.registry:
             raise ProvisioningError(f"imsi {imsi} already provisioned")
@@ -95,11 +92,10 @@ class HomeNetwork:
             ka = None
         # the card state checks the mode, so a refused call leaves no record
         sim_state = SimState(imsi=imsi, ki=ki, ka=ka, counter=0, mode=mode)
-        record = SubscriberRecord(imsi=imsi, ki=ki, ka=ka, counter=0, mode=mode)
-        self.registry[imsi] = record
+        self.registry[imsi] = SubscriberRecord(ki=ki, ka=ka, counter=0, mode=mode)
         # `_value_` is the attribute behind the Python-level `.value` property
         self.trace(self.name, msg="PROVISION", imsi=imsi, mode=mode._value_)
-        return record, sim_state
+        return sim_state
 
     def request_triples(self, imsi: str, n: int, amf: int = 0) -> list[AuthTriple]:
         """Issue a batch of n triples for the subscriber."""
@@ -112,6 +108,7 @@ class HomeNetwork:
         auth_core.check_amf16(amf)
         record = self.registry[imsi]
         if record.mode is _ENHANCED:
+            sqn_first = record.counter + 1
             triples, record.counter = auth_core.generate_triples(
                 record.ki, record.ka, record.counter, amf, n
             )
@@ -120,13 +117,13 @@ class HomeNetwork:
                 msg="TRIPLES_ISSUED",
                 imsi=imsi,
                 n=n,
-                sqn_first=triples[0].sqn_hint,
-                sqn_last=triples[-1].sqn_hint,
+                sqn_first=sqn_first,
+                sqn_last=record.counter,
             )
         else:
             # one draw: the same octets and generator state as n 16-octet draws
             rands = self.rng.randbytes(cs.RAND_LEN * n)
-            triples = auth_core._triples(record.ki, rands, [0] * n)
+            triples = auth_core._triples(record.ki, rands)
             self.trace(self.name, msg="TRIPLES_ISSUED", imsi=imsi, n=n)
         return triples
 

@@ -119,7 +119,8 @@ class ChannelStatusResult(NamedTuple):
 
 
 class CloseChannelResult(NamedTuple):
-    success: bool = True
+    """The phone ran CLOSE CHANNEL; what it closed is on the wire, in its
+    TERMINAL_RESPONSE event, and the card moves on whatever it was."""
 
 
 TerminalResponse = ChannelStatusResult | CloseChannelResult
@@ -261,8 +262,8 @@ class SimCard:
         if st.teardown_phase is _AWAIT_CLOSE_RESULT:
             if not isinstance(result, CloseChannelResult):
                 raise ProtocolOrderError("expected close-channel result")
-            # back to IDLE whatever the result code; the phone ignoring the
-            # close is visible in the trace, not in card state
+            # back to IDLE: the phone ignoring the close is visible in the
+            # trace, not in card state
             st.teardown_phase = _IDLE
             st.teardown_channels = ()
             return _NORMAL

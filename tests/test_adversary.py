@@ -45,8 +45,7 @@ def eavesdrop_honest_exchange(victim, attacker, alg=cs.CipherAlgId.A5_3):
         rand = random.Random(33).randbytes(16)
     victim.attach("vlr")
     attacker.log.start_exchange(rand)
-    outcome = victim.handle_challenge(rand)
-    attacker.log.note_sres(outcome.sres)
+    victim.handle_challenge(rand)
     victim.apply_cipher(alg)
     ciphertext = victim.send_traffic(SECRET, 0)
     attacker.log.note_frame(0, alg, ciphertext)
@@ -194,12 +193,11 @@ class TestInterceptLog:
     def test_append_only_ordering(self):
         log = InterceptLog()
         log.start_exchange(b"r" * 16)
-        log.note_sres(b"s" * 8)
         log.note_frame(0, cs.CipherAlgId.A5_3, b"c1")
         log.start_exchange(b"q" * 16)
         log.note_frame(1, cs.CipherAlgId.A5_1, b"c2")
         assert len(log.records) == 2
-        assert log.records[0].sres == b"s" * 8
+        assert [f.ciphertext for f in log.records[0].frames] == [b"c1"]
         assert log.records[1].frames[0].frame_index == 1
 
     def test_latest_with_strong_frames_skips_weak_only(self):

@@ -158,9 +158,9 @@ class TestLegacyResponse:
 
 
 class TestGenerateTriples:
-    def test_sqn_hints_and_counter(self):
+    def test_sqns_and_counter(self):
         triples, new_counter = ac.generate_triples(KI, KA, 10, 0, 3)
-        assert [t.sqn_hint for t in triples] == [11, 12, 13]
+        assert [t.rand for t in triples] == [oracle.ref_build_rand(KA, 0, sqn) for sqn in (11, 12, 13)]
         assert new_counter == 13
 
     def test_xres_kc_per_legacy_rule(self, rng):
@@ -201,9 +201,9 @@ class TestLegacyTriple:
     def test_fixed_rand(self, rng):
         rand = rng.randbytes(16)
         # request_triples answers a legacy batch through this core
-        (triple,) = ac._triples(cs.Key128(KI), rand, [0])
-        assert triple.sqn_hint == 0
-        assert (triple.xres, triple.kc) == (oracle.ref_a3(KI, rand), oracle.ref_a8(KI, rand))
+        (triple,) = ac._triples(cs.Key128(KI), rand)
+        # the triple is the GSM one and nothing more
+        assert triple == (rand, oracle.ref_a3(KI, rand), oracle.ref_a8(KI, rand))
 
     def test_enhanced_and_legacy_agree_on_accepted_rand(self):
         rand = ac.build_hijacked_rand(KA, 0, 21)
@@ -220,7 +220,6 @@ class TestBatchedBuild:
         triples, new_counter = ac.generate_triples(ki, ka, counter, amf, n)
         assert new_counter == counter + n
         for i, t in enumerate(triples, start=1):
-            assert t.sqn_hint == counter + i
             assert t.rand == oracle.ref_build_rand(ka, amf, counter + i)
             assert (t.xres, t.kc) == (oracle.ref_a3(ki, t.rand), oracle.ref_a8(ki, t.rand))
 
@@ -279,10 +278,7 @@ class TestBuilderEdges:
             for i in self._edges(n):
                 rand = rands[16 * i : 16 * i + 16]
                 assert rand == oracle.ref_build_rand(KA, amf, first + i), (n, i)
-                t = triples[i]
-                assert (t.sqn_hint, t.xres, t.kc) == (
-                    first + i, oracle.ref_a3(KI, rand), oracle.ref_a8(KI, rand)
-                ), (n, i)
+                assert triples[i] == (rand, oracle.ref_a3(KI, rand), oracle.ref_a8(KI, rand)), (n, i)
 
     def test_lane_table_never_exceeds_4096_lanes(self, monkeypatch):
         monkeypatch.setattr(ac, "_lane_table", (0, 0, 0))

@@ -307,6 +307,17 @@ class TestRun:
         cfg.write_text(json.dumps(raw))
         assert cli.main(["run", "--config", str(cfg)]) == 0
 
+    def test_attack_on_the_attackers_own_subscription_usage_error(self, tmp_path, capsys):
+        # its genuine relay leg would go out over the network it faked
+        raw = json.loads((CONFIGS / "mitm_enhanced.json").read_text())
+        step = next(step for step in raw["script"] if step["op"] == "RUN_ATTACK")
+        step["victim"] = raw["attacker"]["imsi"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 3 (RUN_ATTACK)") and "Traceback" not in err
+
     def test_failing_assert_exit_two(self, tmp_path):
         raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
         raw["script"].append(
@@ -331,6 +342,27 @@ class TestRun:
         summary = json.loads(capsys.readouterr().out)
         assert summary["all_asserts_passed"] is True
         assert summary["attacks"][0]["succeeded"] is True
+
+    @pytest.mark.parametrize(
+        "name, msg",
+        [
+            ("bbk_legacy", "LOG_DECRYPTED"),
+            ("mitm_legacy", "PLAINTEXT_OBSERVED"),
+            ("bbk_enhanced", None),
+            ("mitm_enhanced", None),
+        ],
+    )
+    def test_summary_json_recovered_plaintext_is_the_traced_one(self, tmp_path, capsys, name, msg):
+        trace = tmp_path / "t.trace"
+        argv = ["run", "--config", str(CONFIGS / f"{name}.json"), "--trace-out", str(trace)]
+        assert cli.main(argv + ["--summary-json"]) == 0
+        (attack,) = json.loads(capsys.readouterr().out)["attacks"]
+        if msg is None:
+            assert attack["recovered_plaintext"] is None
+        else:
+            events = [json.loads(line)["event"] for line in trace.read_text().splitlines()]
+            traced = [event["plaintext"] for event in events if event["msg"] == msg]
+            assert [attack["recovered_plaintext"]] == traced
 
 
 class TestVerifyTrace:

@@ -1,4 +1,5 @@
-"""No function or method in src/akasim that nothing in the package calls.
+"""No function or method in src/akasim that nothing in the package calls,
+and no stored field that nothing in the package reads.
 
 A module-level function or a class method is dead when its name appears
 nowhere else in src/akasim, as a name, an attribute or an import, and the
@@ -8,6 +9,12 @@ somewhere in the package (a NamedTuple field, a `__slots__` entry or a
 since a bare read `obj.name` may be that attribute; a `@property` counts on
 any read.  Names in a module's `__all__` strings do not count as uses: only
 `akasim.__all__` is the public surface.
+
+A NamedTuple field or a `__slots__` entry is unread when no attribute load
+of its name, no `getattr` string and no tuple unpacking whose targets are
+exactly its class's fields, in order, appears anywhere in src/akasim, and
+the package does not export its class.  Like the function rule, this one
+matches by name: a read of a same-named field of another class counts.
 """
 
 import ast
@@ -57,17 +64,29 @@ def _calls(tree):
             yield node.func.attr
 
 
-def _data_attributes(tree):
-    """NamedTuple fields, `__slots__` entries and `self.x =` targets."""
+def _fields(tree):
+    """(class name, field names) of every NamedTuple, in class or functional
+    form, and of every class body that assigns `__slots__`."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and "NamedTuple" in map(_name, node.bases):
-            yield from (stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign))
+        if isinstance(node, ast.ClassDef):
+            if "NamedTuple" in map(_name, node.bases):
+                yield node.name, tuple(
+                    stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                )
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and "__slots__" in map(_name, stmt.targets):
+                    yield node.name, tuple(entry.value for entry in getattr(stmt.value, "elts", ()))
         elif isinstance(node, ast.Call) and _name(node.func) == "NamedTuple" and len(node.args) > 1:
             # NamedTuple("Name", [("field", type), ...])
-            yield from (field.elts[0].value for field in node.args[1].elts)
-        elif isinstance(node, ast.Assign) and "__slots__" in map(_name, node.targets):
-            yield from (entry.value for entry in getattr(node.value, "elts", ()))
-        elif (
+            yield node.args[0].value, tuple(field.elts[0].value for field in node.args[1].elts)
+
+
+def _data_attributes(tree):
+    """NamedTuple fields, `__slots__` entries and `self.x =` targets."""
+    for _, fields in _fields(tree):
+        yield from fields
+    for node in ast.walk(tree):
+        if (
             isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Store)
             and _name(node.value) == "self"
@@ -92,9 +111,49 @@ def dead_names(sources, exported=()) -> list[str]:
     return dead
 
 
+def _reads(tree):
+    """Every attribute name the module loads or hands to `getattr` as a
+    string, and the target names of every tuple unpacking, as a tuple."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (
+            isinstance(node, ast.Call)
+            and _name(node.func) == "getattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.args[1].value
+        elif (
+            isinstance(node, ast.Tuple)
+            and isinstance(node.ctx, ast.Store)
+            and all(isinstance(target, ast.Name) for target in node.elts)
+        ):
+            yield tuple(target.id for target in node.elts)
+
+
+def unread_fields(sources, exported=()) -> list[str]:
+    """`Class.field` for each field in `sources` that nothing reads."""
+    trees = [ast.parse(source) for source in sources]
+    reads = {read for tree in trees for read in _reads(tree)}
+    unread = []
+    for tree in trees:
+        for cls, fields in _fields(tree):
+            if cls not in exported and fields not in reads:
+                unread.extend(f"{cls}.{field}" for field in fields if field not in reads)
+    return unread
+
+
+def _package_sources():
+    return [path.read_text() for path in sorted(SRC.glob("*.py"))]
+
+
 def test_every_function_has_a_caller_in_the_package():
-    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
-    assert dead_names(sources, akasim.__all__) == []
+    assert dead_names(_package_sources(), akasim.__all__) == []
+
+
+def test_every_field_has_a_reader_in_the_package():
+    assert unread_fields(_package_sources(), akasim.__all__) == []
 
 
 _FIELD = "class B(NamedTuple):\n    pending_length: int\n\nx = B(1).pending_length\n"
@@ -127,3 +186,38 @@ def test_dead_names_finds(sources, dead):
 
 def test_exported_names_are_not_dead():
     assert dead_names(["def f():\n    pass\n"], exported=["f"]) == []
+
+
+_PAIR = "class P(NamedTuple):\n    a: int\n    b: int\n"
+
+
+@pytest.mark.parametrize(
+    "sources, unread",
+    [
+        # a class field is flagged; writing it is not reading it
+        ([_PAIR], ["P.a", "P.b"]),
+        ([_PAIR, "p = P(1, 2)\np.a = 3\n"], ["P.a", "P.b"]),
+        # an attribute read clears that field only
+        ([_PAIR, "x = p.a\n"], ["P.b"]),
+        # an unpacking clears every field only when its targets are the fields, in order
+        ([_PAIR, "a, b = p\n"], []),
+        ([_PAIR, "for a, b in ps:\n    pass\n"], []),
+        ([_PAIR, "a, c = p\n"], ["P.a", "P.b"]),
+        ([_PAIR, "b, a = p\n"], ["P.a", "P.b"]),
+        # a getattr string clears it
+        ([_PAIR, "x = getattr(p, 'b')\n"], ["P.a"]),
+        # the functional form, alone and as a base class
+        (["P = NamedTuple('P', [('a', int)])\n"], ["P.a"]),
+        (["class S(NamedTuple('S', [('a', int)])):\n    __slots__ = ()\n"], ["S.a"]),
+        (["class S(NamedTuple('S', [('a', int)])):\n    __slots__ = ()\n", "x = s.a\n"], []),
+        # a __slots__ entry is flagged, and cleared by a read
+        (["class C:\n    __slots__ = ('a', 'b')\n"], ["C.a", "C.b"]),
+        (["class C:\n    __slots__ = ('a', 'b')\n", "x = c.a + c.b\n"], []),
+    ],
+)
+def test_unread_fields_finds(sources, unread):
+    assert unread_fields(sources) == unread
+
+
+def test_exported_classes_are_exempt():
+    assert unread_fields([_PAIR, "class C:\n    __slots__ = ('a',)\n"], exported=["P", "C"]) == []

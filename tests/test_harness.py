@@ -120,6 +120,8 @@ class TestConfigValidation:
             {"script": [{"imsi": VICTIM}]},
             {"script": [{"op": "JUMP", "imsi": VICTIM}]},
             {"script": [{"op": ["ATTACH"], "imsi": VICTIM}]},
+            # an attack whose victim is the attacker's own subscription
+            {"attacker": {"kind": "BBK_REPLAY", "imsi": VICTIM}, "script": [{"op": "RUN_ATTACK", "victim": VICTIM}]},
         ],
     )
     def test_rejections(self, mutation):
@@ -541,7 +543,8 @@ class TestPredicateCompile:
             predicates = [step.params["predicate"] for step in config.script if step.predicate]
             assert len(predicates) == len(result.assert_results) >= 2
             assert compiled == predicates, path.name
-            assert [r.predicate for r in result.assert_results] == predicates
+            # each result names the step, and so the predicate, it answers
+            assert [config.script[r.step_index].params["predicate"] for r in result.assert_results] == predicates
 
     @pytest.mark.parametrize(
         "predicate, key",

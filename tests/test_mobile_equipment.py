@@ -60,7 +60,8 @@ class TestChallenge:
         me.handle_challenge(rand)
         outcome = me.handle_challenge(rand)
         assert isinstance(outcome, ConnectionDropped)
-        assert outcome.closed_channels == (1,)
+        (dropped,) = [fields for _, msg, fields in log.events if msg == "CONNECTION_DROPPED"]
+        assert dropped == {"closed_channels": [1]}
         assert me.session.channels.open_channels == set()
         assert me.session.attached_network is None
         # the dropped exchange must not transmit its response

@@ -50,7 +50,8 @@ class TestImsi:
 class TestProvision:
     def test_record_mirrors_sim(self):
         auc = home()
-        record, sim_state = auc.provision(IMSI, SimMode.ENHANCED, MASTER)
+        sim_state = auc.provision(IMSI, SimMode.ENHANCED, MASTER)
+        record = auc.registry[IMSI]
         assert record.ki == sim_state.ki
         assert record.ka == sim_state.ka
         assert record.counter == sim_state.counter == 0
@@ -58,7 +59,9 @@ class TestProvision:
         assert (record.ki, record.ka) == (ki, ka)
 
     def test_record_and_card_share_key_objects(self):
-        record, sim_state = home().provision(IMSI, SimMode.ENHANCED, MASTER)
+        auc = home()
+        sim_state = auc.provision(IMSI, SimMode.ENHANCED, MASTER)
+        record = auc.registry[IMSI]
         assert record.ki is sim_state.ki and record.ka is sim_state.ka
         assert isinstance(record.ki, cs.Key128) and isinstance(record.ka, cs.Key128)
 
@@ -67,8 +70,9 @@ class TestProvision:
             home().provision("٠" * 15, SimMode.ENHANCED, MASTER)
 
     def test_legacy_has_no_ka(self):
-        record, sim_state = home().provision(IMSI, SimMode.LEGACY, MASTER)
-        assert record.ka is None
+        auc = home()
+        sim_state = auc.provision(IMSI, SimMode.LEGACY, MASTER)
+        assert auc.registry[IMSI].ka is None
         assert sim_state.ka is None
 
     def test_duplicate_rejected(self):
@@ -84,8 +88,8 @@ class TestProvision:
         with pytest.raises(MalformedInputError):
             auc.provision(IMSI, mode, bytes(16))
         assert auc.registry == {} and events == []
-        record, _ = auc.provision(IMSI, SimMode.LEGACY, bytes(16))
-        assert auc.registry == {IMSI: record}
+        auc.provision(IMSI, SimMode.LEGACY, bytes(16))
+        assert list(auc.registry) == [IMSI]
 
     def test_provision_then_triples(self):
         auc = home()
@@ -94,28 +98,32 @@ class TestProvision:
 
 
 class TestRequestTriples:
-    def test_enhanced_sqn_hints_advance(self):
+    def test_enhanced_sqns_advance(self):
         auc = home()
         auc.provision(IMSI, SimMode.ENHANCED, MASTER)
+        ka = auc.registry[IMSI].ka
         first = auc.request_triples(IMSI, 2)
-        assert [t.sqn_hint for t in first] == [1, 2]
+        assert [t.rand for t in first] == [oracle.ref_build_rand(ka, 0, sqn) for sqn in (1, 2)]
         second = auc.request_triples(IMSI, 2)
-        assert [t.sqn_hint for t in second] == [3, 4]
+        assert [t.rand for t in second] == [oracle.ref_build_rand(ka, 0, sqn) for sqn in (3, 4)]
         assert auc.registry[IMSI].counter == 4
 
     def test_enhanced_rand_carries_valid_tag(self):
         auc = home()
-        record, _ = auc.provision(IMSI, SimMode.ENHANCED, MASTER)
-        for triple in auc.request_triples(IMSI, 5):
-            msg = (0).to_bytes(2, "big") + triple.sqn_hint.to_bytes(6, "big")
-            assert triple.rand[8:] == oracle.ref_f1(record.ka, msg)
+        auc.provision(IMSI, SimMode.ENHANCED, MASTER)
+        ka = auc.registry[IMSI].ka
+        for sqn, triple in enumerate(auc.request_triples(IMSI, 5), start=1):
+            msg = (0).to_bytes(2, "big") + sqn.to_bytes(6, "big")
+            assert triple.rand[8:] == oracle.ref_f1(ka, msg)
+            assert triple.rand == oracle.ref_build_rand(ka, 0, sqn)
 
     def test_legacy_rands_random_and_distinct(self):
         auc = home()
         auc.provision(IMSI, SimMode.LEGACY, MASTER)
         triples = auc.request_triples(IMSI, 10)
         assert len({t.rand for t in triples}) == 10
-        assert all(t.sqn_hint == 0 for t in triples)
+        # the GSM triple and nothing more
+        assert {t._fields for t in triples} == {("rand", "xres", "kc")}
 
     @pytest.mark.parametrize("n", [1, 2, 4, 4096])
     def test_legacy_batch_is_one_draw_of_n_rands(self, n):
@@ -157,13 +165,13 @@ def hand_built_triples(n, seed=9):
 class TestVlrChallenge:
     def test_in_order_ascending(self):
         auc = home()
-        record, _ = auc.provision(IMSI, SimMode.ENHANCED, MASTER)
+        auc.provision(IMSI, SimMode.ENHANCED, MASTER)
         serving = vlr()
         serving.add_triples(IMSI, auc.request_triples(IMSI, 3))
         hints = []
         for _ in range(3):
             rand = serving.challenge(IMSI)
-            hints.append(oracle.ref_sqn(record.ka, rand))
+            hints.append(oracle.ref_sqn(auc.registry[IMSI].ka, rand))
         assert hints == sorted(hints) == [1, 2, 3]
 
     def test_reuse_reissues_identical_rand(self):

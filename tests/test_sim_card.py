@@ -171,17 +171,19 @@ class TestTeardownChoreography:
         assert second.kind is StkKind.CLOSE_CHANNEL
         assert second.channel_ids == (1, 2)
 
-        status = card.terminal_response(CloseChannelResult(success=True))
+        status = card.terminal_response(CloseChannelResult())
         assert status is SimStatus.NORMAL
         assert card.state.teardown_phase is TeardownPhase.IDLE
 
-    def test_close_result_code_irrelevant_to_state(self):
+    def test_close_result_carries_no_code(self):
+        # what the phone closed is on the wire; the card moves on regardless
+        assert CloseChannelResult() == ()
         card = self.arm()
         card.fetch()
         card.terminal_response(ChannelStatusResult(channels=(7,)))
         command = card.fetch()
         assert command.channel_ids == (7,)
-        status = card.terminal_response(CloseChannelResult(success=False))
+        status = card.terminal_response(CloseChannelResult())
         assert status is SimStatus.NORMAL
         assert card.state.teardown_phase is TeardownPhase.IDLE
 
@@ -349,7 +351,7 @@ class SimCardMachine(RuleBasedStateMachine):
     @rule(channels=st.lists(st.integers(1, 9), max_size=3).map(tuple))
     def terminal_response(self, channels):
         if self.state.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT:
-            status = self.card.terminal_response(CloseChannelResult(success=bool(channels)))
+            status = self.card.terminal_response(CloseChannelResult())
         else:
             status = self.card.terminal_response(ChannelStatusResult(channels))
         if self.state.teardown_phase is TeardownPhase.AWAIT_FETCH_2:
