@@ -136,11 +136,8 @@ def _lanes(n: int) -> tuple[int, int]:
 def _build_rands(ka: cs.Key128, amf: int, first_sqn: int, n: int) -> bytes:
     """The n challenges from first_sqn on, for arguments already proven.
 
-    The AMF || SQN messages are the 64-bit lanes of one big-endian int.  One
-    AES call computes every tag (f1), the tag array with its pad words
-    overwritten is the input of a second call that computes every mask (f5),
-    and the f5 output array is overwritten with the challenges.  A batch of
-    more than _MAX_LANES challenges is built in pieces of that size.
+    Challenge i is masked message i || tag i, one 8-octet word each, written
+    from the halves of builds of at most _MAX_LANES challenges.
     """
     if n > _MAX_LANES:
         last = first_sqn + n
@@ -148,20 +145,31 @@ def _build_rands(ka: cs.Key128, amf: int, first_sqn: int, n: int) -> bytes:
             _build_rands(ka, amf, sqn, min(_MAX_LANES, last - sqn))
             for sqn in range(first_sqn, last, _MAX_LANES)
         )
-    ones, ramp = _lanes(n)
-    # lanes never carry: the entries prove first_sqn + n - 1 <= SQN_MAX
-    msgs = ((amf << 48) | first_sqn) * ones + ramp
-    blocks = _F1_BLOCK * n
-    blocks[0::2] = array("Q", msgs.to_bytes(8 * n, "big"))
-    tagged = array("Q", ka._encrypt(blocks.tobytes()))
-    macs = tagged[0::2]
-    tagged[1::2] = _F5_PAD * n
-    rands = array("Q", ka._encrypt(tagged.tobytes()))
-    masked = msgs ^ int.from_bytes(rands[0::2], "big")
-    # challenge i is masked message i || tag i, one 8-octet word each
+    masked, macs = _build_halves(ka, amf, first_sqn, n)
+    rands = macs * 2  # 2n words, each overwritten below
     rands[0::2] = array("Q", masked.to_bytes(8 * n, "big"))
     rands[1::2] = macs
     return rands.tobytes()
+
+
+def _build_halves(ka: cs.Key128, amf: int, first_sqn: int, n: int) -> tuple[int, array]:
+    """(masked AMF || SQN messages, tags) of n <= _MAX_LANES proven challenges.
+
+    Lane i of the big-endian message int is challenge i's.  One AES call tags
+    every message (f1); a second, on the tag array with its pad words
+    overwritten, computes every mask (f5).
+    """
+    ones, ramp = _lanes(n)
+    # lanes never carry: the entries prove first_sqn + n - 1 <= SQN_MAX
+    msgs = ((amf << 48) | first_sqn) * ones + ramp
+    # one buffer name, so each call's input array is freed as its output lands
+    words = _F1_BLOCK * n
+    words[0::2] = array("Q", msgs.to_bytes(8 * n, "big"))
+    words = array("Q", ka._encrypt(words.tobytes()))
+    macs = words[0::2]
+    words[1::2] = _F5_PAD * n
+    words = array("Q", ka._encrypt(words.tobytes()))
+    return msgs ^ int.from_bytes(words[0::2], "big"), macs
 
 
 def build_hijacked_rand(ka: bytes, amf: int, sqn: int) -> bytes:

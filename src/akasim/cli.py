@@ -33,9 +33,6 @@ EXIT_USAGE = 64
 
 RAND_STATS_MIN_N = 10_000
 RAND_STATS_SIGMA_BOUND = 4.0
-# challenges per counted piece; each piece is read as one int and added into
-# the bit planes, so a plane holds 16 octets per challenge of a piece at any n
-_RAND_STATS_PIECE = 512
 
 # the most records gen-vectors writes per operation; every record is built
 # in memory before the file is written
@@ -138,16 +135,14 @@ def rand_bit_stats(n: int, seed: int) -> dict:
     rng = random.Random(f"rand-stats/{seed}")
     ka = cs.Key128(rng.randbytes(cs.KEY_LEN))
     amf = 0
-    build, width = auth_core._MAX_LANES, cs.RAND_LEN * _RAND_STATS_PIECE
-    # a vertical counter: planes[j] holds bit j of the running count of every
-    # bit-lane of a piece int.  Lane k counts bit 127 - k % 128 of the
-    # challenges (bit 0 the most significant), so a shorter piece lines up at
-    # the low end
-    planes = []
+    build = auth_core._MAX_LANES
+    # two vertical counters, one per 64-bit half of the challenges: plane j of
+    # a counter holds bit j of the running count of each bit-lane, bit 63 - b
+    # of a lane counts bit b of the half, and a shorter build fills low lanes
+    halves = ([], [])
     for first in range(1, n + 1, build):
-        rands = auth_core.build_hijacked_rands(ka, amf, first, min(build, n + 1 - first))
-        for start in range(0, len(rands), width):
-            carry = int.from_bytes(rands[start : start + width], "big")
+        masked, macs = auth_core._build_halves(ka, amf, first, min(build, n + 1 - first))
+        for planes, carry in zip(halves, (masked, int.from_bytes(macs, "big"))):
             for j, plane in enumerate(planes):
                 planes[j] = plane ^ carry
                 carry &= plane
@@ -156,18 +151,22 @@ def rand_bit_stats(n: int, seed: int) -> dict:
             else:
                 planes.append(carry)
 
-    # masks[bit] has bit 0x80 >> bit set in every octet of a column
-    masks = [
-        int.from_bytes(bytes([0x80 >> bit]) * _RAND_STATS_PIECE, "big") for bit in range(8)
-    ]
-    counts = [0] * (8 * cs.RAND_LEN)
-    for j, plane in enumerate(planes):
-        octets = plane.to_bytes(width, "big")
-        for pos in range(cs.RAND_LEN):
-            # octet `pos` of every challenge lane, as one int
-            column = int.from_bytes(octets[pos :: cs.RAND_LEN], "big")
-            for bit, mask in enumerate(masks):
-                counts[8 * pos + bit] += (column & mask).bit_count() << j
+    counts = []
+    for planes in halves:
+        # fold the lanes in half down to one 64-bit lane (build is a power of
+        # two): a bit-sliced full adder adds the high half to the low half
+        bits = 32 * build
+        while bits >= 64:
+            low, carry, folded = (1 << bits) - 1, 0, []
+            for plane in planes:
+                x, y = plane >> bits, plane & low
+                folded.append(x ^ y ^ carry)
+                carry = (x & y) | (carry & (x ^ y))
+            planes = folded + [carry] if carry else folded
+            bits >>= 1
+        # bit b of each plane, from the top plane down, is count b in binary
+        columns = zip(*(f"{plane:064b}" for plane in reversed(planes)))
+        counts += [int("".join(column), 2) for column in columns]
 
     sigma = math.sqrt(n) / 2.0
     deviations = [abs(c - n / 2.0) / sigma for c in counts]

@@ -141,7 +141,7 @@ _STEP_KEYS = {
 (_ATTACH, _REQUEST_TRIPLES, _CHALLENGE, _SEND_TRAFFIC,
  _POWER_CYCLE_UE, _OPEN_CHANNEL, _RUN_ATTACK, _ASSERT) = StepKind
 _AUTHENTICATED = Verdict.AUTHENTICATED
-_MITM_EAVESDROP = AttackKind.MITM_EAVESDROP
+_MITM_EAVESDROP, _BBK_REPLAY = AttackKind
 _RELAY_FRESH = RandSource.RELAY_FRESH
 # the phone of a subscriber that `me_profiles` does not name
 _DEFAULT_PROFILE = MeProfile()
@@ -572,7 +572,7 @@ class ScenarioEngine:
                 tracer=trace,
                 own_ue=own_ue,
             )
-        # plaintexts sent under each logged exchange, keyed by the exchange
+        # the challenge replay's plaintexts sent under each logged exchange
         self._truth: dict[LoggedExchange, list[bytes]] = {}
 
     # --- step handlers -----------------------------------------------------
@@ -636,7 +636,8 @@ class ScenarioEngine:
         if self.adversary is not None:
             log = self.adversary.log
             log.note_frame(frame_index, me.session.cipher, ciphertext)
-            self._truth.setdefault(log.records[-1], []).append(plaintext)
+            if self.config.attacker.kind is _BBK_REPLAY:
+                self._truth.setdefault(log.records[-1], []).append(plaintext)
 
     def _run_attack(self, victim_imsi: str) -> AttackReport:
         spec = self.config.attacker

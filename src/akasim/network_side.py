@@ -164,7 +164,8 @@ class ServingNetwork:
             del queue[index]
         else:
             triple = queue.popleft()
-        self.last_issued[imsi] = triple
+            if self.policy is _REUSE:
+                self.last_issued[imsi] = triple
         self.pending[imsi] = triple
         self.trace(self.name, msg="AUTH_CHALLENGE", imsi=imsi, rand=triple.rand.hex())
         return triple.rand

@@ -280,6 +280,25 @@ class TestBuilderEdges:
                 assert rand == oracle.ref_build_rand(KA, amf, first + i), (n, i)
                 assert triples[i] == (rand, oracle.ref_a3(KI, rand), oracle.ref_a8(KI, rand)), (n, i)
 
+    def test_max_lanes_is_a_power_of_two(self):
+        # rand-stats folds its counters' lanes in half down to one 64-bit lane
+        assert ac._MAX_LANES > 0 and ac._MAX_LANES & (ac._MAX_LANES - 1) == 0
+
+    def test_rands_are_interleaved_halves(self):
+        # every batch ends at or below SQN_MAX; the largest ends there
+        amf, first = ac.AMF_MAX, ac.SQN_MAX - 4095
+        expected = b"".join(oracle.ref_build_rand(KA, amf, first + i) for i in range(4096))
+        for n in (1, 4, 4095, 4096):
+            masked, macs = ac._build_halves(cs.Key128(KA), amf, first, n)
+            masked = masked.to_bytes(8 * n, "big")
+            macs = macs.tobytes()
+            assert len(macs) == 8 * n
+            interleaved = b"".join(
+                masked[8 * i : 8 * i + 8] + macs[8 * i : 8 * i + 8] for i in range(n)
+            )
+            assert ac._build_rands(cs.Key128(KA), amf, first, n) == interleaved, n
+            assert interleaved == expected[: 16 * n], n
+
     def test_lane_table_never_exceeds_4096_lanes(self, monkeypatch):
         monkeypatch.setattr(ac, "_lane_table", (0, 0, 0))
         cold = ac.build_hijacked_rands(KA, 0, 1, 10_000)

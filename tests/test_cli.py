@@ -434,14 +434,13 @@ class TestRandStats:
         for n, want in prefixes.items():
             assert cli.rand_bit_stats(n, seed)["bit_counts"] == want, n
 
-    @pytest.mark.parametrize("piece", [3, cli._RAND_STATS_PIECE])
-    def test_counts_match_direct_counts_at_plane_edges(self, monkeypatch, piece):
-        # 2^k and 2^k + 1 pieces for k = 0..2, where a carry ripples into a
-        # new plane; each n of 2^k * piece + 1, and the n that crosses a build
-        # call, ends on a single-challenge piece
-        monkeypatch.setattr(cli, "_RAND_STATS_PIECE", piece)
-        ns = {pieces * piece + extra for pieces in (1, 2, 4) for extra in (0, 1)}
-        ns.add(ac._MAX_LANES + 1)
+    @pytest.mark.parametrize("lanes", [4, 4096])
+    def test_counts_match_direct_counts_at_plane_edges(self, monkeypatch, lanes):
+        # 2^k and 2^k + 1 builds for k = 0..2, where a carry ripples into a
+        # new plane and the fold adds a full build to a one-challenge build;
+        # n = 1 folds a single challenge
+        monkeypatch.setattr(ac, "_MAX_LANES", lanes)
+        ns = {builds * lanes + extra for builds in (1, 2, 4) for extra in (0, 1)} | {1}
         seed = 6
         ka = random.Random(f"rand-stats/{seed}").randbytes(cs.KEY_LEN)
         ones = [0] * 128
@@ -454,13 +453,13 @@ class TestRandStats:
 
     def test_each_challenge_built_once_per_call(self, monkeypatch):
         calls = []
-        build = ac.build_hijacked_rands
+        build = ac._build_halves
 
         def recording(ka, amf, first, n):
             calls.append((first, n))
             return build(ka, amf, first, n)
 
-        monkeypatch.setattr(ac, "build_hijacked_rands", recording)
+        monkeypatch.setattr(ac, "_build_halves", recording)
         # the second call builds every challenge again: nothing is cached
         for _ in range(2):
             calls.clear()
@@ -492,7 +491,7 @@ class TestRandStats:
         def no_work(*args):
             raise AssertionError("challenges built for a refused --n")
 
-        monkeypatch.setattr(ac, "build_hijacked_rands", no_work)
+        monkeypatch.setattr(ac, "_build_halves", no_work)
         assert cli.main(["rand-stats", "--n", n]) == 64
         assert "2^48 - 1" in capsys.readouterr().err
 

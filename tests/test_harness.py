@@ -271,6 +271,24 @@ class TestEngineFlow:
         assert not result.aborted
         assert result.all_asserts_passed  # second triple is still fresh
 
+    def test_eavesdropper_files_no_ground_truth(self):
+        # mitm_legacy with victim traffic before the attack: only the challenge
+        # replay reads the plaintexts behind a logged exchange
+        raw = json.loads((CONFIGS / "mitm_legacy.json").read_text())
+        victim = "001010000000001"
+        raw["script"][2:2] = [
+            {"op": "REQUEST_TRIPLES", "imsi": victim},
+            {"op": "CHALLENGE", "imsi": victim},
+            {"op": "SEND_TRAFFIC", "imsi": victim, "plaintext": "5a" * 40},
+        ]
+        engine = harness.ScenarioEngine(ScenarioConfig.from_dict(raw))
+        result = engine.run()
+        assert engine._truth == {}
+        assert result.error is None and result.all_asserts_passed
+        assert hashlib.sha256(harness.render_trace(result.trace).encode()).hexdigest() == (
+            "e2e76b1ea976f6b52053f7e1fd99db78c6770a95e635532aa03a280f44c1379b"
+        )
+
     def test_failed_assert_recorded(self):
         raw = base_config(
             script=[

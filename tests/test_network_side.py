@@ -183,6 +183,15 @@ class TestVlrChallenge:
         assert first == second
         assert len(serving.store[IMSI]) == 1  # only the first pop consumed
 
+    @pytest.mark.parametrize("policy", [ConsumptionPolicy.IN_ORDER, ConsumptionPolicy.RANDOM_ORDER])
+    def test_only_reuse_keeps_the_last_issued_triple(self, policy):
+        ki, triples = hand_built_triples(3)
+        serving = vlr(policy=policy, seed=5)
+        serving.add_triples(IMSI, triples)
+        rands = {serving.challenge(IMSI) for _ in range(3)}
+        assert rands == {t.rand for t in triples}
+        assert serving.last_issued == {}
+
     def test_random_order_is_seed_deterministic(self):
         ki, triples = hand_built_triples(6)
         orders = []
