@@ -20,7 +20,7 @@ from .auth_core import (
     legacy_response,
     verify_hijacked_rand,
 )
-from .crypto_suite import CipherAlgId, KeystreamBlock
+from .crypto_suite import CipherAlgId
 from .harness import ScenarioConfig, ScenarioResult, assert_trace, run_scenario
 from .sim_card import SimCard, SimMode, SimState
 
@@ -30,7 +30,6 @@ __all__ = [
     "Accepted",
     "AuthTriple",
     "CipherAlgId",
-    "KeystreamBlock",
     "Rejected",
     "RejectReason",
     "ScenarioConfig",

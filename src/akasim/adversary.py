@@ -84,10 +84,8 @@ class InterceptLog:
     def __init__(self):
         self.records: list[LoggedExchange] = []
 
-    def start_exchange(self, rand: bytes) -> LoggedExchange:
-        record = LoggedExchange(rand=rand)
-        self.records.append(record)
-        return record
+    def start_exchange(self, rand: bytes):
+        self.records.append(LoggedExchange(rand=rand))
 
     def note_frame(self, frame_index: int, alg: cs.CipherAlgId, ciphertext: bytes):
         # checked once here: bbk_attack decrypts on the trusted keystream core

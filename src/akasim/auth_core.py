@@ -52,10 +52,9 @@ def check_sqn48(value: int) -> int:
     return value
 
 
-def check_amf16(value: int) -> int:
+def check_amf16(value: int) -> None:
     if not cs._is_int(value) or not 0 <= value <= AMF_MAX:
         raise MalformedInputError(f"amf must be an integer in [0, 2^16), got {value!r}")
-    return value
 
 
 class AuthTriple(NamedTuple):
@@ -177,13 +176,6 @@ def build_hijacked_rand(ka: bytes, amf: int, sqn: int) -> bytes:
     return build_hijacked_rands(ka, amf, sqn, 1)
 
 
-def _unmask(ka: cs.Key128, rand: bytes) -> tuple[int, bytes, bytes]:
-    """(AMF || SQN as an int, received tag, mask) of a proven 16-octet challenge."""
-    mac = rand[8:]
-    ak = cs._f5(ka, mac)
-    return int.from_bytes(rand[:8], "big") ^ int.from_bytes(ak, "big"), mac, ak
-
-
 def _placeholder(rng: random.Random, forbidden: bytes) -> bytes:
     # failure-path stand-in value; must never equal the honest output
     value = rng.randbytes(cs.TAG_LEN)
@@ -213,7 +205,8 @@ def verify_hijacked_rand(
     ki = cs._key(ki, "ki")
     rand = cs._check_len("rand", rand, cs.RAND_LEN)
     # one AES call each: unmask, re-tag, answer
-    amf_sqn, mac, _ = _unmask(ka, rand)
+    mac = rand[8:]
+    amf_sqn = int.from_bytes(rand[:8], "big") ^ int.from_bytes(cs._f5(ka, mac), "big")
     sres, kc = cs._a3a8(ki, rand)
     if cs._f1(ka, amf_sqn.to_bytes(8, "big")) != mac:
         reason = _MAC_MISMATCH

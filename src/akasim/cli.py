@@ -48,7 +48,7 @@ def _int(octets: bytes) -> int:
 def _a5_vector(tag: bytes, kc: bytes, frame: bytes, length: bytes) -> bytes:
     if tag not in _VECTOR_ALGS:
         raise MalformedInputError(f"a5_keystream tag must be a1, a2 or a3, got {tag.hex()}")
-    return cs.a5_keystream(_VECTOR_ALGS[tag], kc, _int(frame), _int(length)).bytes
+    return cs.a5_keystream(_VECTOR_ALGS[tag], kc, _int(frame), _int(length))
 
 
 # op -> (input sizes, output size, function of the input octets), sizes in

@@ -34,7 +34,6 @@ from __future__ import annotations
 import enum
 from array import array
 from functools import lru_cache
-from typing import NamedTuple
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -45,7 +44,6 @@ __all__ = [
     "TAG_LEN",
     "RAND_LEN",
     "CipherAlgId",
-    "KeystreamBlock",
     "Key128",
     "check_imsi",
     "xor_bytes",
@@ -92,13 +90,6 @@ class CipherAlgId(enum.Enum):
 # Function bodies use these names, not `CipherAlgId.NONE`: on CPython 3.11
 # `EnumType` defines `__getattr__`, which slows every class attribute read.
 _A5_1, _A5_2, _A5_3, _NONE = CipherAlgId
-
-
-class KeystreamBlock(NamedTuple):
-    """Keystream produced for one traffic frame."""
-
-    bytes: bytes
-    frame_index: int
 
 
 # builds a NamedTuple from its field tuple without the generated Python
@@ -252,7 +243,7 @@ def a8_kc(ki: bytes, rand: bytes) -> bytes:
     return _a3a8(_key(ki, "ki"), _check_len("rand", rand, RAND_LEN))[1]
 
 
-def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> KeystreamBlock:
+def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> bytes:
     """Keystream for one frame under the modeled A5 family.
 
     A5/1 and A5/3 expand (kc, alg tag, frame_index) through AES in counter
@@ -268,7 +259,7 @@ def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> 
         raise MalformedInputError(f"alg must be a CipherAlgId, got {alg!r}")
     if alg is _NONE:
         raise InvalidAlgorithmError("cannot generate keystream for alg NONE")
-    return KeystreamBlock(bytes=_keystream(alg, kc, frame_index, length), frame_index=frame_index)
+    return _keystream(alg, kc, frame_index, length)
 
 
 # big-endian block counters 0, 1, ... for the longest frame seen; replaced,

@@ -135,6 +135,11 @@ _STEP_KEYS = {
     "RUN_ATTACK": {"victim"},
     "ASSERT": {"predicate"},
 }
+# the keys each attacker kind takes; the replay attack reads none but its kind
+_ATTACKER_KEYS = {
+    "MITM_EAVESDROP": {"kind", "imsi", "rand_source", "victim_traffic"},
+    "BBK_REPLAY": {"kind"},
+}
 
 # Function bodies use these names, not `StepKind.ASSERT`: on CPython 3.11
 # `EnumType` defines `__getattr__`, which slows every class attribute read.
@@ -249,12 +254,13 @@ class ScenarioConfig(NamedTuple):
         attacker = None
         if raw.get("attacker") is not None:
             atk = _object(raw["attacker"], "attacker")
-            _closed(atk, {"kind", "imsi", "rand_source", "victim_traffic"}, "attacker keys")
+            kind = _member(AttackKind, atk["kind"])
+            _closed(atk, _ATTACKER_KEYS[kind._value_], "attacker keys for %s", kind._value_)
             attacker_imsi = atk.get("imsi")
             if attacker_imsi is not None and attacker_imsi not in seen:
                 raise ConfigError(f"attacker imsi {attacker_imsi} not provisioned")
             attacker = AttackerSpec(
-                kind=_member(AttackKind, atk["kind"]),
+                kind=kind,
                 imsi=attacker_imsi,
                 rand_source=_member(RandSource, atk.get("rand_source", "FABRICATED")),
                 victim_traffic=bytes.fromhex(atk.get("victim_traffic", "")),

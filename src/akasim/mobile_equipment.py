@@ -133,10 +133,8 @@ class MobileEquipment:
         if network is not None:
             self.trace(self.name, msg="DETACH", network=network)
 
-    def open_channel(self) -> int:
-        cid = self.session.channels.open()
-        self.trace(self.name, msg="OPEN_CHANNEL", channel=cid)
-        return cid
+    def open_channel(self):
+        self.trace(self.name, msg="OPEN_CHANNEL", channel=self.session.channels.open())
 
     # --- authentication ----------------------------------------------------
 

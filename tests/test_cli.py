@@ -307,6 +307,22 @@ class TestRun:
         cfg.write_text(json.dumps(raw))
         assert cli.main(["run", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize(
+        "key, value", [("imsi", "001010000000001"), ("rand_source", "SKIP_AKA"), ("victim_traffic", "00")]
+    )
+    def test_replay_attacker_key_usage_error(self, tmp_path, capsys, key, value):
+        # the eavesdropper's keys: the replay attack would run as if they were not there
+        raw = json.loads((CONFIGS / "bbk_legacy.json").read_text())
+        raw["attacker"][key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}'" in err and "Traceback" not in err
+        del raw["attacker"][key]
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+
     def test_attack_on_the_attackers_own_subscription_usage_error(self, tmp_path, capsys):
         # its genuine relay leg would go out over the network it faked
         raw = json.loads((CONFIGS / "mitm_enhanced.json").read_text())

@@ -109,11 +109,10 @@ class TestA5:
     KC = bytes.fromhex("0102030405060708")
 
     def test_weak_frame0_leaks_key(self):
-        ks = cs.a5_keystream(cs.CipherAlgId.A5_2, self.KC, 0, 8)
-        assert ks.bytes == self.KC
+        assert cs.a5_keystream(cs.CipherAlgId.A5_2, self.KC, 0, 8) == self.KC
 
     def test_weak_periodicity(self):
-        ks = cs.a5_keystream(cs.CipherAlgId.A5_2, self.KC, 0, 64).bytes
+        ks = cs.a5_keystream(cs.CipherAlgId.A5_2, self.KC, 0, 64)
         assert ks[:8] == self.KC
         shifted = ks[8:] + ks[:8]
         assert all(a == b for a, b in zip(ks, shifted))
@@ -121,29 +120,32 @@ class TestA5:
     def test_weak_matches_reference_other_frames(self, rng):
         for _ in range(50):
             kc, frame = rng.randbytes(8), rng.randrange(1 << 20)
-            got = cs.a5_keystream(cs.CipherAlgId.A5_2, kc, frame, 24).bytes
+            got = cs.a5_keystream(cs.CipherAlgId.A5_2, kc, frame, 24)
             assert got == oracle.ref_a5_weak(kc, frame, 24)
 
     def test_strong_fixed_vectors(self):
-        a51 = cs.a5_keystream(cs.CipherAlgId.A5_1, self.KC, 0, 16).bytes
-        a53 = cs.a5_keystream(cs.CipherAlgId.A5_3, self.KC, 0, 16).bytes
+        a51 = cs.a5_keystream(cs.CipherAlgId.A5_1, self.KC, 0, 16)
+        a53 = cs.a5_keystream(cs.CipherAlgId.A5_3, self.KC, 0, 16)
         assert a51.hex() == A51_KS16
         assert a53.hex() == A53_KS16
 
     def test_strong_algs_differ(self):
-        a51 = cs.a5_keystream(cs.CipherAlgId.A5_1, self.KC, 0, 16).bytes
-        a53 = cs.a5_keystream(cs.CipherAlgId.A5_3, self.KC, 0, 16).bytes
+        a51 = cs.a5_keystream(cs.CipherAlgId.A5_1, self.KC, 0, 16)
+        a53 = cs.a5_keystream(cs.CipherAlgId.A5_3, self.KC, 0, 16)
         assert a51 != a53
 
     def test_zero_length(self):
-        ks = cs.a5_keystream(cs.CipherAlgId.A5_1, self.KC, 0, 0)
-        assert ks.bytes == b""
+        assert cs.a5_keystream(cs.CipherAlgId.A5_1, self.KC, 0, 0) == b""
+
+    @pytest.mark.parametrize("alg", [cs.CipherAlgId.A5_1, cs.CipherAlgId.A5_2, cs.CipherAlgId.A5_3])
+    def test_returns_bytes(self, alg):
+        assert type(cs.a5_keystream(alg, self.KC, 0, 8)) is bytes
 
     def test_matches_reference(self, rng):
         for alg, tag in ((cs.CipherAlgId.A5_1, 0xA1), (cs.CipherAlgId.A5_3, 0xA3)):
             for _ in range(20):
                 kc, frame = rng.randbytes(8), rng.randrange(1 << 30)
-                got = cs.a5_keystream(alg, kc, frame, 33).bytes
+                got = cs.a5_keystream(alg, kc, frame, 33)
                 assert got == oracle.ref_a5_strong(tag, kc, frame, 33)
 
     def test_none_alg_rejected(self):
@@ -161,9 +163,7 @@ class TestA5:
     @given(length=st.integers(min_value=0, max_value=200), frame=st.integers(min_value=0, max_value=2**40))
     @settings(max_examples=50, deadline=None)
     def test_length_contract(self, length, frame):
-        ks = cs.a5_keystream(cs.CipherAlgId.A5_3, self.KC, frame, length)
-        assert len(ks.bytes) == length
-        assert ks.frame_index == frame
+        assert len(cs.a5_keystream(cs.CipherAlgId.A5_3, self.KC, frame, length)) == length
 
     @pytest.mark.parametrize("alg", [cs.CipherAlgId.A5_1, cs.CipherAlgId.A5_3])
     def test_strong_keystream_monobit_frequency(self, alg):
@@ -173,7 +173,7 @@ class TestA5:
         kc = bytes.fromhex("8877665544332211")
         per_frame = 1000
         for frame in range(n_bytes // per_frame):
-            ks = cs.a5_keystream(alg, kc, frame, per_frame).bytes
+            ks = cs.a5_keystream(alg, kc, frame, per_frame)
             ones += int.from_bytes(ks, "big").bit_count()
         n_bits = n_bytes * 8
         bound = 4 * (n_bits ** 0.5) / 2
@@ -289,12 +289,11 @@ class TestBatchedPrimitives:
         # corrupt every later frame
         for length in (0, 1, 15, 16, 17, 33, 1500, 3000):
             got = cs.a5_keystream(alg, kc, frame, length)
-            assert got.bytes == oracle.ref_a5_strong(tag, kc, frame, length), length
-            assert got.frame_index == frame
+            assert got == oracle.ref_a5_strong(tag, kc, frame, length), length
 
     def test_keystream_longer_than_counter_table(self, rng):
         kc = rng.randbytes(8)
-        got = cs.a5_keystream(cs.CipherAlgId.A5_3, kc, 9, 4113).bytes
+        got = cs.a5_keystream(cs.CipherAlgId.A5_3, kc, 9, 4113)
         assert got == oracle.ref_a5_strong(0xA3, kc, 9, 4113)
 
 

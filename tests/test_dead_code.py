@@ -1,5 +1,5 @@
 """No function or method in src/akasim that nothing in the package calls,
-and no stored field that nothing in the package reads.
+no stored field and no returned value that nothing in the package reads.
 
 A module-level function or a class method is dead when its name appears
 nowhere else in src/akasim, as a name, an attribute or an import, and the
@@ -15,6 +15,15 @@ of its name, no `getattr` string and no tuple unpacking whose targets are
 exactly its class's fields, in order, appears anywhere in src/akasim, and
 the package does not export its class.  Like the function rule, this one
 matches by name: a read of a same-named field of another class counts.
+
+A function or method that returns a value (a `return` in its own body with
+a value other than None) has an unread return when it is used, and every
+use of its name in src/akasim is a call that is either a statement, which
+discards the value, or unpacked into a tuple with `_` at one position that
+every such unpacking shares.  Any other use reads it: a call whose value
+goes anywhere else, or the name passed or stored uncalled.  Calls match by
+name, like the other rules.  Names in `akasim.__all__` and the methods of
+the classes it exports are exempt.
 """
 
 import ast
@@ -34,16 +43,16 @@ def _name(node) -> str | None:
 
 
 def _definitions(tree):
-    """(qualified name, name, is a method but no property) of every
+    """(qualified name, definition, is a method but no property) of every
     module-level function and class method."""
     for node in tree.body:
         if isinstance(node, _FUNCTIONS):
-            yield node.name, node.name, False
+            yield node.name, node, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, _FUNCTIONS):
                     is_property = "property" in map(_name, item.decorator_list)
-                    yield f"{node.name}.{item.name}", item.name, not is_property
+                    yield f"{node.name}.{item.name}", item, not is_property
 
 
 def _uses(tree):
@@ -102,7 +111,8 @@ def dead_names(sources, exported=()) -> list[str]:
     data = {name for tree in trees for name in _data_attributes(tree)}
     dead = []
     for tree in trees:
-        for qualified, name, is_method in _definitions(tree):
+        for qualified, function, is_method in _definitions(tree):
+            name = function.name
             # dunders are called by the interpreter, not by name
             if name.startswith("__") and name.endswith("__") or name in exported:
                 continue
@@ -144,6 +154,78 @@ def unread_fields(sources, exported=()) -> list[str]:
     return unread
 
 
+def _returns_value(node) -> bool:
+    """Whether a `return` with a value other than None is in the body of
+    `node`, outside the functions and classes nested in it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Return):
+            value = child.value
+            if value is not None and not (isinstance(value, ast.Constant) and value.value is None):
+                return True
+        elif not isinstance(child, (*_FUNCTIONS, ast.Lambda, ast.ClassDef)) and _returns_value(child):
+            return True
+    return False
+
+
+def _return_uses(tree):
+    """(name, positions left unread) for every use of a name the module
+    loads: None for a call made as a statement, which leaves the whole value
+    unread; the positions of the `_` targets for a call unpacked into a
+    tuple; no position for any other call or load."""
+    unread = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr):
+            unread[id(node.value)] = None
+        elif (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Tuple)
+            and not any(isinstance(target, ast.Starred) for target in node.targets[0].elts)
+        ):
+            unread[id(node.value)] = frozenset(
+                i for i, target in enumerate(node.targets[0].elts)
+                if isinstance(target, ast.Name) and target.id == "_"
+            )
+    callees = set()
+    # ast.walk visits a call before its callee, so the callee is known by then
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callees.add(id(node.func))
+            yield _name(node.func), unread.get(id(node), frozenset())
+        elif (
+            isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in callees
+        ):
+            yield _name(node), frozenset()
+
+
+def unread_returns(sources, exported=()) -> list[str]:
+    """Qualified names of the functions and methods in `sources` whose
+    returned value, or some position of it, no use reads."""
+    trees = [ast.parse(source) for source in sources]
+    uses = {}
+    for tree in trees:
+        for name, positions in _return_uses(tree):
+            uses.setdefault(name, []).append(positions)
+    unread = []
+    for tree in trees:
+        for qualified, function, _ in _definitions(tree):
+            name = function.name
+            if (
+                name.startswith("__") and name.endswith("__")
+                or qualified.partition(".")[0] in exported
+                or name not in uses
+                or not _returns_value(function)
+            ):
+                continue
+            # a discarded call (None) leaves every position unread
+            unpacked = [positions for positions in uses[name] if positions is not None]
+            if not unpacked or frozenset.intersection(*unpacked):
+                unread.append(qualified)
+    return unread
+
+
 def _package_sources():
     return [path.read_text() for path in sorted(SRC.glob("*.py"))]
 
@@ -154,6 +236,10 @@ def test_every_function_has_a_caller_in_the_package():
 
 def test_every_field_has_a_reader_in_the_package():
     assert unread_fields(_package_sources(), akasim.__all__) == []
+
+
+def test_every_return_has_a_reader_in_the_package():
+    assert unread_returns(_package_sources(), akasim.__all__) == []
 
 
 _FIELD = "class B(NamedTuple):\n    pending_length: int\n\nx = B(1).pending_length\n"
@@ -221,3 +307,45 @@ def test_unread_fields_finds(sources, unread):
 
 def test_exported_classes_are_exempt():
     assert unread_fields([_PAIR, "class C:\n    __slots__ = ('a',)\n"], exported=["P", "C"]) == []
+
+
+_RETURNS = "def f():\n    return 1, 2\n"
+
+
+@pytest.mark.parametrize(
+    "sources, unread",
+    [
+        # a call made as a statement discards the value; any other call reads it
+        ([_RETURNS, "f()\n"], ["f"]),
+        ([_RETURNS, "f()\nx = f()\n"], []),
+        ([_RETURNS, "print(f())\n"], []),
+        # an unpacking leaves its `_` positions unread; the sites must share one
+        ([_RETURNS, "a, _ = f()\n"], ["f"]),
+        ([_RETURNS, "a, _ = f()\nf()\n"], ["f"]),
+        ([_RETURNS, "a, _ = f()\n_, b = f()\n"], []),
+        ([_RETURNS, "a, _ = f()\na, b = f()\n"], []),
+        ([_RETURNS, "a, *_ = f()\n"], []),
+        # passing or storing the function by name reads it
+        ([_RETURNS, "f()\nhandlers = [f]\n"], []),
+        ([_RETURNS, "f()\ng(f)\n"], []),
+        # methods match by name, through any object
+        (["class A:\n    def m(self):\n        return 1\n", "a.m()\n"], ["A.m"]),
+        (["class A:\n    def m(self):\n        return 1\n", "a.m()\nx = b.m()\n"], []),
+        # no value: none returned, a bare return, return None, or only a nested one
+        (["def f():\n    pass\n", "f()\n"], []),
+        (["def f(x):\n    if x:\n        return\n    return None\n", "f(1)\n"], []),
+        (["def f():\n    def g():\n        return 1\n    return\n", "f()\n"], []),
+        (["def f(x):\n    if x:\n        return None\n    return x\n", "f(1)\n"], ["f"]),
+        # unused functions are dead_names' to report, and dunders the interpreter's
+        ([_RETURNS], []),
+        (["class A:\n    def __len__(self):\n        return 1\n", "a.__len__()\n"], []),
+    ],
+)
+def test_unread_returns_finds(sources, unread):
+    assert unread_returns(sources) == unread
+
+
+def test_exported_functions_and_classes_are_exempt_from_unread_returns():
+    sources = [_RETURNS, "class A:\n    def m(self):\n        return 1\n", "f()\na.m()\n"]
+    assert unread_returns(sources) == ["f", "A.m"]
+    assert unread_returns(sources, exported=["f", "A"]) == []

@@ -121,7 +121,13 @@ class TestConfigValidation:
             {"script": [{"op": "JUMP", "imsi": VICTIM}]},
             {"script": [{"op": ["ATTACH"], "imsi": VICTIM}]},
             # an attack whose victim is the attacker's own subscription
-            {"attacker": {"kind": "BBK_REPLAY", "imsi": VICTIM}, "script": [{"op": "RUN_ATTACK", "victim": VICTIM}]},
+            {"attacker": {"kind": "MITM_EAVESDROP", "imsi": VICTIM, "victim_traffic": "00"},
+             "script": [{"op": "RUN_ATTACK", "victim": VICTIM}]},
+            # the replay attacker takes only its kind; the other keys are the eavesdropper's
+            {"attacker": {"kind": "BBK_REPLAY", "imsi": VICTIM}},
+            {"attacker": {"kind": "BBK_REPLAY", "rand_source": "SKIP_AKA"}},
+            {"attacker": {"kind": "BBK_REPLAY", "victim_traffic": "00"}},
+            {"attacker": {"kind": "MITM_EAVESDROP", "victim_traffic": "00", "victim": VICTIM}},
         ],
     )
     def test_rejections(self, mutation):
@@ -590,7 +596,7 @@ class TestPredicateCompile:
             ({"network_policy": {"consumption_policy": "SHUFFLE"}}, "'SHUFFLE' is not a valid ConsumptionPolicy"),
             ({"network_policy": {"cipher": "A5_4"}}, "'A5_4' is not a valid CipherAlgId"),
             ({"attacker": {"kind": {}}}, r"\{\} is not a valid AttackKind"),
-            ({"attacker": {"kind": "BBK_REPLAY", "rand_source": 1}}, "1 is not a valid RandSource"),
+            ({"attacker": {"kind": "MITM_EAVESDROP", "rand_source": 1}}, "1 is not a valid RandSource"),
         ],
     )
     def test_unknown_enum_values_keep_the_enum_error(self, mutation, message):

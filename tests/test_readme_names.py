@@ -1,13 +1,19 @@
-"""Every private name README.md cites in backticks is defined in src/akasim.
+"""Every private name and every CapWords name README.md cites in backticks
+is defined in src/akasim.
 
-README describes the private cores by name, so a rename or a deletion that
-leaves it behind fails here.  A cited name is `_name` or `qualifier._name`,
-where the qualifier is a module of the package or a class it defines; a
-bare name may be defined in any module.  Dunders are the interpreter's
-names, not the package's, and are skipped.
+README describes the private cores and the public classes by name, so a
+rename or a deletion that leaves it behind fails here.  A cited private
+name is `_name` or `qualifier._name`, where the qualifier is a module of
+the package or a class it defines; a bare name may be defined in any
+module.  Dunders are the interpreter's names, not the package's, and are
+skipped.  A cited CapWords name (a capital, a small letter and at least one
+more character: `Key128`, `None`, but not the key symbol `Ka`) follows the
+same rules, and may also be a builtin; one qualified by a module outside
+the package (`typing.NamedTuple`) is skipped.
 """
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -18,11 +24,13 @@ import akasim
 SRC = Path(akasim.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
 _CITED = re.compile(r"`(?:[\w.]*?(\w+)\.)?(_(?!_)\w*)`")
+_CITED_CAPWORDS = re.compile(r"`(?:[\w.]*?(\w+)\.)?([A-Z][a-z]\w+)`")
 
 
-def cited_names(text: str) -> list[tuple[str | None, str]]:
-    """(qualifier or None, name) of every backticked private name in the text."""
-    return [(qualifier or None, name) for qualifier, name in _CITED.findall(text)]
+def cited_names(text: str, pattern=_CITED) -> list[tuple[str | None, str]]:
+    """(qualifier or None, name) of every backticked name in the text that
+    `pattern` matches: private names by default."""
+    return [(qualifier or None, name) for qualifier, name in pattern.findall(text)]
 
 
 def _bound(body):
@@ -60,18 +68,41 @@ def unresolved(text: str, sources: dict[str, str]) -> list[str]:
     ]
 
 
+def unresolved_capwords(text: str, sources: dict[str, str]) -> list[str]:
+    scopes = definitions(sources)
+    bare = set().union(*scopes.values(), dir(builtins))
+    missing = []
+    for qualifier, name in cited_names(text, _CITED_CAPWORDS):
+        if qualifier is None:
+            if name not in bare:
+                missing.append(name)
+        # a qualifier that is no scope of the package is another module
+        elif qualifier in scopes and name not in scopes[qualifier]:
+            missing.append(f"{qualifier}.{name}")
+    return missing
+
+
+def _package_sources():
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
 def test_readme_cites_only_defined_private_names():
     text = README.read_text()
-    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert cited_names(text), "README cites no private name: the pattern is broken"
-    assert unresolved(text, sources) == []
+    assert unresolved(text, _package_sources()) == []
+
+
+def test_readme_cites_only_defined_capwords_names():
+    text = README.read_text()
+    assert cited_names(text, _CITED_CAPWORDS), "README cites no CapWords name: the pattern is broken"
+    assert unresolved_capwords(text, _package_sources()) == []
 
 
 @pytest.mark.parametrize(
     "text, cited",
     [
-        ("`_f1`, `cs._xor` and `akasim.auth_core._unmask`",
-         [(None, "_f1"), ("cs", "_xor"), ("auth_core", "_unmask")]),
+        ("`_f1`, `cs._xor` and `akasim.auth_core._triples`",
+         [(None, "_f1"), ("cs", "_xor"), ("auth_core", "_triples")]),
         ("`__slots__`, `Cls.__getattr__`, `public`, `_a` `b._c`",
          [(None, "_a"), ("b", "_c")]),
         ("`f(_x)` and `_x y`", []),
@@ -94,3 +125,32 @@ _MOD = "_TABLE = 1\n_a, (_b, c) = 1, (2, 3)\n\ndef _f():\n    _local = 1\n\nclas
 )
 def test_unresolved_finds(text, missing):
     assert unresolved(text, {"mod": _MOD}) == missing
+
+
+@pytest.mark.parametrize(
+    "text, cited",
+    [
+        ("`Key128`, `cs.CipherAlgId` and `typing.NamedTuple`",
+         [(None, "Key128"), ("cs", "CipherAlgId"), ("typing", "NamedTuple")]),
+        # key symbols, constants, members, calls and private names are not cited
+        ("`Ka`, `NONE`, `A5_3`, `SimStatus.NORMAL`, `Box()`, `_Box`", []),
+    ],
+)
+def test_cited_capwords_finds(text, cited):
+    assert cited_names(text, _CITED_CAPWORDS) == cited
+
+
+_CLASSES = "class Box:\n    class Lid:\n        pass\n\nTable = dict\n"
+
+
+@pytest.mark.parametrize(
+    "text, missing",
+    [
+        ("`Box` `Lid` `Box.Lid` `mod.Box` `mod.Table` `ValueError` `None` `typing.NamedTuple`", []),
+        # the qualifier must be the defining scope; another module is not checked
+        ("`Crate` `mod.Crate` `Box.Crate` `mod.Lid` `other.Crate`",
+         ["Crate", "mod.Crate", "Box.Crate", "mod.Lid"]),
+    ],
+)
+def test_unresolved_capwords_finds(text, missing):
+    assert unresolved_capwords(text, {"mod": _CLASSES}) == missing
