@@ -69,7 +69,7 @@ _LINE = '{"seq_no":%d,"actor":%s,"event":%s}\n'
 
 
 class TraceEvent(NamedTuple):
-    seq_no: int
+    # an event's seq_no is its index in the trace
     actor: str
     event: dict
 
@@ -86,17 +86,17 @@ class Tracer:
         self.events: list[TraceEvent] = []
 
     def __call__(self, actor: str, /, **event):
-        events = self.events
-        events.append(_tuple_new(TraceEvent, (len(events), actor, event)))
+        self.events.append(_tuple_new(TraceEvent, (actor, event)))
 
 
 def render_trace(events: list[TraceEvent]) -> str:
     """One line per event, `json.dumps(record, separators=(",", ":"))` plus a
-    newline, where record is `{"seq_no": ..., "actor": ..., "event": ...}`."""
+    newline, where record is `{"seq_no": ..., "actor": ..., "event": ...}`
+    and `seq_no` is the event's index in `events`, counted from 0."""
     return "".join(
         [
             _LINE % (seq_no, encode_basestring_ascii(actor), "".join(_encode_payload(event, 0)))
-            for seq_no, actor, event in events
+            for seq_no, (actor, event) in enumerate(events)
         ]
     )
 
@@ -124,17 +124,20 @@ _BY_VALUE = {
 _STEP_KINDS = _BY_VALUE[StepKind]
 # the keys of the top-level config object
 _CONFIG_KEYS = {"seed", "subscribers", "me_profiles", "network_policy", "attacker", "script"}
-# the keys each op takes besides "op"; a closed set, like every other object
+# the keys each op takes besides "op", in the order a loaded step's `args`
+# holds their checked values; a closed set, like every other object
 _STEP_KEYS = {
-    "ATTACH": {"imsi"},
-    "REQUEST_TRIPLES": {"imsi", "n"},
-    "CHALLENGE": {"imsi"},
-    "SEND_TRAFFIC": {"imsi", "plaintext", "frame_index"},
-    "POWER_CYCLE_UE": {"imsi"},
-    "OPEN_CHANNEL": {"imsi"},
-    "RUN_ATTACK": {"victim"},
-    "ASSERT": {"predicate"},
+    "ATTACH": ("imsi",),
+    "REQUEST_TRIPLES": ("imsi", "n"),
+    "CHALLENGE": ("imsi",),
+    "SEND_TRAFFIC": ("imsi", "plaintext", "frame_index"),
+    "POWER_CYCLE_UE": ("imsi",),
+    "OPEN_CHANNEL": ("imsi",),
+    "RUN_ATTACK": ("victim",),
+    "ASSERT": ("predicate",),
 }
+# the keys a step of each op may hold, "op" included, for the closed-key check
+_STEP_ALLOWED = {op: frozenset(("op", *keys)) for op, keys in _STEP_KEYS.items()}
 # the keys each attacker kind takes; the replay attack reads none but its kind
 _ATTACKER_KEYS = {
     "MITM_EAVESDROP": {"kind", "imsi", "rand_source", "victim_traffic"},
@@ -154,11 +157,9 @@ _DEFAULT_PROFILE = MeProfile()
 
 class ScenarioStep(NamedTuple):
     kind: StepKind
-    params: dict
-    # a SEND_TRAFFIC step's plaintext, decoded once at load; None otherwise
-    plaintext: bytes | None = None
-    # an ASSERT step's predicate, checked and compiled once at load; None otherwise
-    predicate: _Predicate | None = None
+    # the op's values in `_STEP_KEYS` order, checked and with defaults filled
+    # in at load: a SEND_TRAFFIC plaintext decoded, an ASSERT predicate compiled
+    args: tuple
 
 
 class SubscriberSpec(NamedTuple):
@@ -169,9 +170,9 @@ class SubscriberSpec(NamedTuple):
 
 class AttackerSpec(NamedTuple):
     kind: AttackKind
-    imsi: str | None = None
-    rand_source: RandSource = RandSource.FABRICATED
-    victim_traffic: bytes = b""
+    imsi: str | None
+    rand_source: RandSource
+    victim_traffic: bytes
 
 
 class ScenarioConfig(NamedTuple):
@@ -233,15 +234,10 @@ class ScenarioConfig(NamedTuple):
             if imsi not in seen:
                 raise ConfigError(f"me_profile for unknown subscriber {imsi}")
             prof = _object(prof, f"me_profile for {imsi}")
-            flags = {"class_e": True, "accepts_unauthenticated": False, "leaky": False}
-            _closed(prof, flags.keys(), "me_profile keys for %s", imsi)
-            flags.update(prof)
-            if not all(isinstance(flag, bool) for flag in flags.values()):
+            _closed(prof, MeProfile._field_defaults.keys(), "me_profile keys for %s", imsi)
+            if not all(isinstance(flag, bool) for flag in prof.values()):
                 raise ConfigError(f"me_profile flags for {imsi} must be true or false")
-            me_profiles[imsi] = _tuple_new(
-                MeProfile,
-                (flags["class_e"], flags["accepts_unauthenticated"], flags["leaky"]),
-            )
+            me_profiles[imsi] = _DEFAULT_PROFILE._replace(**prof)
 
         net = _object(raw.get("network_policy", {}), "network_policy")
         _closed(net, {"consumption_policy", "cipher", "batch_size"}, "network_policy keys")
@@ -274,14 +270,13 @@ class ScenarioConfig(NamedTuple):
                 raise ConfigError(f"script step {idx} must be a JSON object")
             if "op" not in step:
                 raise ConfigError(f"script step {idx} has no 'op'")
-            params = step.copy()
-            op = params.pop("op")
+            op = step["op"]
             try:
                 kind = _STEP_KINDS[op]
             except (KeyError, TypeError):
                 kind = StepKind(op)  # raises the ValueError that names the op
-            _closed(params, _STEP_KEYS[op], "keys in script step %d (%s)", idx, op)
-            script.append(cls._check_step(idx, kind, params, seen, attacker))
+            _closed(step, _STEP_ALLOWED[op], "keys in script step %d (%s)", idx, op)
+            script.append(cls._check_step(idx, kind, step, seen, attacker, batch_size))
 
         return cls(
             seed=seed,
@@ -295,14 +290,13 @@ class ScenarioConfig(NamedTuple):
         )
 
     @staticmethod
-    def _check_step(idx, kind, params, known_imsis, attacker) -> ScenarioStep:
+    def _check_step(idx, kind, step, known_imsis, attacker, batch_size) -> ScenarioStep:
         """Raise ConfigError on a bad step; return the loaded step."""
         if kind is _ASSERT:
-            if "predicate" not in params:
+            if "predicate" not in step:
                 raise ConfigError(f"ASSERT step {idx} missing predicate")
-            predicate = _compile_predicate(params["predicate"])
-            return _tuple_new(ScenarioStep, (kind, params, None, predicate))
-        step_imsi = params.get("victim") if kind is _RUN_ATTACK else params.get("imsi")
+            return _tuple_new(ScenarioStep, (kind, (_compile_predicate(step["predicate"]),)))
+        step_imsi = step.get("victim") if kind is _RUN_ATTACK else step.get("imsi")
         if step_imsi is None:
             raise ConfigError(f"step {idx} ({kind.value}) needs an imsi/victim")
         if step_imsi not in known_imsis:
@@ -314,19 +308,22 @@ class ScenarioConfig(NamedTuple):
                 # its genuine relay leg would ride the fake network it captured
                 raise ConfigError(f"step {idx} ({kind.value}): victim {step_imsi} is the attacker")
         if kind is _REQUEST_TRIPLES:
-            n = params.get("n", 1)
+            n = step.get("n", batch_size)
             if not _is_int(n) or not 1 <= n <= MAX_BATCH:
                 raise ConfigError(f"step {idx}: n must be an integer in [1, {MAX_BATCH}]")
-        if kind is _SEND_TRAFFIC:
+            args = (step_imsi, n)
+        elif kind is _SEND_TRAFFIC:
             try:
-                plaintext = bytes.fromhex(params["plaintext"])
+                plaintext = bytes.fromhex(step["plaintext"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"step {idx}: plaintext must be a hex string") from exc
-            frame = params.get("frame_index", 0)
+            frame = step.get("frame_index", 0)
             if not _is_int(frame) or not 0 <= frame < 1 << 64:
                 raise ConfigError(f"step {idx}: frame_index must be an integer in [0, 2^64)")
-            return _tuple_new(ScenarioStep, (kind, params, plaintext, None))
-        return _tuple_new(ScenarioStep, (kind, params, None, None))
+            args = (step_imsi, plaintext, frame)
+        else:
+            args = (step_imsi,)
+        return _tuple_new(ScenarioStep, (kind, args))
 
 
 def _member(enum_cls, value):
@@ -372,9 +369,10 @@ class _Predicate(NamedTuple):
 
 
 def _find(trace, clause, start=0):
-    """The first event from index `start` on that meets a compiled clause."""
+    """The index of the first event from index `start` on that meets a
+    compiled clause, or None."""
     actor, items = clause
-    for event in itertools.islice(trace, start, None):
+    for seq_no, event in enumerate(itertools.islice(trace, start, None), start):
         if actor is not _ANY_ACTOR and event.actor != actor:
             continue
         payload = event.event
@@ -382,7 +380,7 @@ def _find(trace, clause, start=0):
             if payload.get(key) != expected:
                 break
         else:
-            return event
+            return seq_no
     return None
 
 
@@ -453,9 +451,9 @@ def assert_trace(trace: list[TraceEvent], predicate: dict | _Predicate) -> Asser
         if hit is None:
             passed, detail = kind == "absent", "no event matched"
         elif kind == "present":
-            passed, detail = True, f"matched at seq_no {hit.seq_no}"
+            passed, detail = True, f"matched at seq_no {hit}"
         else:
-            passed, detail = False, f"unexpected match at seq_no {hit.seq_no}"
+            passed, detail = False, f"unexpected match at seq_no {hit}"
     elif kind == "ordered":
         start = 0
         for i, clause in enumerate(clauses):
@@ -463,7 +461,7 @@ def assert_trace(trace: list[TraceEvent], predicate: dict | _Predicate) -> Asser
             if hit is None:
                 passed, detail = False, f"element {i} not found after seq_no {start - 1}"
                 break
-            start = hit.seq_no + 1
+            start = hit + 1
         else:
             passed, detail = True, f"sequence complete by seq_no {start - 1}"
     elif kind == "absent_after":
@@ -471,23 +469,23 @@ def assert_trace(trace: list[TraceEvent], predicate: dict | _Predicate) -> Asser
         if anchor is None:
             passed, detail = True, "anchor never occurred (vacuous)"
         else:
-            hit = _find(trace, clauses[1], anchor.seq_no + 1)
+            hit = _find(trace, clauses[1], anchor + 1)
             if hit is None:
-                passed, detail = True, f"nothing after anchor at seq_no {anchor.seq_no}"
+                passed, detail = True, f"nothing after anchor at seq_no {anchor}"
             else:
                 passed = False
-                detail = f"match at seq_no {hit.seq_no} after anchor at {anchor.seq_no}"
+                detail = f"match at seq_no {hit} after anchor at {anchor}"
     else:  # field_equals
         hit = _find(trace, clauses[0])
         if hit is None:
             passed, detail = False, "no event matched the where clause"
         else:
-            actual = hit.event.get(field)
+            actual = trace[hit].event.get(field)
             if actual == value:
-                passed, detail = True, f"field {field} matches at seq_no {hit.seq_no}"
+                passed, detail = True, f"field {field} matches at seq_no {hit}"
             else:
                 passed = False
-                detail = f"field {field} is {actual!r} at seq_no {hit.seq_no}, wanted {value!r}"
+                detail = f"field {field} is {actual!r} at seq_no {hit}, wanted {value!r}"
     return _tuple_new(AssertOutcome, (passed, detail))
 
 
@@ -597,28 +595,27 @@ class ScenarioEngine:
         return result
 
     def _execute(self, index: int, step: ScenarioStep, result: ScenarioResult):
-        kind, params, plaintext, predicate = step
+        kind, args = step
         if kind is _ATTACH:
-            self.ues[params["imsi"]].attach(self.serving.name)
+            self.ues[args[0]].attach(self.serving.name)
         elif kind is _REQUEST_TRIPLES:
-            imsi = params["imsi"]
-            n = params.get("n", self.config.batch_size)
+            imsi, n = args
             self.trace(self.serving.name, msg="TRIPLES_REQUEST", imsi=imsi, n=n)
             triples = self.home.request_triples(imsi, n)
             self.serving.add_triples(imsi, triples)
         elif kind is _CHALLENGE:
-            self._challenge(params["imsi"], self.adversary and self.adversary.log)
+            self._challenge(args[0], self.adversary and self.adversary.log)
         elif kind is _SEND_TRAFFIC:
-            self._send_traffic(params, plaintext)
+            self._send_traffic(*args)
         elif kind is _POWER_CYCLE_UE:
-            self.ues[params["imsi"]].power_cycle()
+            self.ues[args[0]].power_cycle()
         elif kind is _OPEN_CHANNEL:
-            self.ues[params["imsi"]].open_channel()
+            self.ues[args[0]].open_channel()
         elif kind is _RUN_ATTACK:
-            report = self._run_attack(params["victim"])
+            report = self._run_attack(args[0])
             result.attack_reports.append(report)
         elif kind is _ASSERT:
-            passed, detail = assert_trace(self.tracer.events, predicate)
+            passed, detail = assert_trace(self.tracer.events, args[0])
             self.trace("engine", msg="ASSERT_RESULT", step=index, passed=passed, detail=detail)
             result.assert_results.append(_tuple_new(AssertResult, (index, passed, detail)))
         else:  # pragma: no cover - StepKind is closed
@@ -635,15 +632,14 @@ class ScenarioEngine:
             if self.serving.verify(imsi, outcome.sres) is _AUTHENTICATED:
                 me.apply_cipher(self.serving.select_cipher())
 
-    def _send_traffic(self, params: dict, plaintext: bytes):
-        me = self.ues[params["imsi"]]
-        frame_index = params.get("frame_index", 0)
+    def _send_traffic(self, imsi: str, plaintext: bytes, frame_index: int):
+        me = self.ues[imsi]
         ciphertext = me.send_traffic(plaintext, frame_index)
-        if self.adversary is not None:
+        # only the challenge replay reads the frames and plaintexts it logs
+        if self.adversary is not None and self.config.attacker.kind is _BBK_REPLAY:
             log = self.adversary.log
             log.note_frame(frame_index, me.session.cipher, ciphertext)
-            if self.config.attacker.kind is _BBK_REPLAY:
-                self._truth.setdefault(log.records[-1], []).append(plaintext)
+            self._truth.setdefault(log.records[-1], []).append(plaintext)
 
     def _run_attack(self, victim_imsi: str) -> AttackReport:
         spec = self.config.attacker

@@ -43,7 +43,7 @@ _NONE = cs.CipherAlgId.NONE
 
 
 class MeProfile(NamedTuple):
-    class_e_supported: bool = True
+    class_e: bool = True
     accepts_unauthenticated: bool = False
     # weaker reading of the teardown: SRES goes upstream before the drop
     leaky: bool = False
@@ -110,7 +110,7 @@ class MobileEquipment:
         # the phone is on exactly while its card has a power session
         if self.sim.state.initialized:
             raise ProtocolOrderError("ME already powered on")
-        profile = _tuple_new(TerminalProfile, (self.profile.class_e_supported,))
+        profile = _tuple_new(TerminalProfile, (self.profile.class_e,))
         self.sim.init(profile)
         self.trace(self.name, msg="TERMINAL_PROFILE", class_e=profile.class_e)
 

@@ -97,20 +97,19 @@ class HomeNetwork:
         self.trace(self.name, msg="PROVISION", imsi=imsi, mode=mode._value_)
         return sim_state
 
-    def request_triples(self, imsi: str, n: int, amf: int = 0) -> list[AuthTriple]:
-        """Issue a batch of n triples for the subscriber."""
+    def request_triples(self, imsi: str, n: int) -> list[AuthTriple]:
+        """Issue a batch of n triples for the subscriber, with AMF 0."""
         if imsi not in self.registry:
             raise UnknownSubscriberError(imsi)
         if not cs._is_int(n) or not 1 <= n <= MAX_BATCH:
             raise MalformedInputError(
                 f"batch size must be an integer in [1, {MAX_BATCH}], got {n!r}"
             )
-        auth_core.check_amf16(amf)
         record = self.registry[imsi]
         if record.mode is _ENHANCED:
             sqn_first = record.counter + 1
             triples, record.counter = auth_core.generate_triples(
-                record.ki, record.ka, record.counter, amf, n
+                record.ki, record.ka, record.counter, 0, n
             )
             self.trace(
                 self.name,

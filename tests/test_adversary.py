@@ -115,7 +115,7 @@ class TestFakeNetworkAttach:
     def test_enhanced_non_class_e_fabricated_rand_succeeds(self):
         # without class-e toolkit support the card cannot force the drop
         victim = build_victim(
-            mode=SimMode.ENHANCED, profile=MeProfile(class_e_supported=False)
+            mode=SimMode.ENHANCED, profile=MeProfile(class_e=False)
         )
         report = adversary().fake_network_attach(victim, victim_traffic=SECRET)
         assert report.succeeded
@@ -154,7 +154,7 @@ class TestBbkAttack:
 
     def test_enhanced_non_class_e_yields_useless_key(self):
         victim = build_victim(
-            mode=SimMode.ENHANCED, profile=MeProfile(class_e_supported=False)
+            mode=SimMode.ENHANCED, profile=MeProfile(class_e=False)
         )
         attacker = adversary()
         rand = eavesdrop_honest_exchange(victim, attacker)

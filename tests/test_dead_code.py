@@ -1,5 +1,6 @@
 """No function or method in src/akasim that nothing in the package calls,
-no stored field and no returned value that nothing in the package reads.
+no stored field and no returned value that nothing in the package reads,
+and no parameter default that no call in the package overrides.
 
 A module-level function or a class method is dead when its name appears
 nowhere else in src/akasim, as a name, an attribute or an import, and the
@@ -24,9 +25,18 @@ every such unpacking shares.  Any other use reads it: a call whose value
 goes anywhere else, or the name passed or stored uncalled.  Calls match by
 name, like the other rules.  Names in `akasim.__all__` and the methods of
 the classes it exports are exempt.
+
+A parameter default is unset when no call in src/akasim passes that
+parameter, by position or by keyword.  A call that unpacks `*` or `**`
+arguments may pass any parameter.  Calls match by name, like the other
+rules, and a class's name calls its `__init__` and `__new__`.  Names in
+`akasim.__all__`, the methods of the classes it exports and the console
+script that pyproject.toml names are exempt: callers outside the package
+may set their defaults.
 """
 
 import ast
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -226,8 +236,74 @@ def unread_returns(sources, exported=()) -> list[str]:
     return unread
 
 
+# the dunders a call of the class's own name reaches
+_CONSTRUCTORS = ("__init__", "__new__")
+
+
+def _defaults(function, is_method):
+    """(parameter, position a call passes it at, or None if only a keyword
+    can) of every parameter of `function` that has a default."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    # a call through an object or the class passes self or cls itself
+    bound = is_method and "staticmethod" not in map(_name, function.decorator_list)
+    first = len(positional) - len(args.defaults)
+    for position, arg in enumerate(positional[first:], first - bound):
+        yield arg.arg, position
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(tree):
+    """(callee name, positional count, keyword names) of every call; the
+    count is None for a call that unpacks `*` or `**` arguments."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            keywords = {keyword.arg for keyword in node.keywords}
+            if None in keywords or any(isinstance(arg, ast.Starred) for arg in node.args):
+                yield _name(node.func), None, keywords
+            else:
+                yield _name(node.func), len(node.args), keywords
+
+
+def unset_defaults(sources, exported=()) -> list[str]:
+    """`qualified(parameter)` for each parameter default in `sources` that
+    no call overrides."""
+    trees = [ast.parse(source) for source in sources]
+    calls = {}
+    for tree in trees:
+        for name, count, keywords in _passes(tree):
+            calls.setdefault(name, []).append((count, keywords))
+    unset = []
+    for tree in trees:
+        for qualified, function, _ in _definitions(tree):
+            owner, dot, name = qualified.rpartition(".")
+            if qualified.partition(".")[0] in exported:
+                continue
+            if name in _CONSTRUCTORS:
+                name = owner
+            elif name.startswith("__") and name.endswith("__"):
+                continue
+            sites = calls.get(name, [])
+            for param, position in _defaults(function, is_method=bool(dot)):
+                if not any(
+                    count is None or param in keywords or position is not None and position < count
+                    for count, keywords in sites
+                ):
+                    unset.append(f"{qualified}({param})")
+    return unset
+
+
 def _package_sources():
     return [path.read_text() for path in sorted(SRC.glob("*.py"))]
+
+
+def _console_scripts():
+    """The function name of each console script pyproject.toml names."""
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    return [target.rpartition(":")[2] for target in scripts.values()]
 
 
 def test_every_function_has_a_caller_in_the_package():
@@ -240,6 +316,10 @@ def test_every_field_has_a_reader_in_the_package():
 
 def test_every_return_has_a_reader_in_the_package():
     assert unread_returns(_package_sources(), akasim.__all__) == []
+
+
+def test_every_default_is_overridden_in_the_package():
+    assert unset_defaults(_package_sources(), [*akasim.__all__, *_console_scripts()]) == []
 
 
 _FIELD = "class B(NamedTuple):\n    pending_length: int\n\nx = B(1).pending_length\n"
@@ -349,3 +429,49 @@ def test_exported_functions_and_classes_are_exempt_from_unread_returns():
     sources = [_RETURNS, "class A:\n    def m(self):\n        return 1\n", "f()\na.m()\n"]
     assert unread_returns(sources) == ["f", "A.m"]
     assert unread_returns(sources, exported=["f", "A"]) == []
+
+
+_DEFAULTS = "def f(a, b=1, *, c=2):\n    pass\n"
+_METHOD_DEFAULT = "class A:\n    def m(self, b=1):\n        pass\n"
+
+
+@pytest.mark.parametrize(
+    "sources, unset",
+    [
+        # a default no call passes is flagged, positional and keyword-only alike
+        ([_DEFAULTS, "f(1)\n"], ["f(b)", "f(c)"]),
+        ([_DEFAULTS], ["f(b)", "f(c)"]),
+        # a call passes a parameter by position or by keyword
+        ([_DEFAULTS, "f(1, 2)\n"], ["f(c)"]),
+        ([_DEFAULTS, "f(1, b=2, c=3)\n"], []),
+        ([_DEFAULTS, "f(1)\nf(1, 2, c=3)\n"], []),
+        # only a keyword passes a keyword-only parameter
+        (["def f(*args, c=2):\n    pass\n", "f(1, 2, 3)\n"], ["f(c)"]),
+        # a call that unpacks `*` or `**` may pass any parameter
+        ([_DEFAULTS, "f(*xs)\n"], []),
+        ([_DEFAULTS, "f(1, **kw)\n"], []),
+        # a method's self is passed by the call's object, not by position
+        ([_METHOD_DEFAULT, "a.m()\n"], ["A.m(b)"]),
+        ([_METHOD_DEFAULT, "a.m(2)\n"], []),
+        (["class A:\n    @staticmethod\n    def m(a, b=1):\n        pass\n", "A.m(1)\n"], ["A.m(b)"]),
+        (["class A:\n    @staticmethod\n    def m(a, b=1):\n        pass\n", "A.m(1, 2)\n"], []),
+        # methods match by name, through any object
+        ([_METHOD_DEFAULT, "a.m()\nb.m(b=2)\n"], []),
+        # the class's name calls __init__ and __new__; other dunders are exempt
+        (["class A:\n    def __init__(self, b=1):\n        pass\n", "A()\n"], ["A.__init__(b)"]),
+        (["class A:\n    def __init__(self, b=1):\n        pass\n", "A(2)\n"], []),
+        (["class A:\n    def __new__(cls, b=1):\n        pass\n", "A()\n"], ["A.__new__(b)"]),
+        (["class A:\n    def __eq__(self, other=None):\n        pass\n"], []),
+        # a parameter with no default is not this rule's
+        (["def f(a):\n    pass\n", "f(1)\n"], []),
+    ],
+)
+def test_unset_defaults_finds(sources, unset):
+    assert unset_defaults(sources) == unset
+
+
+def test_exported_functions_classes_and_console_scripts_keep_their_defaults():
+    sources = [_DEFAULTS, _METHOD_DEFAULT, "def main(argv=None):\n    pass\n"]
+    assert unset_defaults(sources) == ["f(b)", "f(c)", "A.m(b)", "main(argv)"]
+    assert unset_defaults(sources, exported=["f", "A", "main"]) == []
+    assert _console_scripts() == ["main"]

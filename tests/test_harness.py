@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle
+from test_traffic import multi_frame_config
 from akasim import harness
 from akasim.errors import ConfigError
 from akasim.network_side import MAX_BATCH
@@ -158,8 +159,9 @@ class TestConfigValidation:
         raw = base_config(network_policy={"batch_size": MAX_BATCH}, script=script)
         config = ScenarioConfig.from_dict(raw)  # loaded, never run
         assert config.batch_size == MAX_BATCH == 4096
-        assert [step.params for step in config.script] == [
-            {k: v for k, v in step.items() if k != "op"} for step in script
+        assert [step.args for step in config.script] == [
+            (VICTIM, MAX_BATCH),
+            (VICTIM, b"\x00", 2**64 - 1),
         ]
 
     def test_send_traffic_step_carries_its_decoded_plaintext(self):
@@ -169,7 +171,11 @@ class TestConfigValidation:
             {"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": ""},
         ]
         config = ScenarioConfig.from_dict(base_config(script=script))
-        assert [step.plaintext for step in config.script] == [None, b"\x00\xff\x10", b""]
+        assert [step.args for step in config.script] == [
+            (VICTIM,),
+            (VICTIM, b"\x00\xff\x10", 0),
+            (VICTIM, b"", 0),
+        ]
 
     def test_duplicate_subscriber(self):
         raw = base_config(
@@ -239,6 +245,21 @@ class TestDeterminism:
         assert oracle.ref_sqn(ka, bytes.fromhex(rand)) == 1
 
 
+def eavesdropper_with_victim_traffic():
+    """configs/mitm_legacy.json with victim traffic logged before the attack."""
+    raw = json.loads((CONFIGS / "mitm_legacy.json").read_text())
+    raw["script"][2:2] = [
+        {"op": "REQUEST_TRIPLES", "imsi": VICTIM},
+        {"op": "CHALLENGE", "imsi": VICTIM},
+        {"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "5a" * 40},
+    ]
+    return raw
+
+
+# sha256 of the rendered eavesdropper_with_victim_traffic() trace
+EAVESDROPPER_TRACE_SHA256 = "e2e76b1ea976f6b52053f7e1fd99db78c6770a95e635532aa03a280f44c1379b"
+
+
 class TestEngineFlow:
     def test_honest_run_authenticates(self):
         result = run_scenario(ScenarioConfig.from_dict(base_config()))
@@ -278,21 +299,23 @@ class TestEngineFlow:
         assert result.all_asserts_passed  # second triple is still fresh
 
     def test_eavesdropper_files_no_ground_truth(self):
-        # mitm_legacy with victim traffic before the attack: only the challenge
-        # replay reads the plaintexts behind a logged exchange
-        raw = json.loads((CONFIGS / "mitm_legacy.json").read_text())
-        victim = "001010000000001"
-        raw["script"][2:2] = [
-            {"op": "REQUEST_TRIPLES", "imsi": victim},
-            {"op": "CHALLENGE", "imsi": victim},
-            {"op": "SEND_TRAFFIC", "imsi": victim, "plaintext": "5a" * 40},
-        ]
-        engine = harness.ScenarioEngine(ScenarioConfig.from_dict(raw))
+        # only the challenge replay reads the plaintexts behind a logged exchange
+        engine = harness.ScenarioEngine(ScenarioConfig.from_dict(eavesdropper_with_victim_traffic()))
         result = engine.run()
         assert engine._truth == {}
         assert result.error is None and result.all_asserts_passed
         assert hashlib.sha256(harness.render_trace(result.trace).encode()).hexdigest() == (
-            "e2e76b1ea976f6b52053f7e1fd99db78c6770a95e635532aa03a280f44c1379b"
+            EAVESDROPPER_TRACE_SHA256
+        )
+
+    def test_eavesdropper_logs_no_frames(self):
+        # only the challenge replay reads the frames of a logged exchange
+        engine = harness.ScenarioEngine(ScenarioConfig.from_dict(eavesdropper_with_victim_traffic()))
+        result = engine.run()
+        records = engine.adversary.log.records
+        assert records and all(record.frames == [] for record in records)
+        assert hashlib.sha256(harness.render_trace(result.trace).encode()).hexdigest() == (
+            EAVESDROPPER_TRACE_SHA256
         )
 
     def test_failed_assert_recorded(self):
@@ -525,8 +548,9 @@ class TestPredicateSemantics:
     def test_predicate_loaded_in_a_config(self, text, passed, detail):
         raw = base_config(script=[{"op": "ASSERT", "predicate": json.loads(text)}])
         (step,) = ScenarioConfig.from_dict(raw).script
-        assert step.params == {"predicate": json.loads(text)}
-        assert assert_trace(SEMANTICS_TRACE, step.predicate) == (passed, detail)
+        (predicate,) = step.args
+        assert predicate == harness._compile_predicate(json.loads(text))
+        assert assert_trace(SEMANTICS_TRACE, predicate) == (passed, detail)
 
 
 class TestPredicateCompile:
@@ -537,8 +561,11 @@ class TestPredicateCompile:
             {"op": "ASSERT", "predicate": {"kind": "present", "where": {"actor": "vlr", "msg": "X"}}},
         ]
         steps = ScenarioConfig.from_dict(base_config(script=script)).script
-        assert [step.predicate for step in steps[:2]] == [None, None]
-        assert steps[2].predicate == ("present", (("vlr", (("msg", "X"),)),), None, None)
+        assert [step.args for step in steps] == [
+            (VICTIM,),
+            (VICTIM, b"\x00", 0),
+            (("present", (("vlr", (("msg", "X"),)),), None, None),),
+        ]
 
     def test_a_clause_naming_no_actor_compiles_to_any_actor(self):
         compiled = harness._compile_predicate(
@@ -562,13 +589,14 @@ class TestPredicateCompile:
         monkeypatch.setattr(harness, "_compile_predicate", spy)
         for path in sorted(CONFIGS.glob("*.json")):
             compiled.clear()
-            config = ScenarioConfig.loads(path.read_text())
-            result = run_scenario(config)
-            predicates = [step.params["predicate"] for step in config.script if step.predicate]
+            text = path.read_text()
+            steps = json.loads(text)["script"]
+            result = run_scenario(ScenarioConfig.loads(text))
+            predicates = [step["predicate"] for step in steps if step["op"] == "ASSERT"]
             assert len(predicates) == len(result.assert_results) >= 2
             assert compiled == predicates, path.name
             # each result names the step, and so the predicate, it answers
-            assert [config.script[r.step_index].params["predicate"] for r in result.assert_results] == predicates
+            assert [steps[r.step_index]["predicate"] for r in result.assert_results] == predicates
 
     @pytest.mark.parametrize(
         "predicate, key",
@@ -642,10 +670,13 @@ class TestTraceEncoding:
             tracer(actor, msg=msg, **fields)
         lines = harness.render_trace(tracer.events).splitlines(keepends=True)
         assert len(lines) == len(calls)
-        for event, line in zip(tracer.events, lines):
-            record = {"seq_no": event.seq_no, "actor": event.actor, "event": event.event}
+        for seq_no, (event, line) in enumerate(zip(tracer.events, lines)):
+            record = {"seq_no": seq_no, "actor": event.actor, "event": event.event}
             assert line == json.dumps(record, separators=(",", ":")) + "\n"
-            assert harness.render_trace([event]) == line
+            assert harness.render_trace(tracer.events[: seq_no + 1]).endswith(line)
+            # a list is numbered from 0, wherever it was sliced from
+            record["seq_no"] = 0
+            assert harness.render_trace([event]) == json.dumps(record, separators=(",", ":")) + "\n"
 
     def test_bytes_value_is_rejected(self):
         tracer = Tracer()
@@ -882,3 +913,50 @@ class TestRoleGenerators:
         ]
         lazy = harness._RoleRandom("7/sim")
         assert lazy.randbytes(16) == random.Random("7/sim").randbytes(16)
+
+
+def _nested(value):
+    """`value` and every value inside it, nested tuples opened."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _nested(item)
+
+
+# configs whose loaded scripts are checked field by field
+LOADED_CONFIGS = {
+    **{path.stem: lambda path=path: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))},
+    "many_subscriber": many_subscriber_config,
+    "multi_frame": lambda: multi_frame_config("A5_3"),
+    "eavesdropper": eavesdropper_with_victim_traffic,
+}
+
+
+class TestLoadedScript:
+    """A loaded step is its kind and its op's checked values, in
+    `_STEP_KEYS` order, with every default filled in at load."""
+
+    @pytest.mark.parametrize("name", LOADED_CONFIGS)
+    def test_a_step_holds_its_ops_values_and_no_dict_or_list(self, name):
+        raw = LOADED_CONFIGS[name]()
+        config = ScenarioConfig.from_dict(raw)
+        defaults = {"n": config.batch_size, "frame_index": 0}
+        assert len(config.script) == len(raw["script"])
+        for step, loaded in zip(raw["script"], config.script):
+            keys = harness._STEP_KEYS[step["op"]]
+            assert loaded.kind.value == step["op"]
+            assert len(loaded.args) == len(keys)
+            assert not any(isinstance(value, (dict, list)) for value in _nested(loaded))
+            for key, value in zip(keys, loaded.args):
+                if key in defaults:
+                    assert value == step.get(key, defaults[key])
+
+    def test_absent_n_and_frame_index_are_filled_in(self):
+        # the victim's REQUEST_TRIPLES and SEND_TRAFFIC name neither
+        config = ScenarioConfig.from_dict(eavesdropper_with_victim_traffic())
+        kinds = (harness.StepKind.REQUEST_TRIPLES, harness.StepKind.SEND_TRAFFIC)
+        assert [step.args for step in config.script if step.kind in kinds] == [
+            (VICTIM, 2),
+            (VICTIM, b"\x5a" * 40, 0),
+            ("001010000000099", 1),
+        ]

@@ -107,7 +107,7 @@ class TestChallenge:
 
     def test_non_class_e_me_placeholder_flows_upstream(self):
         log = EventLog()
-        me = build_ue(counter=10, profile=MeProfile(class_e_supported=False), tracer=log)
+        me = build_ue(counter=10, profile=MeProfile(class_e=False), tracer=log)
         me.attach("vlr")
         outcome = me.handle_challenge(ac.build_hijacked_rand(KA, 0, 4))
         assert isinstance(outcome, Responded)

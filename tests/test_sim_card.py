@@ -70,7 +70,7 @@ class TestInit:
 
     def test_phone_with_non_bool_class_e_refused(self):
         card = enhanced_card()
-        me = MobileEquipment(MeProfile(class_e_supported="yes"), card)
+        me = MobileEquipment(MeProfile(class_e="yes"), card)
         with pytest.raises(MalformedInputError):
             me.power_on()
         assert _fields(card.state) == _fields(enhanced_card().state)
