@@ -106,11 +106,13 @@ def build_hijacked_rands(ka: bytes, amf: int, first_sqn: int, n: int) -> bytes:
     return _build_rands(cs._key(ka, "ka"), amf, first_sqn, n)
 
 
-# an f1 input block (message word, then pad word) and the f5 pad word
-_F1_BLOCK = array("Q", bytes(cs.TAG_LEN) + cs._PAD_F1)
+# the f5 pad word
 _F5_PAD = array("Q", cs._PAD_F5)
 # the most challenges one build puts in each of its buffers
 _MAX_LANES = 4096
+# (high octets, low octets) of the 16-bit values 0 .. 2^16 - 1, 64 KB each:
+# the source of f1 block octets 6-7; built on first use
+_low16_table = None
 # (lanes, ONES, RAMP): big-endian ints whose 64-bit lane i holds 1 and i, for
 # the largest build so far; replaced, never grown in place, so a reader always
 # sees a complete table and a lost race between threads costs only a rebuild
@@ -154,21 +156,46 @@ def _build_rands(ka: cs.Key128, amf: int, first_sqn: int, n: int) -> bytes:
 def _build_halves(ka: cs.Key128, amf: int, first_sqn: int, n: int) -> tuple[int, array]:
     """(masked AMF || SQN messages, tags) of n <= _MAX_LANES proven challenges.
 
-    Lane i of the big-endian message int is challenge i's.  One AES call tags
-    every message (f1); a second, on the tag array with its pad words
-    overwritten, computes every mask (f5).
+    Lane i of the big-endian message int is challenge i's; the mask xor reads
+    it.  One AES call tags every message, written as f1 input blocks by
+    _f1_blocks; a second, on the tag array with its pad words overwritten,
+    computes every mask (f5).
     """
     ones, ramp = _lanes(n)
     # lanes never carry: the entries prove first_sqn + n - 1 <= SQN_MAX
     msgs = ((amf << 48) | first_sqn) * ones + ramp
     # one buffer name, so each call's input array is freed as its output lands
-    words = _F1_BLOCK * n
-    words[0::2] = array("Q", msgs.to_bytes(8 * n, "big"))
-    words = array("Q", ka._encrypt(words.tobytes()))
+    words = array("Q", ka._encrypt(_f1_blocks(amf, first_sqn, n)))
     macs = words[0::2]
     words[1::2] = _F5_PAD * n
-    words = array("Q", ka._encrypt(words.tobytes()))
+    words = array("Q", ka._encrypt(memoryview(words).cast("B")))
     return msgs ^ int.from_bytes(words[0::2], "big"), macs
+
+
+def _f1_blocks(amf: int, first_sqn: int, n: int) -> bytearray:
+    """The f1 input blocks AMF || SQN || pad of n proven challenges.
+
+    Octets 0-5 of a block change only where SQN crosses a multiple of 2^16,
+    so each segment up to such a crossing is one block repeated, with its
+    octets 6-7, the low 16 SQN bits, written from the low-16 table.
+    """
+    global _low16_table
+    if _low16_table is None:
+        _low16_table = b"".join(bytes([i]) * 256 for i in range(256)), bytes(range(256)) * 256
+    high, low = _low16_table
+    blocks, sqn, last = b"", first_sqn, first_sqn + n
+    while sqn < last:
+        end = min(last, (sqn | 0xFFFF) + 1)
+        start = sqn & 0xFFFF
+        stop = start + end - sqn
+        segment = bytearray((amf << 48 | sqn).to_bytes(8, "big") + cs._PAD_F1) * (end - sqn)
+        segment[6::16] = high[start:stop]
+        segment[7::16] = low[start:stop]
+        # the first segment is the buffer; a batch of at most _MAX_LANES < 2^16
+        # challenges has at most one more, appended
+        blocks = blocks + segment if blocks else segment
+        sqn = end
+    return blocks
 
 
 def build_hijacked_rand(ka: bytes, amf: int, sqn: int) -> bytes:

@@ -136,23 +136,37 @@ def rand_bit_stats(n: int, seed: int) -> dict:
     ka = cs.Key128(rng.randbytes(cs.KEY_LEN))
     amf = 0
     build = auth_core._MAX_LANES
-    # two vertical counters, one per 64-bit half of the challenges: plane j of
-    # a counter holds bit j of the running count of each bit-lane, bit 63 - b
-    # of a lane counts bit b of the half, and a shorter build fills low lanes
+    # two carry-save counters, one per 64-bit half of the challenges: entry w
+    # of a counter is the [a, b] pair of ints pending at weight 2^w, with 0 in
+    # an empty slot (a zero adds nothing); bit 63 - b of a lane counts bit b
+    # of the half, and a shorter build fills low lanes
     halves = ([], [])
     for first in range(1, n + 1, build):
         masked, macs = auth_core._build_halves(ka, amf, first, min(build, n + 1 - first))
-        for planes, carry in zip(halves, (masked, int.from_bytes(macs, "big"))):
-            for j, plane in enumerate(planes):
-                planes[j] = plane ^ carry
-                carry &= plane
-                if not carry:
+        for pending, value in zip(halves, (masked, int.from_bytes(macs, "big"))):
+            for pair in pending:
+                a, b = pair
+                if not b:
+                    pair[1] = value
                     break
+                # a full adder: the sum stays at this weight, the carry moves up
+                t = a ^ b
+                pair[0], pair[1] = t ^ value, 0
+                value = a & b | t & value
             else:
-                planes.append(carry)
+                pending.append([value, 0])
 
     counts = []
-    for planes in halves:
+    for pending in halves:
+        # resolve the pairs into bit planes: plane w holds bit w of the count
+        # of each bit-lane
+        planes, carry = [], 0
+        for a, b in pending:
+            t = a ^ b
+            planes.append(t ^ carry)
+            carry = a & b | t & carry
+        if carry:
+            planes.append(carry)
         # fold the lanes in half down to one 64-bit lane (build is a power of
         # two): a bit-sliced full adder adds the high half to the low half
         bits = 32 * build

@@ -165,7 +165,7 @@ class ScenarioStep(NamedTuple):
 class SubscriberSpec(NamedTuple):
     imsi: str
     mode: SimMode
-    master: bytes | None = None
+    master: bytes | None
 
 
 class AttackerSpec(NamedTuple):

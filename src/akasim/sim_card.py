@@ -105,13 +105,13 @@ class SimResponse(NamedTuple):
     sres: bytes
     kc: bytes
     status: SimStatus
-    pending_length: int | None = None
+    pending_length: int | None
 
 
 class TerminalProfile(NamedTuple):
     """Capabilities the phone announces at card initialisation."""
 
-    class_e: bool = True
+    class_e: bool
 
 
 class ChannelStatusResult(NamedTuple):

@@ -309,3 +309,30 @@ class TestBuilderEdges:
             # 64 KB: two ints of 4,096 64-bit lanes each
             assert -(-ones.bit_length() // 8) + -(-ramp.bit_length() // 8) <= 64 * 1024
         assert ac.build_hijacked_rands(KA, 0, 1, 10_000) == cold
+
+    # a batch's f1 blocks repeat one block up to each multiple of 2^16 in SQN
+    @pytest.mark.parametrize("amf", [0, ac.AMF_MAX])
+    @pytest.mark.parametrize("k", [1, 1 << 16])
+    @pytest.mark.parametrize("n", [1, 2, 4, 4095, 4096])
+    def test_batches_at_multiples_of_2_16_match_oracle(self, amf, k, n):
+        # j = 0 starts at k * 2^16, j = 1 crosses it after one challenge and
+        # j = n - 1 ends on it; k = 2^16 is a multiple of 2^32
+        for j in sorted({0, 1, n - 1}):
+            self._check_against_oracle(amf, k * (1 << 16) - j, n)
+
+    @pytest.mark.parametrize("amf", [0, ac.AMF_MAX])
+    def test_batch_ending_at_sqn_max_matches_oracle(self, amf):
+        self._check_against_oracle(amf, ac.SQN_MAX - 4095, 4096)
+
+    @staticmethod
+    def _check_against_oracle(amf, first, n):
+        rands = ac.build_hijacked_rands(KA, amf, first, n)
+        triples, _ = ac.generate_triples(KI, KA, first - 1, amf, n)
+        assert len(rands) == 16 * n and b"".join(t.rand for t in triples) == rands
+        crossings = [i for i in range(n) if (first + i) & 0xFFFF == 0]
+        # two challenges on each side of every crossing, and the batch's ends
+        checked = {0, n - 1} | {i + d for i in crossings for d in (-2, -1, 0, 1)}
+        for i in sorted(checked & set(range(n))):
+            rand = rands[16 * i : 16 * i + 16]
+            assert rand == oracle.ref_build_rand(KA, amf, first + i), (first, n, i)
+            assert triples[i] == (rand, oracle.ref_a3(KI, rand), oracle.ref_a8(KI, rand)), (first, n, i)

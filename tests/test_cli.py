@@ -452,11 +452,12 @@ class TestRandStats:
 
     @pytest.mark.parametrize("lanes", [4, 4096])
     def test_counts_match_direct_counts_at_plane_edges(self, monkeypatch, lanes):
-        # 2^k and 2^k + 1 builds for k = 0..2, where a carry ripples into a
-        # new plane and the fold adds a full build to a one-challenge build;
-        # n = 1 folds a single challenge
+        # every count of full builds from 1 to 9, and one challenge more: the
+        # carry-save counter holds 1 or 2 ints per weight, a full add sends a
+        # carry past its top weight (3 and 7 builds), and the fold adds a full
+        # build to a one-challenge build; n = 1 folds a single challenge
         monkeypatch.setattr(ac, "_MAX_LANES", lanes)
-        ns = {builds * lanes + extra for builds in (1, 2, 4) for extra in (0, 1)} | {1}
+        ns = {builds * lanes + extra for builds in range(1, 10) for extra in (0, 1)} | {1}
         seed = 6
         ka = random.Random(f"rand-stats/{seed}").randbytes(cs.KEY_LEN)
         ones = [0] * 128
@@ -466,6 +467,18 @@ class TestRandStats:
                 ones[bit] += value >> (127 - bit) & 1
             if sqn in ns:
                 assert cli.rand_bit_stats(sqn, seed)["bit_counts"] == ones, sqn
+
+    def test_one_more_challenge_adds_its_oracle_bits(self):
+        # the counts of n challenges less those of n - 1 are the bits of
+        # challenge n alone, from the oracle: around 2^16, where the builder's
+        # f1 blocks change segment, and at 2^16 + 4096 (a build edge)
+        seed = 7
+        ka = random.Random(f"rand-stats/{seed}").randbytes(cs.KEY_LEN)
+        for n in (65535, 65536, 65537, 69632, 69633):
+            value = int.from_bytes(oracle.ref_build_rand(ka, 0, n), "big")
+            bits = [value >> (127 - bit) & 1 for bit in range(128)]
+            more, less = (cli.rand_bit_stats(m, seed)["bit_counts"] for m in (n, n - 1))
+            assert [a - b for a, b in zip(more, less)] == bits, n
 
     def test_each_challenge_built_once_per_call(self, monkeypatch):
         calls = []

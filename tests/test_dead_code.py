@@ -33,6 +33,13 @@ rules, and a class's name calls its `__init__` and `__new__`.  Names in
 `akasim.__all__`, the methods of the classes it exports and the console
 script that pyproject.toml names are exempt: callers outside the package
 may set their defaults.
+
+A NamedTuple field default is unused when every construction of its class
+in src/akasim gives that field: a `_tuple_new(Class, ...)` call, which
+gives every field, or a call of the class's name that passes the field by
+position or by keyword.  A call that unpacks `*` or `**` arguments, and a
+read of the class's `_field_defaults`, rely on every default.  Calls match
+by name, like the other rules, and classes in `akasim.__all__` are exempt.
 """
 
 import ast
@@ -295,6 +302,53 @@ def unset_defaults(sources, exported=()) -> list[str]:
     return unset
 
 
+def _field_defaults(tree):
+    """(class name, [(field, position)] of its fields with a default) of
+    every NamedTuple in class form."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and "NamedTuple" in map(_name, node.bases):
+            fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+            yield node.name, [
+                (stmt.target.id, position)
+                for position, stmt in enumerate(fields)
+                if stmt.value is not None
+            ]
+
+
+def _constructions(tree):
+    """(class name, positional count, keyword names) of every call and every
+    `_tuple_new(Class, ...)`, whose count is unbounded; the count is None for
+    a call that unpacks `*` or `**` and for a read of `_field_defaults`."""
+    yield from _passes(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) == "_tuple_new" and node.args:
+            yield _name(node.args[0]), float("inf"), set()
+        elif isinstance(node, ast.Attribute) and node.attr == "_field_defaults":
+            yield _name(node.value), None, set()
+
+
+def unused_field_defaults(sources, exported=()) -> list[str]:
+    """`Class.field` for each NamedTuple field default in `sources` that
+    every construction of its class overrides."""
+    trees = [ast.parse(source) for source in sources]
+    sites = {}
+    for tree in trees:
+        for name, count, keywords in _constructions(tree):
+            sites.setdefault(name, []).append((count, keywords))
+    unused = []
+    for tree in trees:
+        for cls, defaults in _field_defaults(tree):
+            if cls in exported:
+                continue
+            for field, position in defaults:
+                if all(
+                    count is not None and (position < count or field in keywords)
+                    for count, keywords in sites.get(cls, [])
+                ):
+                    unused.append(f"{cls}.{field}")
+    return unused
+
+
 def _package_sources():
     return [path.read_text() for path in sorted(SRC.glob("*.py"))]
 
@@ -321,6 +375,10 @@ def test_every_return_has_a_reader_in_the_package():
 def test_every_default_is_overridden_in_the_package():
     assert unset_defaults(_package_sources(), [*akasim.__all__, *_console_scripts()]) == []
 
+
+
+def test_every_field_default_is_relied_on_in_the_package():
+    assert unused_field_defaults(_package_sources(), akasim.__all__) == []
 
 _FIELD = "class B(NamedTuple):\n    pending_length: int\n\nx = B(1).pending_length\n"
 _METHOD = "class A:\n    def pending_length(self):\n        return 2\n"
@@ -475,3 +533,36 @@ def test_exported_functions_classes_and_console_scripts_keep_their_defaults():
     assert unset_defaults(sources) == ["f(b)", "f(c)", "A.m(b)", "main(argv)"]
     assert unset_defaults(sources, exported=["f", "A", "main"]) == []
     assert _console_scripts() == ["main"]
+
+
+_TUPLE_DEFAULTS = "class T(NamedTuple):\n    a: int\n    b: int = 1\n    c: int = 2\n"
+
+
+@pytest.mark.parametrize(
+    "sources, unused",
+    [
+        # no construction relies on a default: each is flagged
+        ([_TUPLE_DEFAULTS], ["T.b", "T.c"]),
+        # a full `_tuple_new` tuple gives every field
+        ([_TUPLE_DEFAULTS, "t = _tuple_new(T, (0, 1, 2))\n"], ["T.b", "T.c"]),
+        # a call gives a field by position or by keyword, and relies on the rest
+        ([_TUPLE_DEFAULTS, "t = T(0)\n"], []),
+        ([_TUPLE_DEFAULTS, "t = T(0, 1)\n"], ["T.b"]),
+        ([_TUPLE_DEFAULTS, "t = T(0, c=3)\n"], ["T.c"]),
+        ([_TUPLE_DEFAULTS, "t = T(0, 1, 2)\nu = _tuple_new(T, (0, 1, 2))\n"], ["T.b", "T.c"]),
+        # one construction that relies on a default keeps it
+        ([_TUPLE_DEFAULTS, "t = _tuple_new(T, (0, 1, 2))\nu = T(0, 1)\n"], ["T.b"]),
+        # a `*` or `**` call, or a read of the defaults, relies on every default
+        ([_TUPLE_DEFAULTS, "t = T(*xs)\n"], []),
+        ([_TUPLE_DEFAULTS, "t = T(0, 1, 2)\nu = T(0, **kw)\n"], []),
+        ([_TUPLE_DEFAULTS, "keys = T._field_defaults.keys()\n"], []),
+        # a field without a default is not this rule's
+        (["class T(NamedTuple):\n    a: int\n", "t = _tuple_new(T, (0,))\n"], []),
+    ],
+)
+def test_unused_field_defaults_finds(sources, unused):
+    assert unused_field_defaults(sources) == unused
+
+
+def test_exported_classes_keep_their_field_defaults():
+    assert unused_field_defaults([_TUPLE_DEFAULTS], exported=["T"]) == []

@@ -376,7 +376,7 @@ class SimCardMachine(RuleBasedStateMachine):
         phase = self.state.teardown_phase
         calls = {}
         if self.state.initialized:
-            calls["init"] = lambda: self.card.init(TerminalProfile())
+            calls["init"] = lambda: self.card.init(TerminalProfile(class_e=True))
         if not self.state.initialized or phase is not TeardownPhase.IDLE:
             calls["challenge"] = lambda: self.card.challenge(bytes(16))
         if phase not in (TeardownPhase.AWAIT_FETCH_1, TeardownPhase.AWAIT_FETCH_2):
