@@ -1,6 +1,7 @@
 """No function or method in src/akasim that nothing in the package calls,
 no stored field and no returned value that nothing in the package reads,
-and no parameter default that no call in the package overrides.
+no parameter default that no call in the package overrides, and no
+NamedTuple field default that every construction in the package overrides.
 
 A module-level function or a class method is dead when its name appears
 nowhere else in src/akasim, as a name, an attribute or an import, and the
@@ -374,7 +375,6 @@ def test_every_return_has_a_reader_in_the_package():
 
 def test_every_default_is_overridden_in_the_package():
     assert unset_defaults(_package_sources(), [*akasim.__all__, *_console_scripts()]) == []
-
 
 
 def test_every_field_default_is_relied_on_in_the_package():
