@@ -256,9 +256,7 @@ class Adversary:
             if logged.alg is _NONE:
                 decrypted += logged.ciphertext
                 continue
-            ciphertext = logged.ciphertext
-            keystream = cs._keystream(logged.alg, recovered_kc, logged.frame_index, len(ciphertext))
-            decrypted += cs._xor(ciphertext, keystream)
+            decrypted += cs._cipher(logged.alg, recovered_kc, logged.frame_index, logged.ciphertext)
         recovered = bytes(decrypted)
         self.trace(self.name, msg="LOG_DECRYPTED", plaintext=recovered.hex())
         return self._report(

@@ -20,8 +20,9 @@ Byte strings are used directly for keys, tags and challenges:
     Tag64  -- 8 octets (MAC, AK, SRES, Kc)
     Rand128 -- 16 octets (the challenge)
 
-Every AES use is one ECB update() over a whole buffer of blocks: a frame's
-keystream, the f1 or f5 tags of a batch, the A3/A8 pairs of a batch.
+Every keyed primitive is one ECB update() over a whole buffer of blocks: the
+f1 or f5 tags of a batch, the A3/A8 pairs of a batch.  A strong A5 frame is
+one CTR update() over the frame, on a context re-nonced per frame.
 
 Every public function checks its arguments once, on entry, and raises
 MalformedInputError on a violation; behind that check it runs on private
@@ -31,6 +32,7 @@ arguments.
 
 from __future__ import annotations
 
+import _thread
 import enum
 from array import array
 from functools import lru_cache
@@ -142,9 +144,12 @@ def _xor(a: bytes, b: bytes) -> bytes:
 
 
 # bound once: `algorithms` resolves every attribute through a Python-level
-# deprecation shim, and an ECB mode object holds no state
+# deprecation shim, and a mode object holds no state (a context reads the
+# CTR nonce once, when it is built)
 _AES = algorithms.AES
 _ECB_MODE = modes.ECB()
+_CTR_START = modes.CTR(bytes(16))
+_get_ident = _thread.get_ident
 
 
 @lru_cache(maxsize=512)
@@ -152,6 +157,13 @@ def _ecb(key: bytes):
     # ECB encrypts each block independently, so one cached context per key
     # can serve every call; update() is where the fast path lives.
     return Cipher(_AES(key), _ECB_MODE).encryptor()
+
+
+@lru_cache(maxsize=512)
+def _ctr(key: bytes, thread: int):
+    # a CTR context keeps its place in the keystream, so each thread has its
+    # own; _cipher re-nonces it before every frame
+    return Cipher(_AES(key), _CTR_START).encryptor()
 
 
 class Key128(bytes):
@@ -259,32 +271,18 @@ def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> 
         raise MalformedInputError(f"alg must be a CipherAlgId, got {alg!r}")
     if alg is _NONE:
         raise InvalidAlgorithmError("cannot generate keystream for alg NONE")
-    return _keystream(alg, kc, frame_index, length)
+    return _cipher(alg, kc, frame_index, bytes(length))
 
 
-# big-endian block counters 0, 1, ... for the longest frame seen; replaced,
-# never grown in place, so a reader always slices a complete table and a
-# lost race between threads costs only a rebuild
-_block_counters = array("I")
-
-
-def _keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> bytes:
-    """a5_keystream's bytes, for arguments the caller has already proven."""
-    global _block_counters
+def _cipher(alg: CipherAlgId, kc: bytes, frame_index: int, data: bytes) -> bytes:
+    """data xor the frame's a5_keystream, for arguments the caller has proven."""
     if alg is _A5_2:
         unit = (int.from_bytes(kc, "big") ^ frame_index).to_bytes(TAG_LEN, "big")
-        return (unit * -(-length // TAG_LEN))[:length]
-
-    # counter block i is tag || 0^3 || frame64 || i32, all encrypted at once
-    n = -(-length // 16)
-    counters = _block_counters
-    if n > len(counters):
-        counters = _block_counters = array("I", b"".join(i.to_bytes(4, "big") for i in range(n)))
-    head = _ALG_TAG_BYTES[alg._value_] << 120 | frame_index << 32
-    blocks = array("I", head.to_bytes(16, "big")) * n
-    blocks[3::4] = counters[:n]
-    # whole blocks only: a partial block would carry over in the shared context
-    return _ecb(kc + kc).update(blocks.tobytes())[:length]
+        return _xor(data, (unit * -(-len(data) // TAG_LEN))[: len(data)])
+    # counter block i is tag || 0^3 || frame64 || i32
+    ctx = _ctr(kc + kc, _get_ident())
+    ctx.reset_nonce((_ALG_TAG_BYTES[alg._value_] << 120 | frame_index << 32).to_bytes(16, "big"))
+    return ctx.update(data)
 
 
 def derive_subscriber_keys(master: bytes, imsi: str) -> tuple[Key128, Key128]:

@@ -246,8 +246,7 @@ class MobileEquipment:
         if cipher is _NONE:
             ciphertext = bytes(plaintext)
         else:
-            keystream = cs._keystream(cipher, session.kc, frame_index, len(plaintext))
-            ciphertext = cs._xor(plaintext, keystream)
+            ciphertext = cs._cipher(cipher, session.kc, frame_index, plaintext)
         self.trace(
             self.name,
             msg="TRAFFIC",

@@ -212,6 +212,13 @@ class TestRun:
         first = json.loads(trace.read_text().splitlines()[0])
         assert first["seq_no"] == 0
 
+    def test_unwritable_trace_out_usage_error(self, tmp_path, capsys):
+        trace = tmp_path / "no" / "t.trace"
+        argv = ["run", "--config", str(CONFIGS / "honest_enhanced.json"), "--trace-out", str(trace)]
+        assert cli.main(argv) == 64
+        assert capsys.readouterr().err.startswith("error: cannot write trace:")
+        assert not trace.parent.exists()
+
     def test_missing_config_usage_error(self):
         assert cli.main(["run", "--config", "/nonexistent.json"]) == 64
 
@@ -395,6 +402,13 @@ class TestVerifyTrace:
         assert cli.main(["verify-trace", "--trace", str(a), "--golden", str(b)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_length_mismatch(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_text("one\ntwo")  # without the golden's last newline
+        b.write_text("one\ntwo\n")
+        assert cli.main(["verify-trace", "--trace", str(a), "--golden", str(b)]) == 1
+        assert capsys.readouterr().err == "traces differ in length: 2 vs 3 lines\n"
+
     def test_missing_file_usage_error(self, tmp_path):
         a = tmp_path / "a"
         a.write_text("x")
@@ -413,6 +427,14 @@ class TestRandStats:
         assert len(report["bit_counts"]) == 128
         assert len(report["bit_frequencies"]) == 128
         assert all(0.45 < f < 0.55 for f in report["bit_frequencies"])
+
+    def test_plain_report_is_one_line(self, capsys):
+        assert cli.main(["rand-stats", "--n", "10000", "--seed", "0"]) == 0
+        report = cli.rand_bit_stats(10_000, 0)
+        assert capsys.readouterr().out == (
+            f"n=10000 max deviation {report['max_sigma_deviation']} sigma "
+            f"(bound {report['sigma_bound']}): pass\n"
+        )
 
     def test_chunked_counts_equal_direct_counts(self):
         # 9000 challenges span three build chunks

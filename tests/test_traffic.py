@@ -13,7 +13,7 @@ import os
 import random
 import subprocess
 import sys
-from array import array
+import threading
 from pathlib import Path
 
 import pytest
@@ -126,15 +126,15 @@ def test_multi_frame_trace_is_pinned(cipher):
 # --- the phone and the attacker against the oracle -----------------------------
 
 
-def ciphering_ue(alg: cs.CipherAlgId):
-    """A legacy phone authenticated on RAND and ciphering under `alg`, and its Kc."""
+def ciphering_ue(alg: cs.CipherAlgId, rand: bytes = RAND):
+    """A legacy phone authenticated on `rand` and ciphering under `alg`, and its Kc."""
     state = SimState(imsi=LEGACY, ki=KI, ka=None, counter=0, mode=SimMode.LEGACY)
     ue = MobileEquipment(MeProfile(), SimCard(state, random.Random(0)))
     ue.power_on()
     ue.attach("vlr")
-    ue.handle_challenge(RAND)
+    ue.handle_challenge(rand)
     ue.apply_cipher(alg)
-    return ue, oracle.ref_a8(KI, RAND)
+    return ue, oracle.ref_a8(KI, rand)
 
 
 def reference_ciphertext(alg, kc, frame_index, text):
@@ -171,24 +171,116 @@ def test_bbk_decrypt_matches_oracle():
     assert report.succeeded
 
 
-@pytest.mark.parametrize("alg", STRONG, ids=lambda alg: alg.value)
-def test_sweep_across_counter_table_growth(monkeypatch, alg):
-    """Many distinct lengths in shuffled order, from an empty counter table:
-    the table grows at each new longest frame and every shorter frame slices
-    it, and afterwards it holds the longest frame's block count, no more."""
-    monkeypatch.setattr(cs, "_block_counters", array("I"))
-    lengths = random.Random(alg.value).sample(range(1, 640), 64)
-    ue, kc = ciphering_ue(alg)
-    for frame_index, length in enumerate(lengths):
+def test_bbk_decrypt_passes_unciphered_frames_through():
+    """A logged A5/3 frame followed by a cipher-NONE frame decrypts to the
+    strong frame's plaintext and then the NONE frame's octets verbatim."""
+    victim, kc = ciphering_ue(cs.CipherAlgId.A5_3)
+    attacker = Adversary(rng=random.Random(0))
+    attacker.log.start_exchange(RAND)
+    strong, clear = plaintext(33, "strong"), plaintext(17, "clear")
+    attacker.log.note_frame(5, cs.CipherAlgId.A5_3, victim.send_traffic(strong, 5))
+    attacker.log.note_frame(6, cs.CipherAlgId.NONE, clear)
+    victim.power_cycle()
+    report = attacker.bbk_attack(victim, ground_truth=strong + clear)
+    assert report.recovered_kc == kc
+    assert report.recovered_plaintext == strong + clear
+    assert report.succeeded
+
+
+def test_ragged_frames_interleaved_across_kcs_and_ciphers():
+    """Frames of many distinct lengths alternate between two sessions with
+    different Kcs and between A5/1 and A5/3.  Every session reuses one
+    cached context per Kc, so keystream left over from a frame's partial
+    last block must never reach the next frame on that context."""
+    phones = [ciphering_ue(STRONG[0], rand) for rand in (RAND, RAND[::-1])]
+    assert phones[0][1] != phones[1][1]
+    draw = random.Random("ragged")
+    for frame_index, length in enumerate(draw.sample(range(1, 640), 96)):
+        (ue, kc), alg = draw.choice(phones), draw.choice(STRONG)
+        ue.apply_cipher(alg)
         text = plaintext(length)
         assert ue.send_traffic(text, frame_index) == reference_ciphertext(alg, kc, frame_index, text)
-    assert len(cs._block_counters) == -(-max(lengths) // 16)
 
 
-def test_counter_table_is_not_built_at_import():
-    code = "import akasim, akasim.crypto_suite as cs; print(len(cs._block_counters))"
+def test_session_builds_one_context():
+    """Every frame of a session, under both strong ciphers, runs on the one
+    context its Kc took on the first frame."""
+    ue = ciphering_ue(cs.CipherAlgId.A5_3)[0]
+    cs._ctr.cache_clear()
+    for frame_index in range(40):
+        ue.apply_cipher(STRONG[frame_index % 2])
+        ue.send_traffic(plaintext(frame_index % 20), frame_index)
+    assert cs._ctr.cache_info()[:2] == (39, 1)  # (hits, misses)
+
+
+def test_import_builds_no_context():
+    code = (
+        "import akasim, akasim.cli, akasim.crypto_suite as cs; "
+        "print(cs._ctr.cache_info().currsize, cs._ecb.cache_info().currsize)"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(cs.__file__).resolve().parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout == "0\n"
+    assert out.stdout == "0 0\n"
+
+
+class _NonceBarrier:
+    """A CTR context that, once re-nonced, waits until every thread has
+    re-nonced its own: a context shared between the threads would then
+    cipher every frame but the last under another thread's nonce."""
+
+    def __init__(self, ctx, barrier):
+        self._ctx, self._barrier = ctx, barrier
+
+    def reset_nonce(self, nonce):
+        self._ctx.reset_nonce(nonce)
+        self._barrier.wait()
+
+    def update(self, data):
+        return self._ctx.update(data)
+
+
+def test_threads_cipher_interleaved_frames_under_one_kc(monkeypatch):
+    """Three phones with the same Kc send frames from three threads, each
+    frame re-nonced before any thread ciphers."""
+    sides = range(3)
+    barrier = threading.Barrier(len(sides), timeout=10)
+
+    class BarrierCipher(cs.Cipher):
+        def encryptor(self):
+            return _NonceBarrier(super().encryptor(), barrier)
+
+    monkeypatch.setattr(cs, "Cipher", BarrierCipher)
+    cs._ctr.cache_clear()
+    phones = [ciphering_ue(cs.CipherAlgId.A5_3)[0] for _ in sides]
+    kc = oracle.ref_a8(KI, RAND)
+    frames = [[(3 * i + side, 1 + 9 * i + side) for i in range(12)] for side in sides]
+    sent = [[] for _ in sides]
+
+    def send(side):
+        try:
+            for frame_index, length in frames[side]:
+                sent[side].append(phones[side].send_traffic(plaintext(length), frame_index))
+        except BaseException:
+            barrier.abort()
+            raise
+
+    threads = [threading.Thread(target=send, args=(side,)) for side in sides]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        cs._ctr.cache_clear()  # no barrier context outlives the test
+    assert not any(thread.is_alive() for thread in threads)
+    for side in sides:
+        want = [
+            reference_ciphertext(cs.CipherAlgId.A5_3, kc, frame_index, plaintext(length))
+            for frame_index, length in frames[side]
+        ]
+        assert sent[side] == want
