@@ -200,11 +200,10 @@ class Adversary:
             if not self.log.records or not self.log.records[-1].rand:
                 raise MalformedInputError("replay requested but intercept log is empty")
             return self.log.records[-1].rand
-        if rand_source is _RELAY_FRESH:
-            if relay is None:
-                raise MalformedInputError("RELAY_FRESH needs a genuine network leg")
-            return relay.challenge(victim.sim.state.imsi)
-        raise MalformedInputError(f"no rand for source {rand_source}")
+        # RELAY_FRESH: the caller never passes SKIP_AKA here
+        if relay is None:
+            raise MalformedInputError("RELAY_FRESH needs a genuine network leg")
+        return relay.challenge(victim.sim.state.imsi)
 
     def _relay_upstream(self, plaintext: bytes):
         """Re-send captured traffic over the attacker's own genuine session."""

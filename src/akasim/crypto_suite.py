@@ -37,6 +37,7 @@ import enum
 from array import array
 from functools import lru_cache
 
+from cryptography.hazmat.bindings._rust import openssl as _openssl
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import InvalidAlgorithmError, MalformedInputError
@@ -150,20 +151,26 @@ _AES = algorithms.AES
 _ECB_MODE = modes.ECB()
 _CTR_START = modes.CTR(bytes(16))
 _get_ident = _thread.get_ident
+# Cipher(...).encryptor() ends in this call; its Python checks only prove the
+# two constant modes fit AES, so they run once here and build no context.
+# _AES(key) still checks the key size on every build.
+Cipher(_AES(bytes(KEY_LEN)), _ECB_MODE)
+Cipher(_AES(bytes(KEY_LEN)), _CTR_START)
+_new_ctx = _openssl.ciphers.create_encryption_ctx
 
 
 @lru_cache(maxsize=512)
 def _ecb(key: bytes):
     # ECB encrypts each block independently, so one cached context per key
     # can serve every call; update() is where the fast path lives.
-    return Cipher(_AES(key), _ECB_MODE).encryptor()
+    return _new_ctx(_AES(key), _ECB_MODE)
 
 
 @lru_cache(maxsize=512)
 def _ctr(key: bytes, thread: int):
     # a CTR context keeps its place in the keystream, so each thread has its
     # own; _cipher re-nonces it before every frame
-    return Cipher(_AES(key), _CTR_START).encryptor()
+    return _new_ctx(_AES(key), _CTR_START)
 
 
 class Key128(bytes):

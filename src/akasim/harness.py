@@ -618,8 +618,6 @@ class ScenarioEngine:
             passed, detail = assert_trace(self.tracer.events, args[0])
             self.trace("engine", msg="ASSERT_RESULT", step=index, passed=passed, detail=detail)
             result.assert_results.append(_tuple_new(AssertResult, (index, passed, detail)))
-        else:  # pragma: no cover - StepKind is closed
-            raise ConfigError(f"unhandled step kind {kind}")
 
     def _challenge(self, imsi: str, log: InterceptLog | None = None):
         """One AKA leg: challenge, answer, verify, cipher; `log` records the exchange."""

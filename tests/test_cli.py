@@ -341,6 +341,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: step 3 (RUN_ATTACK)") and "Traceback" not in err
 
+    def test_config_that_is_not_an_object_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        assert cli.main(["run", "--config", str(cfg)]) == 64
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
+    def test_unprovisioned_attacker_imsi_usage_error(self, tmp_path, capsys):
+        raw = json.loads((CONFIGS / "mitm_enhanced.json").read_text())
+        raw["attacker"]["imsi"] = "001019999999999"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg)]) == 64
+        assert capsys.readouterr().err == "error: attacker imsi 001019999999999 not provisioned\n"
+
+    def test_step_without_imsi_usage_error(self, tmp_path, capsys):
+        raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
+        raw["script"].append({"op": "ATTACH"})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg)]) == 64
+        idx = len(raw["script"]) - 1
+        assert capsys.readouterr().err == f"error: step {idx} (ATTACH) needs an imsi/victim\n"
+
     def test_failing_assert_exit_two(self, tmp_path):
         raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
         raw["script"].append(

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
 import oracle
@@ -338,6 +339,54 @@ class TestKey128:
             assert cs.f1_mac(key, msg) == oracle.ref_f1(key, msg)
         assert cs._ecb.cache_info().misses == misses
         assert cs._ecb.cache_info().currsize <= 512
+
+
+class TestContextConstruction:
+    """_ecb and _ctr build contexts through the binding behind
+    Cipher.encryptor(); the contexts must cipher exactly as the public
+    route's do."""
+
+    def test_ecb_contexts_match_public_cipher(self, rng):
+        for _ in range(64):
+            key, blocks = rng.randbytes(16), rng.randbytes(16 * rng.randrange(1, 9))
+            want = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(blocks)
+            assert cs._ecb(key).update(blocks) == want
+
+    def test_renonced_ctr_context_matches_public_cipher(self, rng):
+        key = rng.randbytes(16)
+        ctx = cs._ctr(key, -1)
+        # ragged lengths on one context: each reset_nonce drops what is left
+        # of the previous keystream block
+        for length in (0, 1, 15, 16, 17, 33, 100, 1500, 7):
+            nonce, data = rng.randbytes(16), rng.randbytes(length)
+            ctx.reset_nonce(nonce)
+            want = Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor().update(data)
+            assert ctx.update(data) == want, length
+
+    def test_one_block_matches_oracle(self, rng):
+        key, block = rng.randbytes(16), rng.randbytes(16)
+        want = oracle.aes128_encrypt_block(key, block)
+        assert cs._ecb(key).update(block) == want
+        ctx = cs._ctr(key, -1)
+        ctx.reset_nonce(block)
+        assert ctx.update(bytes(16)) == want
+
+    @pytest.mark.parametrize(
+        "build", [cs._ecb.__wrapped__, lambda key: cs._ctr.__wrapped__(key, 0)], ids=["ecb", "ctr"]
+    )
+    def test_key_size_is_checked_on_every_build(self, build):
+        for size in (0, 15, 17):
+            with pytest.raises(ValueError):
+                build(bytes(size))
+
+    def test_builds_make_no_cipher_object(self, monkeypatch, rng):
+        def refuse(*args):
+            raise AssertionError("Cipher built on the per-key path")
+
+        monkeypatch.setattr(cs, "Cipher", refuse)
+        key = rng.randbytes(16)
+        assert cs._ecb.__wrapped__(key).update(Z16) == oracle.aes128_encrypt_block(key, Z16)
+        assert cs._ctr.__wrapped__(key, 0).update(b"") == b""
 
 
 def test_derive_rejects_non_ascii_digits():

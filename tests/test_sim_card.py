@@ -208,6 +208,17 @@ class TestTeardownChoreography:
         with pytest.raises(ProtocolOrderError):
             card.terminal_response(CloseChannelResult())
 
+    def test_channel_status_result_while_awaiting_close_fails(self):
+        card = self.arm()
+        card.fetch()
+        card.terminal_response(ChannelStatusResult(channels=(1,)))
+        card.fetch()
+        assert card.state.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT
+        with pytest.raises(ProtocolOrderError, match="^expected close-channel result$"):
+            card.terminal_response(ChannelStatusResult(channels=(1,)))
+        assert card.state.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT
+        assert card.state.teardown_channels == (1,)
+
     def test_challenge_during_teardown_fails(self):
         card = self.arm()
         with pytest.raises(ProtocolOrderError):

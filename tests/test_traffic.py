@@ -230,12 +230,13 @@ class _NonceBarrier:
     re-nonced its own: a context shared between the threads would then
     cipher every frame but the last under another thread's nonce."""
 
-    def __init__(self, ctx, barrier):
-        self._ctx, self._barrier = ctx, barrier
+    def __init__(self, ctx, barrier, waits):
+        self._ctx, self._barrier, self._waits = ctx, barrier, waits
 
     def reset_nonce(self, nonce):
         self._ctx.reset_nonce(nonce)
         self._barrier.wait()
+        self._waits.append(nonce)
 
     def update(self, data):
         return self._ctx.update(data)
@@ -246,14 +247,12 @@ def test_threads_cipher_interleaved_frames_under_one_kc(monkeypatch):
     frame re-nonced before any thread ciphers."""
     sides = range(3)
     barrier = threading.Barrier(len(sides), timeout=10)
-
-    class BarrierCipher(cs.Cipher):
-        def encryptor(self):
-            return _NonceBarrier(super().encryptor(), barrier)
-
-    monkeypatch.setattr(cs, "Cipher", BarrierCipher)
-    cs._ctr.cache_clear()
+    waits = []
     phones = [ciphering_ue(cs.CipherAlgId.A5_3)[0] for _ in sides]
+    new_ctx = cs._new_ctx
+    # wrap the constructor _ctr calls; the phones' ECB contexts are built above
+    monkeypatch.setattr(cs, "_new_ctx", lambda *args: _NonceBarrier(new_ctx(*args), barrier, waits))
+    cs._ctr.cache_clear()
     kc = oracle.ref_a8(KI, RAND)
     frames = [[(3 * i + side, 1 + 9 * i + side) for i in range(12)] for side in sides]
     sent = [[] for _ in sides]
@@ -278,6 +277,7 @@ def test_threads_cipher_interleaved_frames_under_one_kc(monkeypatch):
         sys.setswitchinterval(interval)
         cs._ctr.cache_clear()  # no barrier context outlives the test
     assert not any(thread.is_alive() for thread in threads)
+    assert len(waits) == sum(map(len, frames))  # the barrier held every frame
     for side in sides:
         want = [
             reference_ciphertext(cs.CipherAlgId.A5_3, kc, frame_index, plaintext(length))
