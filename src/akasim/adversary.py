@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import crypto_suite as cs
 from .errors import MalformedInputError, ProtocolOrderError
-from .mobile_equipment import ConnectionDropped, MobileEquipment, Responded
+from .mobile_equipment import MobileEquipment
 from .network_side import ServingNetwork
 from .sim_card import noop_trace
 
@@ -129,7 +129,7 @@ class Adversary:
     # --- victim-leg helpers --------------------------------------------------
 
     def _capture_victim(self, victim: MobileEquipment):
-        if victim.session.attached_network is not None:
+        if victim.attached_network is not None:
             victim.detach()
         victim.attach(FAKE_NETWORK)
 
@@ -164,16 +164,16 @@ class Adversary:
 
         if rand_source is not _SKIP_AKA:
             rand = self._pick_rand(rand_source, victim, relay)
-            outcome = self._run_victim_aka(victim, rand)
-            if isinstance(outcome, ConnectionDropped):
+            sres = self._run_victim_aka(victim, rand)
+            if sres is None:
                 return self._report(
                     kind, succeeded=False, failure_cause="connection dropped by SIM"
                 )
             if rand_source is _RELAY_FRESH and relay is not None:
                 # honest forwarding of the response leg as well
-                relay.verify(victim.sim.state.imsi, outcome.sres)
+                relay.verify(victim.sim.state.imsi, sres)
             else:
-                self.trace(self.name, msg="SRES_IGNORED", sres=outcome.sres.hex())
+                self.trace(self.name, msg="SRES_IGNORED", sres=sres.hex())
             victim.apply_cipher(_NONE)
 
         try:
@@ -207,7 +207,7 @@ class Adversary:
 
     def _relay_upstream(self, plaintext: bytes):
         """Re-send captured traffic over the attacker's own genuine session."""
-        if self.own_ue is None or self.own_ue.session.attached_network is None:
+        if self.own_ue is None or self.own_ue.attached_network is None:
             return
         relayed = self.own_ue.send_traffic(plaintext, frame_index=0)
         self.trace(self.name, msg="RELAY_TRAFFIC", ciphertext=relayed.hex())
@@ -233,16 +233,14 @@ class Adversary:
         self.trace(self.name, msg="ATTACK_START", kind=kind._value_, rand=record.rand.hex())
         self._capture_victim(victim)
 
-        outcome = self._run_victim_aka(victim, record.rand)
-        if isinstance(outcome, ConnectionDropped):
+        sres = self._run_victim_aka(victim, record.rand)
+        if sres is None:
             return self._report(
                 kind,
                 succeeded=False,
                 failure_cause="connection dropped by SIM; no weak-cipher frame emitted",
             )
-        if not isinstance(outcome, Responded):
-            raise ProtocolOrderError(f"victim challenge ended in {outcome!r}, not a response")
-        self.trace(self.name, msg="SRES_IGNORED", sres=outcome.sres.hex())
+        self.trace(self.name, msg="SRES_IGNORED", sres=sres.hex())
 
         victim.apply_cipher(_A5_2)
         frame = victim.send_traffic(KNOWN_REDUNDANCY, frame_index=0)

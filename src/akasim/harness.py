@@ -33,7 +33,7 @@ from .adversary import (
 )
 from .crypto_suite import _is_int, _tuple_new, check_imsi
 from .errors import ConfigError, SimulationError
-from .mobile_equipment import MeProfile, MobileEquipment, Responded
+from .mobile_equipment import MeProfile, MobileEquipment
 from .network_side import (
     MAX_BATCH,
     ConsumptionPolicy,
@@ -625,9 +625,9 @@ class ScenarioEngine:
         rand = self.serving.challenge(imsi)
         if log is not None:
             log.start_exchange(rand)
-        outcome = me.handle_challenge(rand)
-        if isinstance(outcome, Responded):
-            if self.serving.verify(imsi, outcome.sres) is _AUTHENTICATED:
+        sres = me.handle_challenge(rand)
+        if sres is not None:
+            if self.serving.verify(imsi, sres) is _AUTHENTICATED:
                 me.apply_cipher(self.serving.select_cipher())
 
     def _send_traffic(self, imsi: str, plaintext: bytes, frame_index: int):
@@ -636,7 +636,7 @@ class ScenarioEngine:
         # only the challenge replay reads the frames and plaintexts it logs
         if self.adversary is not None and self.config.attacker.kind is _BBK_REPLAY:
             log = self.adversary.log
-            log.note_frame(frame_index, me.session.cipher, ciphertext)
+            log.note_frame(frame_index, me.cipher, ciphertext)
             self._truth.setdefault(log.records[-1], []).append(plaintext)
 
     def _run_attack(self, victim_imsi: str) -> AttackReport:
@@ -645,7 +645,7 @@ class ScenarioEngine:
         victim = self.ues[victim_imsi]
         if spec.kind is _MITM_EAVESDROP:
             own = adversary.own_ue
-            if own is not None and own.session.attached_network is None:
+            if own is not None and own.attached_network is None:
                 # the MITM's genuine leg, left out of its own intercept log
                 own.attach(self.serving.name)
                 self._challenge(spec.imsi)

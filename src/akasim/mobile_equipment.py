@@ -25,15 +25,7 @@ from .sim_card import (
     noop_trace,
 )
 
-__all__ = [
-    "MeProfile",
-    "ChannelTable",
-    "MeSession",
-    "Responded",
-    "ConnectionDropped",
-    "ChallengeOutcome",
-    "MobileEquipment",
-]
+__all__ = ["MeProfile", "MobileEquipment"]
 
 # Function bodies use these names, not `SimStatus.NORMAL`: on CPython 3.11
 # `EnumType` defines `__getattr__`, which slows every class attribute read.
@@ -49,48 +41,7 @@ class MeProfile(NamedTuple):
     leaky: bool = False
 
 
-class ChannelTable:
-    __slots__ = ("open_channels", "next_id")
-
-    def __init__(self, next_id: int = 1):
-        self.open_channels: set[int] = set()
-        self.next_id = next_id
-
-    def open(self) -> int:
-        cid = self.next_id
-        self.next_id += 1  # closed ids are never reused within a run
-        self.open_channels.add(cid)
-        return cid
-
-    def close(self, ids) -> tuple[int, ...]:
-        closed = tuple(sorted(set(ids) & self.open_channels))
-        self.open_channels -= set(ids)
-        return closed
-
-
-class MeSession:
-    __slots__ = ("kc", "cipher", "channels", "attached_network")
-
-    def __init__(self, channels: ChannelTable | None = None):
-        self.kc: bytes | None = None
-        self.cipher = _NONE
-        self.channels = ChannelTable() if channels is None else channels
-        self.attached_network: str | None = None
-
-
-class Responded(NamedTuple):
-    sres: bytes
-
-
-class ConnectionDropped(NamedTuple):
-    """The card tore the session down; the channels it closed are on the
-    wire, in the CONNECTION_DROPPED event."""
-
-
-ChallengeOutcome = Responded | ConnectionDropped
-
-# neither outcome carries a value, so one of each serves every teardown
-_CONNECTION_DROPPED = ConnectionDropped()
+# the result carries no value, so one serves every teardown
 _CLOSE_CHANNEL_RESULT = CloseChannelResult()
 
 
@@ -100,9 +51,16 @@ class MobileEquipment:
     def __init__(self, profile: MeProfile, sim: SimCard, tracer=None):
         self.profile = profile
         self.sim = sim
-        self.session = MeSession()
         self.trace = tracer or noop_trace
         self.name = f"ue:{sim.state.imsi}"
+        self._clear_session()
+        self.next_channel_id = 1  # closed ids are never reused within a run
+
+    def _clear_session(self):
+        self.kc: bytes | None = None
+        self.cipher = _NONE
+        self.attached_network: str | None = None
+        self.open_channels: set[int] = set()
 
     # --- lifecycle ---------------------------------------------------------
 
@@ -116,37 +74,43 @@ class MobileEquipment:
 
     def power_cycle(self):
         """Off and on again: session gone, card keeps its counter."""
-        self.session = MeSession(channels=ChannelTable(next_id=self.session.channels.next_id))
+        self._clear_session()
         self.sim.power_cycle()
         self.trace(self.name, msg="POWER_CYCLE")
         self.power_on()
 
     def attach(self, network: str):
-        self.session.attached_network = network
+        self.attached_network = network
         self.trace(self.name, msg="ATTACH", network=network)
 
     def detach(self):
-        network = self.session.attached_network
-        self.session.attached_network = None
-        self.session.kc = None
-        self.session.cipher = _NONE
+        network = self.attached_network
+        self.attached_network = None
+        self.kc = None
+        self.cipher = _NONE
         if network is not None:
             self.trace(self.name, msg="DETACH", network=network)
 
     def open_channel(self):
-        self.trace(self.name, msg="OPEN_CHANNEL", channel=self.session.channels.open())
+        channel = self.next_channel_id
+        self.next_channel_id += 1
+        self.open_channels.add(channel)
+        self.trace(self.name, msg="OPEN_CHANNEL", channel=channel)
 
     # --- authentication ----------------------------------------------------
 
-    def handle_challenge(self, rand: bytes) -> ChallengeOutcome:
+    def handle_challenge(self, rand: bytes) -> bytes | None:
         """Run one challenge through the card and act on its status.
 
-        The same code path serves every card type; this actor never
-        branches on anything but the response status byte.
+        Returns the SRES sent upstream, or None when the card tore the
+        session down (the channels it closed are on the wire, in the
+        CONNECTION_DROPPED event).  The same code path serves every card
+        type; this actor never branches on anything but the response
+        status byte.
         """
         if not self.sim.state.initialized:
             raise ProtocolOrderError("challenge while powered off")
-        if self.session.attached_network is None:
+        if self.attached_network is None:
             raise ProtocolOrderError("challenge while detached")
         rand = cs._check_len("rand", rand, cs.RAND_LEN)
         self.trace(self.name, msg="SIM_CHALLENGE", rand=rand.hex())
@@ -166,9 +130,9 @@ class MobileEquipment:
                 pending_length=response.pending_length,
             )
         if response.status is _NORMAL:
-            self.session.kc = response.kc
+            self.kc = response.kc
             self._send_sres(response.sres)
-            return _tuple_new(Responded, (response.sres,))
+            return response.sres
 
         # '91' status: the card wants something before this goes further
         if self.profile.leaky:
@@ -176,13 +140,13 @@ class MobileEquipment:
         closed = self._run_fetch_loop()
         self.detach()
         self.trace(self.name, msg="CONNECTION_DROPPED", closed_channels=list(closed))
-        return _CONNECTION_DROPPED
+        return None
 
     def _send_sres(self, sres: bytes):
         self.trace(
             self.name,
             msg="SRES_TO_NETWORK",
-            network=self.session.attached_network,
+            network=self.attached_network,
             sres=sres.hex(),
         )
 
@@ -194,7 +158,7 @@ class MobileEquipment:
             self.trace(self.name, msg="FETCH")
             command = self.sim.fetch()
             if command.kind is _GET_CHANNEL_STATUS:
-                channels = tuple(sorted(self.session.channels.open_channels))
+                channels = tuple(sorted(self.open_channels))
                 self.trace(self.name, msg="PROACTIVE_COMMAND", kind=command.kind._value_)
                 result = _tuple_new(ChannelStatusResult, (channels,))
                 status = self.sim.terminal_response(result)
@@ -212,7 +176,9 @@ class MobileEquipment:
                     kind=command.kind._value_,
                     channels=list(command.channel_ids),
                 )
-                closed = self.session.channels.close(command.channel_ids)
+                ids = set(command.channel_ids)
+                closed = tuple(sorted(ids & self.open_channels))
+                self.open_channels -= ids
                 closed_total += closed
                 status = self.sim.terminal_response(_CLOSE_CHANNEL_RESULT)
                 self.trace(
@@ -228,29 +194,29 @@ class MobileEquipment:
 
     def apply_cipher(self, alg: cs.CipherAlgId):
         """Start ciphering as commanded by the serving network."""
-        if alg is not _NONE and self.session.kc is None:
+        if alg is not _NONE and self.kc is None:
             raise ProtocolOrderError("cipher start without a session key")
-        self.session.cipher = alg
+        self.cipher = alg
         self.trace(self.name, msg="CIPHER_APPLIED", alg=alg._value_)
 
     def send_traffic(self, plaintext: bytes, frame_index: int) -> bytes:
         """Check, encrypt and emit one traffic frame; returns the air ciphertext."""
         cs._check_bytes("plaintext", plaintext)
         cs._check_frame_index(frame_index)
-        session = self.session
-        if session.attached_network is None:
+        network = self.attached_network
+        if network is None:
             raise ProtocolOrderError("traffic while detached")
-        if session.kc is None and not self.profile.accepts_unauthenticated:
+        if self.kc is None and not self.profile.accepts_unauthenticated:
             raise ProtocolOrderError("traffic before authentication")
-        cipher = session.cipher  # never other than NONE without a session key
+        cipher = self.cipher  # never other than NONE without a session key
         if cipher is _NONE:
             ciphertext = bytes(plaintext)
         else:
-            ciphertext = cs._cipher(cipher, session.kc, frame_index, plaintext)
+            ciphertext = cs._cipher(cipher, self.kc, frame_index, plaintext)
         self.trace(
             self.name,
             msg="TRAFFIC",
-            network=session.attached_network,
+            network=network,
             frame_index=frame_index,
             alg=cipher._value_,
             ciphertext=ciphertext.hex(),

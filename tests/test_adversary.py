@@ -13,7 +13,7 @@ from akasim.adversary import (
     InterceptLog,
     RandSource,
 )
-from akasim.errors import MalformedInputError, ProtocolOrderError
+from akasim.errors import MalformedInputError
 from akasim.mobile_equipment import MeProfile, MobileEquipment
 from akasim.network_side import ConsumptionPolicy, ServingNetwork, Verdict
 from akasim.sim_card import SimCard, SimMode, SimState
@@ -66,7 +66,7 @@ class TestFakeNetworkAttach:
         assert not report.succeeded
         assert report.failure_cause == "connection dropped by SIM"
         assert report.recovered_plaintext is None
-        assert victim.session.attached_network is None
+        assert victim.attached_network is None
 
     def test_enhanced_victim_relayed_fresh_rand_residual_exposure(self):
         # honest forwarding at authentication time still lets the
@@ -93,6 +93,13 @@ class TestFakeNetworkAttach:
         with pytest.raises(MalformedInputError):
             adversary().fake_network_attach(
                 victim, victim_traffic=SECRET, rand_source=RandSource.REPLAYED
+            )
+
+    def test_relay_fresh_source_needs_a_relay_leg(self):
+        victim = build_victim(mode=SimMode.LEGACY)
+        with pytest.raises(MalformedInputError, match="^RELAY_FRESH needs a genuine network leg$"):
+            adversary().fake_network_attach(
+                victim, victim_traffic=SECRET, rand_source=RandSource.RELAY_FRESH
             )
 
     def test_skip_aka_blocked_by_strict_me(self):
@@ -170,15 +177,6 @@ class TestBbkAttack:
         victim = build_victim(mode=SimMode.LEGACY)
         with pytest.raises(MalformedInputError):
             adversary().bbk_attack(victim, ground_truth=SECRET)
-
-    def test_victim_outcome_other_than_response_or_drop_raises(self, monkeypatch):
-        # an explicit check, not an assert, so that -O keeps it
-        victim = build_victim(mode=SimMode.LEGACY)
-        attacker = adversary()
-        eavesdrop_honest_exchange(victim, attacker)
-        monkeypatch.setattr(victim, "handle_challenge", lambda rand: None)
-        with pytest.raises(ProtocolOrderError):
-            attacker.bbk_attack(victim, ground_truth=SECRET)
 
     def test_plaintext_only_log_is_precondition_error(self):
         victim = build_victim(mode=SimMode.LEGACY)

@@ -141,6 +141,25 @@ class TestVerify:
         assert (a.placeholder_sres, a.placeholder_kc) == (b.placeholder_sres, b.placeholder_kc)
 
 
+    def test_placeholder_equal_to_the_honest_value_is_redrawn(self):
+        # a 2^-64 event, forced: each first draw equals the honest value
+        rand = ac.build_hijacked_rand(KA, 0, 1)
+        sres, kc = ac.legacy_response(KI, rand)
+
+        class Rigged:
+            def __init__(self, *draws):
+                self.draws = list(draws)
+
+            def randbytes(self, n):
+                assert n == cs.TAG_LEN
+                return self.draws.pop(0)
+
+        rng = Rigged(sres, b"\x01" * 8, kc, b"\x02" * 8)
+        outcome = ac.verify_hijacked_rand(KA, 5, rand, KI, rng)
+        assert outcome.reason is ac.RejectReason.SQN_NOT_FRESH
+        assert (outcome.placeholder_sres, outcome.placeholder_kc) == (b"\x01" * 8, b"\x02" * 8)
+        assert rng.draws == []
+
 class TestLegacyResponse:
     def test_matches_reference(self, rng):
         for _ in range(100):

@@ -13,9 +13,9 @@ import shlex
 import pytest
 
 import oracle
-from akasim import auth_core as ac, cli
+from akasim import auth_core as ac, cli, harness
 from akasim import crypto_suite as cs
-from akasim.errors import MalformedInputError
+from akasim.errors import MalformedInputError, ProvisioningError
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SRC = CONFIGS.parent / "src"
@@ -218,6 +218,18 @@ class TestRun:
         assert cli.main(argv) == 64
         assert capsys.readouterr().err.startswith("error: cannot write trace:")
         assert not trace.parent.exists()
+
+    def test_setup_failure_exit_three_without_a_trace(self, tmp_path, capsys, monkeypatch):
+        def failing_setup(config):
+            raise ProvisioningError("subscriber store unavailable")
+
+        monkeypatch.setattr(harness, "ScenarioEngine", failing_setup)
+        trace = tmp_path / "t.trace"
+        argv = ["run", "--config", str(CONFIGS / "honest_enhanced.json"), "--trace-out", str(trace)]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: scenario setup failed: subscriber store unavailable\n")
+        assert not trace.exists()
 
     def test_missing_config_usage_error(self):
         assert cli.main(["run", "--config", "/nonexistent.json"]) == 64

@@ -260,6 +260,26 @@ def eavesdropper_with_victim_traffic():
 EAVESDROPPER_TRACE_SHA256 = "e2e76b1ea976f6b52053f7e1fd99db78c6770a95e635532aa03a280f44c1379b"
 
 
+def replaying_eavesdropper(config_name):
+    """A shipped MITM config whose attacker replays the victim's genuine
+    challenge, overheard one step before the attack."""
+    raw = json.loads((CONFIGS / config_name).read_text())
+    raw["attacker"]["rand_source"] = "REPLAYED"
+    raw["script"] = [
+        {"op": "ATTACH", "imsi": VICTIM},
+        {"op": "OPEN_CHANNEL", "imsi": VICTIM},
+        {"op": "REQUEST_TRIPLES", "imsi": VICTIM, "n": 1},
+        {"op": "CHALLENGE", "imsi": VICTIM},
+        {"op": "REQUEST_TRIPLES", "imsi": raw["attacker"]["imsi"], "n": 1},
+        {"op": "RUN_ATTACK", "victim": VICTIM},
+    ]
+    return ScenarioConfig.from_dict(raw)
+
+
+def _rands(result, msg):
+    return [e.event["rand"] for e in result.trace if e.event["msg"] == msg]
+
+
 class TestEngineFlow:
     def test_honest_run_authenticates(self):
         result = run_scenario(ScenarioConfig.from_dict(base_config()))
@@ -317,6 +337,27 @@ class TestEngineFlow:
         assert hashlib.sha256(harness.render_trace(result.trace).encode()).hexdigest() == (
             EAVESDROPPER_TRACE_SHA256
         )
+
+    def test_replayed_challenge_reads_a_legacy_victims_traffic(self):
+        config = replaying_eavesdropper("mitm_legacy.json")
+        result = run_scenario(config)
+        assert result.error is None
+        (report,) = result.attack_reports
+        assert report.succeeded
+        assert report.recovered_plaintext == config.attacker.victim_traffic
+        (genuine, _attackers_own) = _rands(result, "AUTH_CHALLENGE")
+        assert _rands(result, "FAKE_AUTH_CHALLENGE") == [genuine]
+
+    def test_replayed_challenge_is_dropped_by_an_enhanced_class_e_victim(self):
+        result = run_scenario(replaying_eavesdropper("mitm_enhanced.json"))
+        assert result.error is None
+        (report,) = result.attack_reports
+        assert not report.succeeded
+        assert report.failure_cause == "connection dropped by SIM"
+        (genuine, _attackers_own) = _rands(result, "AUTH_CHALLENGE")
+        assert _rands(result, "FAKE_AUTH_CHALLENGE") == [genuine]
+        dropped = [e.event for e in result.trace if e.event["msg"] == "CONNECTION_DROPPED"]
+        assert dropped == [{"msg": "CONNECTION_DROPPED", "closed_channels": [1]}]
 
     def test_failed_assert_recorded(self):
         raw = base_config(

@@ -1,19 +1,22 @@
 """Phone actor: challenge forwarding, FETCH loop, ciphering, traffic."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from akasim import auth_core as ac, crypto_suite as cs
 from akasim.errors import ProtocolOrderError
-from akasim.mobile_equipment import (
-    ChannelTable,
-    ConnectionDropped,
-    MeProfile,
-    MobileEquipment,
-    Responded,
+from akasim.mobile_equipment import MeProfile, MobileEquipment
+from akasim.sim_card import (
+    SimCard,
+    SimMode,
+    SimResponse,
+    SimState,
+    SimStatus,
+    StkCommand,
+    StkKind,
 )
-from akasim.sim_card import SimCard, SimMode, SimState
 
 KI = bytes.fromhex("202122232425262728292a2b2c2d2e2f")
 KA = bytes.fromhex("101112131415161718191a1b1c1d1e1f")
@@ -47,8 +50,8 @@ class TestChallenge:
         me.attach("vlr")
         rand = ac.build_hijacked_rand(KA, 0, 1)
         outcome = me.handle_challenge(rand)
-        assert isinstance(outcome, Responded)
-        assert (outcome.sres, me.session.kc) == ac.legacy_response(KI, rand)
+        assert outcome is not None
+        assert (outcome, me.kc) == ac.legacy_response(KI, rand)
         assert "SRES_TO_NETWORK" in log.messages()
 
     def test_replay_drops_connection_and_closes_channels(self):
@@ -59,11 +62,11 @@ class TestChallenge:
         rand = ac.build_hijacked_rand(KA, 0, 1)
         me.handle_challenge(rand)
         outcome = me.handle_challenge(rand)
-        assert isinstance(outcome, ConnectionDropped)
+        assert outcome is None
         (dropped,) = [fields for _, msg, fields in log.events if msg == "CONNECTION_DROPPED"]
         assert dropped == {"closed_channels": [1]}
-        assert me.session.channels.open_channels == set()
-        assert me.session.attached_network is None
+        assert me.open_channels == set()
+        assert me.attached_network is None
         # the dropped exchange must not transmit its response
         msgs = log.messages()
         challenges = [i for i, m in enumerate(msgs) if m == "SIM_CHALLENGE"]
@@ -93,15 +96,15 @@ class TestChallenge:
         me = build_ue(mode=SimMode.LEGACY)
         me.attach("vlr")
         rand = random.Random(2).randbytes(16)
-        assert isinstance(me.handle_challenge(rand), Responded)
-        assert isinstance(me.handle_challenge(rand), Responded)
+        assert me.handle_challenge(rand) is not None
+        assert me.handle_challenge(rand) is not None
 
     def test_leaky_profile_transmits_before_drop(self):
         log = EventLog()
         me = build_ue(counter=10, profile=MeProfile(leaky=True), tracer=log)
         me.attach("vlr")
         outcome = me.handle_challenge(ac.build_hijacked_rand(KA, 0, 4))
-        assert isinstance(outcome, ConnectionDropped)
+        assert outcome is None
         msgs = log.messages()
         assert msgs.index("SRES_TO_NETWORK") < msgs.index("CONNECTION_DROPPED")
 
@@ -110,8 +113,8 @@ class TestChallenge:
         me = build_ue(counter=10, profile=MeProfile(class_e=False), tracer=log)
         me.attach("vlr")
         outcome = me.handle_challenge(ac.build_hijacked_rand(KA, 0, 4))
-        assert isinstance(outcome, Responded)
-        assert me.session.attached_network == "vlr"
+        assert outcome is not None
+        assert me.attached_network == "vlr"
         assert "FETCH" not in log.messages()
 
     def test_challenge_detached_fails(self):
@@ -161,14 +164,14 @@ class TestCipherAndTraffic:
         me = self.authed_ue()
         me.apply_cipher(cs.CipherAlgId.A5_2)
         ciphertext = me.send_traffic(bytes(8), 0)
-        assert ciphertext == me.session.kc
+        assert ciphertext == me.kc
 
     def test_stream_cipher_identity(self):
         me = self.authed_ue()
         me.apply_cipher(cs.CipherAlgId.A5_3)
         plaintext = b"0123456789abcdefREDUNDANT"
         ciphertext = me.send_traffic(plaintext, 3)
-        keystream = cs.a5_keystream(cs.CipherAlgId.A5_3, me.session.kc, 3, len(plaintext))
+        keystream = cs.a5_keystream(cs.CipherAlgId.A5_3, me.kc, 3, len(plaintext))
         assert cs.xor_bytes(ciphertext, plaintext) == keystream
 
     def test_traffic_detached_fails(self):
@@ -196,9 +199,9 @@ class TestLifecycle:
         me.handle_challenge(ac.build_hijacked_rand(KA, 0, 1))
         me.open_channel()
         me.power_cycle()
-        assert me.session.kc is None
-        assert me.session.attached_network is None
-        assert me.session.channels.open_channels == set()
+        assert me.kc is None
+        assert me.attached_network is None
+        assert me.open_channels == set()
         me.open_channel()
         first, second = (f["channel"] for _, msg, f in log.events if msg == "OPEN_CHANNEL")
         assert second > first  # ids never reused within a run
@@ -220,8 +223,27 @@ class TestLifecycle:
         me.power_on()
         assert log.messages()[-1] == "TERMINAL_PROFILE"
 
-    def test_channel_table_close_reports_only_open(self):
-        table = ChannelTable()
-        a, b = table.open(), table.open()
-        assert table.close([a, 99]) == (a,)
-        assert table.open_channels == {b}
+    def test_close_channel_reports_only_open(self):
+        class ClosingCard:
+            """Answers '91', then closes one open and one unknown channel."""
+
+            state = SimpleNamespace(imsi=IMSI, initialized=True)
+
+            def challenge(self, rand):
+                return SimResponse(bytes(4), bytes(8), SimStatus.PROACTIVE_PENDING, 3)
+
+            def fetch(self):
+                return StkCommand(StkKind.CLOSE_CHANNEL, (1, 99))
+
+            def terminal_response(self, result):
+                return SimStatus.NORMAL
+
+        log = EventLog()
+        me = MobileEquipment(MeProfile(), ClosingCard(), tracer=log)
+        me.attach("vlr")
+        me.open_channel()
+        me.open_channel()
+        assert me.handle_challenge(bytes(16)) is None
+        (dropped,) = [fields for _, msg, fields in log.events if msg == "CONNECTION_DROPPED"]
+        assert dropped == {"closed_channels": [1]}
+        assert me.open_channels == {2}
