@@ -22,7 +22,7 @@ from .auth_core import (
 )
 from .crypto_suite import CipherAlgId
 from .harness import ScenarioConfig, ScenarioResult, assert_trace, run_scenario
-from .sim_card import SimCard, SimMode, SimState
+from .sim_card import SimCard, SimMode
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "ScenarioResult",
     "SimCard",
     "SimMode",
-    "SimState",
     "VerifyOutcome",
     "assert_trace",
     "build_hijacked_rand",

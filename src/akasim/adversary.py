@@ -134,7 +134,7 @@ class Adversary:
         victim.attach(FAKE_NETWORK)
 
     def _run_victim_aka(self, victim: MobileEquipment, rand: bytes):
-        imsi = victim.sim.state.imsi
+        imsi = victim.sim.imsi
         self.trace(self.name, msg="FAKE_AUTH_CHALLENGE", imsi=imsi, rand=rand.hex())
         return victim.handle_challenge(rand)
 
@@ -171,7 +171,7 @@ class Adversary:
                 )
             if rand_source is _RELAY_FRESH and relay is not None:
                 # honest forwarding of the response leg as well
-                relay.verify(victim.sim.state.imsi, sres)
+                relay.verify(victim.sim.imsi, sres)
             else:
                 self.trace(self.name, msg="SRES_IGNORED", sres=sres.hex())
             victim.apply_cipher(_NONE)
@@ -203,7 +203,7 @@ class Adversary:
         # RELAY_FRESH: the caller never passes SKIP_AKA here
         if relay is None:
             raise MalformedInputError("RELAY_FRESH needs a genuine network leg")
-        return relay.challenge(victim.sim.state.imsi)
+        return relay.challenge(victim.sim.imsi)
 
     def _relay_upstream(self, plaintext: bytes):
         """Re-send captured traffic over the attacker's own genuine session."""

@@ -133,6 +133,8 @@ def check_imsi(imsi: str) -> str:
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
+    _check_bytes("a", a)
+    _check_bytes("b", b)
     if len(a) != len(b):
         raise MalformedInputError(f"xor of unequal lengths {len(a)} != {len(b)}")
     return _xor(a, b)

@@ -41,7 +41,7 @@ from .network_side import (
     ServingNetwork,
     Verdict,
 )
-from .sim_card import SimCard, SimMode
+from .sim_card import SimMode
 
 __all__ = [
     "TraceEvent",
@@ -557,8 +557,8 @@ class ScenarioEngine:
         self.ues: dict[str, MobileEquipment] = {}
         for spec in config.subscribers:
             master = spec.master or provision_rng.randbytes(cs.KEY_LEN)
-            sim_state = self.home.provision(spec.imsi, spec.mode, master)
-            sim = SimCard(sim_state, rng=_RoleRandom(f"{seed}/sim/{spec.imsi}"))
+            card_rng = _RoleRandom(f"{seed}/sim/{spec.imsi}")
+            sim = self.home.provision(spec.imsi, spec.mode, master, card_rng)
             profile = config.me_profiles.get(spec.imsi, _DEFAULT_PROFILE)
             me = MobileEquipment(profile, sim, tracer=trace)
             me.power_on()

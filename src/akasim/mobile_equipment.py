@@ -52,7 +52,7 @@ class MobileEquipment:
         self.profile = profile
         self.sim = sim
         self.trace = tracer or noop_trace
-        self.name = f"ue:{sim.state.imsi}"
+        self.name = f"ue:{sim.imsi}"
         self._clear_session()
         self.next_channel_id = 1  # closed ids are never reused within a run
 
@@ -66,7 +66,7 @@ class MobileEquipment:
 
     def power_on(self):
         # the phone is on exactly while its card has a power session
-        if self.sim.state.initialized:
+        if self.sim.initialized:
             raise ProtocolOrderError("ME already powered on")
         profile = _tuple_new(TerminalProfile, (self.profile.class_e,))
         self.sim.init(profile)
@@ -108,7 +108,7 @@ class MobileEquipment:
         type; this actor never branches on anything but the response
         status byte.
         """
-        if not self.sim.state.initialized:
+        if not self.sim.initialized:
             raise ProtocolOrderError("challenge while powered off")
         if self.attached_network is None:
             raise ProtocolOrderError("challenge while detached")

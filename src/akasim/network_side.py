@@ -25,7 +25,7 @@ from .errors import (
     TripleExhaustionError,
     UnknownSubscriberError,
 )
-from .sim_card import SimMode, SimState, noop_trace
+from .sim_card import SimCard, SimMode, noop_trace
 
 __all__ = [
     "MAX_BATCH",
@@ -82,20 +82,22 @@ class HomeNetwork:
         self.trace = tracer or noop_trace
         self.name = "auc"
 
-    def provision(self, imsi: str, mode: SimMode, master: bytes) -> SimState:
-        """Register a new subscriber and return the state of its card."""
+    def provision(
+        self, imsi: str, mode: SimMode, master: bytes, card_rng: random.Random
+    ) -> SimCard:
+        """Register a new subscriber and issue its card, which draws on `card_rng`."""
         check_imsi(imsi)
         if imsi in self.registry:
             raise ProvisioningError(f"imsi {imsi} already provisioned")
         ki, ka = cs._derive_keys(cs._key(master, "master"), imsi)
         if mode is _LEGACY:
             ka = None
-        # the card state checks the mode, so a refused call leaves no record
-        sim_state = SimState(imsi=imsi, ki=ki, ka=ka, counter=0, mode=mode)
+        # the card checks the mode, so a refused call leaves no record
+        card = SimCard(imsi, ki, ka, 0, mode, card_rng)
         self.registry[imsi] = SubscriberRecord(ki=ki, ka=ka, counter=0, mode=mode)
         # `_value_` is the attribute behind the Python-level `.value` property
         self.trace(self.name, msg="PROVISION", imsi=imsi, mode=mode._value_)
-        return sim_state
+        return card
 
     def request_triples(self, imsi: str, n: int) -> list[AuthTriple]:
         """Issue a batch of n triples for the subscriber, with AMF 0."""

@@ -34,7 +34,6 @@ __all__ = [
     "ChannelStatusResult",
     "CloseChannelResult",
     "TerminalResponse",
-    "SimState",
     "SimCard",
 ]
 
@@ -130,9 +129,10 @@ def noop_trace(actor, /, **event):
     """The actors' tracer when none is injected: records nothing."""
 
 
-class SimState:
-    """Full card state.  Provisioning writes the keys, mode and counter; the
-    volatile rest starts powered off and only the card's transitions move it."""
+class SimCard:
+    """One physical card.  Provisioning writes the keys, mode and counter;
+    the volatile rest starts powered off and only the card's transitions
+    move it.  The owner serializes all calls."""
 
     __slots__ = (
         "imsi",
@@ -140,13 +140,22 @@ class SimState:
         "ka",
         "counter",
         "mode",
+        "rng",
         "initialized",
         "me_class_e",
         "teardown_phase",
         "teardown_channels",
     )
 
-    def __init__(self, imsi: str, ki: bytes, ka: bytes | None, counter: int, mode: SimMode):
+    def __init__(
+        self,
+        imsi: str,
+        ki: bytes,
+        ka: bytes | None,
+        counter: int,
+        mode: SimMode,
+        rng: random.Random,
+    ):
         self.imsi = cs.check_imsi(imsi)
         self.ki = cs._key(ki, "ki")
         self.ka = None if ka is None else cs._key(ka, "ka")
@@ -158,45 +167,24 @@ class SimState:
             raise MalformedInputError("enhanced SIM needs a ka")
         self.counter = auth_core.check_sqn48(counter)
         self.mode = mode
-        _power_off(self)
-
-
-def _power_off(state: SimState) -> None:
-    """The volatile state of a card with no power session."""
-    state.initialized = False
-    state.me_class_e = False
-    state.teardown_phase = _IDLE
-    state.teardown_channels = ()
-
-
-def _pending_command(state: SimState) -> StkCommand | None:
-    """The proactive command the teardown phase has armed, if any."""
-    if state.teardown_phase is _AWAIT_FETCH_1:
-        return _CHANNEL_STATUS_COMMAND
-    if state.teardown_phase is _AWAIT_FETCH_2:
-        return StkCommand(_CLOSE_CHANNEL, state.teardown_channels)
-    return None
-
-
-class SimCard:
-    """One physical card.  The owner serializes all calls."""
-
-    def __init__(self, state: SimState, rng: random.Random):
-        self.state = state
         self.rng = rng
+        self.power_cycle()
 
     def power_cycle(self):
         """Drop volatile state; keys and counter survive."""
-        _power_off(self.state)
+        self.initialized = False
+        self.me_class_e = False
+        self.teardown_phase = _IDLE
+        self.teardown_channels = ()
 
     def init(self, profile: TerminalProfile) -> TerminalProfile:
         """Record the phone's TERMINAL PROFILE; must happen exactly once."""
-        if self.state.initialized:
+        if self.initialized:
             raise ProtocolOrderError("SIM already initialized this power session")
         if type(profile.class_e) is not bool:
             raise MalformedInputError(f"class_e must be a bool, got {profile.class_e!r}")
-        self.state.initialized = True
-        self.state.me_class_e = profile.class_e
+        self.initialized = True
+        self.me_class_e = profile.class_e
         return profile
 
     def challenge(self, rand: bytes) -> SimResponse:
@@ -206,67 +194,57 @@ class SimCard:
         embedded sequence number: acceptance commits the counter, rejection
         returns placeholders and (on a class-e phone) arms the teardown.
         """
-        st = self.state
-        if not st.initialized:
+        if not self.initialized:
             raise ProtocolOrderError("challenge before TERMINAL PROFILE")
-        if st.teardown_phase is not _IDLE:
+        if self.teardown_phase is not _IDLE:
             raise ProtocolOrderError("challenge during pending teardown")
 
-        if st.mode is _LEGACY:
-            sres, kc = auth_core.legacy_response(st.ki, rand)
+        if self.mode is _LEGACY:
+            sres, kc = auth_core.legacy_response(self.ki, rand)
             return _tuple_new(SimResponse, (sres, kc, _NORMAL, None))
 
-        outcome = auth_core.verify_hijacked_rand(
-            st.ka, st.counter, rand, st.ki, self.rng
-        )
+        outcome = auth_core.verify_hijacked_rand(self.ka, self.counter, rand, self.ki, self.rng)
         if isinstance(outcome, auth_core.Accepted):
-            st.counter = outcome.sqn
+            self.counter = outcome.sqn
             return _tuple_new(SimResponse, (outcome.sres, outcome.kc, _NORMAL, None))
 
         sres, kc = outcome.placeholder_sres, outcome.placeholder_kc
-        if st.me_class_e:
-            st.teardown_phase = _AWAIT_FETCH_1
+        if self.me_class_e:
+            self.teardown_phase = _AWAIT_FETCH_1
             pending = _CHANNEL_STATUS_COMMAND.encoded_length()
             return _tuple_new(SimResponse, (sres, kc, _PROACTIVE_PENDING, pending))
         return _tuple_new(SimResponse, (sres, kc, _NORMAL, None))
 
     def fetch(self) -> StkCommand:
         """Hand the armed proactive command to the phone."""
-        st = self.state
-        command = _pending_command(st)
-        if command is None:
-            raise ProtocolOrderError(
-                f"FETCH with nothing pending (phase {st.teardown_phase.value})"
-            )
-        if st.teardown_phase is _AWAIT_FETCH_1:
-            st.teardown_phase = _AWAIT_CHANNEL_STATUS
-        else:
-            st.teardown_phase = _AWAIT_CLOSE_RESULT
-        return command
+        if self.teardown_phase is _AWAIT_FETCH_1:
+            self.teardown_phase = _AWAIT_CHANNEL_STATUS
+            return _CHANNEL_STATUS_COMMAND
+        if self.teardown_phase is _AWAIT_FETCH_2:
+            self.teardown_phase = _AWAIT_CLOSE_RESULT
+            return StkCommand(_CLOSE_CHANNEL, self.teardown_channels)
+        raise ProtocolOrderError(f"FETCH with nothing pending (phase {self.teardown_phase.value})")
 
     def terminal_response(self, result: TerminalResponse) -> SimStatus:
         """Consume the phone's execution result and advance the teardown."""
-        st = self.state
-        if st.teardown_phase is _AWAIT_CHANNEL_STATUS:
+        if self.teardown_phase is _AWAIT_CHANNEL_STATUS:
             if not isinstance(result, ChannelStatusResult):
                 raise ProtocolOrderError("expected channel-status result")
             channels = tuple(result.channels)
             if not channels:
                 # nothing to close: finish the exchange right here
-                st.teardown_phase = _IDLE
-                st.teardown_channels = ()
+                self.teardown_phase = _IDLE
+                self.teardown_channels = ()
                 return _NORMAL
-            st.teardown_channels = channels
-            st.teardown_phase = _AWAIT_FETCH_2
+            self.teardown_channels = channels
+            self.teardown_phase = _AWAIT_FETCH_2
             return _PROACTIVE_PENDING
-        if st.teardown_phase is _AWAIT_CLOSE_RESULT:
+        if self.teardown_phase is _AWAIT_CLOSE_RESULT:
             if not isinstance(result, CloseChannelResult):
                 raise ProtocolOrderError("expected close-channel result")
             # back to IDLE: the phone ignoring the close is visible in the
             # trace, not in card state
-            st.teardown_phase = _IDLE
-            st.teardown_channels = ()
+            self.teardown_phase = _IDLE
+            self.teardown_channels = ()
             return _NORMAL
-        raise ProtocolOrderError(
-            f"TERMINAL RESPONSE in phase {st.teardown_phase.value}"
-        )
+        raise ProtocolOrderError(f"TERMINAL RESPONSE in phase {self.teardown_phase.value}")

@@ -13,7 +13,7 @@ import pytest
 import oracle
 from akasim import auth_core as ac, cli, crypto_suite as cs, harness
 from akasim.network_side import ConsumptionPolicy, ServingNetwork, Verdict
-from akasim.sim_card import SimCard, SimMode, SimState, TerminalProfile
+from akasim.sim_card import SimCard, SimMode, TerminalProfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -113,7 +113,7 @@ def test_criterion_4_legacy_transparency():
     triples, _ = ac.generate_triples(ki, ka, 0, 0, 10_000)
 
     card = SimCard(
-        SimState(imsi=VICTIM, ki=ki, ka=ka, counter=0, mode=SimMode.ENHANCED),
+        imsi=VICTIM, ki=ki, ka=ka, counter=0, mode=SimMode.ENHANCED,
         rng=random.Random(4),
     )
     card.init(TerminalProfile(class_e=True))
@@ -223,7 +223,7 @@ def test_criterion_6_ordering_hazard():
     )
     serving.add_triples(VICTIM, triples)
     card = SimCard(
-        SimState(imsi=VICTIM, ki=ki, ka=ka, counter=0, mode=SimMode.ENHANCED),
+        imsi=VICTIM, ki=ki, ka=ka, counter=0, mode=SimMode.ENHANCED,
         rng=random.Random(6),
     )
     card.init(TerminalProfile(class_e=False))
@@ -252,7 +252,7 @@ def test_criterion_6_ordering_hazard():
     )
     serving.add_triples(VICTIM, triples)
     card = SimCard(
-        SimState(imsi=VICTIM, ki=ki, ka=ka, counter=1_000_000, mode=SimMode.ENHANCED),
+        imsi=VICTIM, ki=ki, ka=ka, counter=1_000_000, mode=SimMode.ENHANCED,
         rng=random.Random(8),
     )
     card.init(TerminalProfile(class_e=False))

@@ -16,7 +16,7 @@ from akasim.adversary import (
 from akasim.errors import MalformedInputError
 from akasim.mobile_equipment import MeProfile, MobileEquipment
 from akasim.network_side import ConsumptionPolicy, ServingNetwork, Verdict
-from akasim.sim_card import SimCard, SimMode, SimState
+from akasim.sim_card import SimCard, SimMode
 
 KI = bytes.fromhex("202122232425262728292a2b2c2d2e2f")
 KA = bytes.fromhex("101112131415161718191a1b1c1d1e1f")
@@ -26,8 +26,7 @@ SECRET = b"attack at dawn!!"
 
 def build_victim(mode=SimMode.ENHANCED, counter=0, profile=None):
     ka = KA if mode is SimMode.ENHANCED else None
-    state = SimState(imsi=VICTIM, ki=KI, ka=ka, counter=counter, mode=mode)
-    sim = SimCard(state, random.Random(11))
+    sim = SimCard(imsi=VICTIM, ki=KI, ka=ka, counter=counter, mode=mode, rng=random.Random(11))
     me = MobileEquipment(profile or MeProfile(), sim)
     me.power_on()
     return me
@@ -39,8 +38,8 @@ def adversary(seed=21):
 
 def eavesdrop_honest_exchange(victim, attacker, alg=cs.CipherAlgId.A5_3):
     """One honest authenticated session, fully captured by the attacker."""
-    if victim.sim.state.mode is SimMode.ENHANCED:
-        rand = ac.build_hijacked_rand(KA, 0, victim.sim.state.counter + 1)
+    if victim.sim.mode is SimMode.ENHANCED:
+        rand = ac.build_hijacked_rand(KA, 0, victim.sim.counter + 1)
     else:
         rand = random.Random(33).randbytes(16)
     victim.attach("vlr")
@@ -86,7 +85,7 @@ class TestFakeNetworkAttach:
             relay=serving,
         )
         assert report.succeeded
-        assert victim.sim.state.counter == 1  # the SIM really authenticated it
+        assert victim.sim.counter == 1  # the SIM really authenticated it
 
     def test_replay_source_needs_log(self):
         victim = build_victim(mode=SimMode.LEGACY)

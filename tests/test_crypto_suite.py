@@ -238,6 +238,21 @@ def test_xor_length_mismatch():
         cs.xor_bytes(b"ab", b"abc")
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [([1, 2], [3, 4]), (memoryview(b"ab"), b"cd"), (b"ab", memoryview(b"cd")), ("ab", "cd")],
+    ids=["list", "memoryview-a", "memoryview-b", "str"],
+)
+def test_xor_refuses_what_is_not_bytes(a, b):
+    with pytest.raises(MalformedInputError):
+        cs.xor_bytes(a, b)
+
+
+def test_xor_accepts_bytearray():
+    assert cs.xor_bytes(bytearray(b"ab"), b"cd") == b"\x02\x06"
+    assert cs.xor_bytes(b"ab", bytearray(b"cd")) == b"\x02\x06"
+
+
 def test_xor_keeps_leading_zero_octets():
     a = bytes.fromhex("0000ff00a5")
     b = bytes.fromhex("00000f005a")

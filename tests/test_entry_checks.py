@@ -19,27 +19,27 @@ from akasim.adversary import InterceptLog
 from akasim.errors import MalformedInputError
 from akasim.mobile_equipment import MeProfile, MobileEquipment
 from akasim.network_side import HomeNetwork
-from akasim.sim_card import SimCard, SimMode, SimState, TerminalProfile
+from akasim.sim_card import SimCard, SimMode, TerminalProfile
 
 IMSI = "001010000000042"
 KA = bytes.fromhex("101112131415161718191a1b1c1d1e1f")
 KI = bytes.fromhex("202122232425262728292a2b2c2d2e2f")
 RAND = ac.build_hijacked_rand(KA, 0, 1)
 MSG = (1).to_bytes(8, "big")  # amf 0 || sqn 1
-# every field of a card state, to compare states by value
-_fields = operator.attrgetter(*SimState.__slots__)
+# every field of a card but its generator, to compare cards by value
+_fields = operator.attrgetter(*(name for name in SimCard.__slots__ if name != "rng"))
 
 
 def _challenge(mode: SimMode, rand):
     """SimCard.challenge on a fresh card; a refused challenge changes no state."""
     ka = KA if mode is SimMode.ENHANCED else None
-    card = SimCard(SimState(imsi=IMSI, ki=KI, ka=ka, counter=0, mode=mode), random.Random(0))
+    card = SimCard(imsi=IMSI, ki=KI, ka=ka, counter=0, mode=mode, rng=random.Random(0))
     card.init(TerminalProfile(class_e=True))
-    before = _fields(card.state)
+    before = _fields(card)
     try:
         return card.challenge(rand)
     except MalformedInputError:
-        assert _fields(card.state) == before
+        assert _fields(card) == before
         raise
 
 
@@ -47,7 +47,7 @@ def _handle_challenge(mode: SimMode, rand):
     """MobileEquipment.handle_challenge on an attached phone; a refused
     challenge traces nothing."""
     ka = KA if mode is SimMode.ENHANCED else None
-    card = SimCard(SimState(imsi=IMSI, ki=KI, ka=ka, counter=0, mode=mode), random.Random(0))
+    card = SimCard(imsi=IMSI, ki=KI, ka=ka, counter=0, mode=mode, rng=random.Random(0))
     events = []
     ue = MobileEquipment(MeProfile(), card, tracer=lambda actor, **event: events.append(event))
     ue.power_on()
@@ -123,7 +123,7 @@ def test_a5_keystream_rejects_alg_that_is_not_a_cipher_alg_id(alg):
 
 def _request_triples(n):
     home = HomeNetwork(random.Random(0))
-    home.provision(IMSI, SimMode.ENHANCED, KA)
+    home.provision(IMSI, SimMode.ENHANCED, KA, random.Random(0))
     return home.request_triples(IMSI, n)
 
 
@@ -152,10 +152,12 @@ def test_integer_entry_rejects_bool(entry, flag):
 
 
 def _ciphering_ue(alg: cs.CipherAlgId, events: list):
-    state = SimState(imsi=IMSI, ki=KI, ka=None, counter=0, mode=SimMode.LEGACY)
+    card = SimCard(
+        imsi=IMSI, ki=KI, ka=None, counter=0, mode=SimMode.LEGACY, rng=random.Random(0)
+    )
     ue = MobileEquipment(
         MeProfile(),
-        SimCard(state, random.Random(0)),
+        card,
         tracer=lambda actor, **event: events.append(event["msg"]),
     )
     ue.power_on()

@@ -1,7 +1,6 @@
 """Phone actor: challenge forwarding, FETCH loop, ciphering, traffic."""
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +11,6 @@ from akasim.sim_card import (
     SimCard,
     SimMode,
     SimResponse,
-    SimState,
     SimStatus,
     StkCommand,
     StkKind,
@@ -36,8 +34,7 @@ class EventLog:
 
 def build_ue(mode=SimMode.ENHANCED, counter=0, profile=None, tracer=None):
     ka = KA if mode is SimMode.ENHANCED else None
-    state = SimState(imsi=IMSI, ki=KI, ka=ka, counter=counter, mode=mode)
-    sim = SimCard(state, random.Random(5))
+    sim = SimCard(imsi=IMSI, ki=KI, ka=ka, counter=counter, mode=mode, rng=random.Random(5))
     me = MobileEquipment(profile or MeProfile(), sim, tracer=tracer)
     me.power_on()
     return me
@@ -227,7 +224,8 @@ class TestLifecycle:
         class ClosingCard:
             """Answers '91', then closes one open and one unknown channel."""
 
-            state = SimpleNamespace(imsi=IMSI, initialized=True)
+            imsi = IMSI
+            initialized = True
 
             def challenge(self, rand):
                 return SimResponse(bytes(4), bytes(8), SimStatus.PROACTIVE_PENDING, 3)

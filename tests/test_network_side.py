@@ -21,7 +21,7 @@ from akasim.network_side import (
     Verdict,
     check_imsi,
 )
-from akasim.sim_card import SimMode
+from akasim.sim_card import SimCard, SimMode, TerminalProfile
 
 IMSI = "001010000000001"
 MASTER = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -50,57 +50,70 @@ class TestImsi:
 class TestProvision:
     def test_record_mirrors_sim(self):
         auc = home()
-        sim_state = auc.provision(IMSI, SimMode.ENHANCED, MASTER)
+        card = auc.provision(IMSI, SimMode.ENHANCED, MASTER, random.Random(0))
         record = auc.registry[IMSI]
-        assert record.ki == sim_state.ki
-        assert record.ka == sim_state.ka
-        assert record.counter == sim_state.counter == 0
+        assert record.ki == card.ki
+        assert record.ka == card.ka
+        assert record.counter == card.counter == 0
         ki, ka = oracle.ref_derive(MASTER, IMSI)
         assert (record.ki, record.ka) == (ki, ka)
 
     def test_record_and_card_share_key_objects(self):
         auc = home()
-        sim_state = auc.provision(IMSI, SimMode.ENHANCED, MASTER)
+        card = auc.provision(IMSI, SimMode.ENHANCED, MASTER, random.Random(0))
         record = auc.registry[IMSI]
-        assert record.ki is sim_state.ki and record.ka is sim_state.ka
+        assert record.ki is card.ki and record.ka is card.ka
         assert isinstance(record.ki, cs.Key128) and isinstance(record.ka, cs.Key128)
+
+    def test_card_draws_on_card_rng(self):
+        # that the card holds the record's own Key128 keys is checked above
+        auc = home()
+        card = auc.provision(IMSI, SimMode.ENHANCED, MASTER, card_rng=random.Random(7))
+        record = auc.registry[IMSI]
+        assert type(card) is SimCard
+        card.init(TerminalProfile(class_e=False))
+        stale = ac.build_hijacked_rand(record.ka, 0, 0)  # the card's counter is 0
+        response = card.challenge(stale)
+        assert (response.sres, response.kc) != ac.legacy_response(record.ki, stale)
+        draws = random.Random(7)
+        assert (response.sres, response.kc) == (draws.randbytes(8), draws.randbytes(8))
 
     def test_non_ascii_imsi_rejected(self):
         with pytest.raises(MalformedInputError):
-            home().provision("٠" * 15, SimMode.ENHANCED, MASTER)
+            home().provision("٠" * 15, SimMode.ENHANCED, MASTER, random.Random(0))
 
     def test_legacy_has_no_ka(self):
         auc = home()
-        sim_state = auc.provision(IMSI, SimMode.LEGACY, MASTER)
+        card = auc.provision(IMSI, SimMode.LEGACY, MASTER, random.Random(0))
         assert auc.registry[IMSI].ka is None
-        assert sim_state.ka is None
+        assert card.ka is None
 
     def test_duplicate_rejected(self):
         auc = home()
-        auc.provision(IMSI, SimMode.ENHANCED, MASTER)
+        auc.provision(IMSI, SimMode.ENHANCED, MASTER, random.Random(0))
         with pytest.raises(ProvisioningError):
-            auc.provision(IMSI, SimMode.LEGACY, MASTER)
+            auc.provision(IMSI, SimMode.LEGACY, MASTER, random.Random(0))
 
     @pytest.mark.parametrize("mode", ["LEGACY", "ENHANCED", None, 1])
     def test_refused_mode_leaves_no_record(self, mode):
         events = []
         auc = HomeNetwork(rng=random.Random(1), tracer=lambda actor, **event: events.append(event))
         with pytest.raises(MalformedInputError):
-            auc.provision(IMSI, mode, bytes(16))
+            auc.provision(IMSI, mode, bytes(16), random.Random(0))
         assert auc.registry == {} and events == []
-        auc.provision(IMSI, SimMode.LEGACY, bytes(16))
+        auc.provision(IMSI, SimMode.LEGACY, bytes(16), random.Random(0))
         assert list(auc.registry) == [IMSI]
 
     def test_provision_then_triples(self):
         auc = home()
-        auc.provision(IMSI, SimMode.ENHANCED, MASTER)
+        auc.provision(IMSI, SimMode.ENHANCED, MASTER, random.Random(0))
         assert len(auc.request_triples(IMSI, 3)) == 3
 
 
 class TestRequestTriples:
     def test_enhanced_sqns_advance(self):
         auc = home()
-        auc.provision(IMSI, SimMode.ENHANCED, MASTER)
+        auc.provision(IMSI, SimMode.ENHANCED, MASTER, random.Random(0))
         ka = auc.registry[IMSI].ka
         first = auc.request_triples(IMSI, 2)
         assert [t.rand for t in first] == [oracle.ref_build_rand(ka, 0, sqn) for sqn in (1, 2)]
@@ -110,7 +123,7 @@ class TestRequestTriples:
 
     def test_enhanced_rand_carries_valid_tag(self):
         auc = home()
-        auc.provision(IMSI, SimMode.ENHANCED, MASTER)
+        auc.provision(IMSI, SimMode.ENHANCED, MASTER, random.Random(0))
         ka = auc.registry[IMSI].ka
         for sqn, triple in enumerate(auc.request_triples(IMSI, 5), start=1):
             msg = (0).to_bytes(2, "big") + sqn.to_bytes(6, "big")
@@ -119,7 +132,7 @@ class TestRequestTriples:
 
     def test_legacy_rands_random_and_distinct(self):
         auc = home()
-        auc.provision(IMSI, SimMode.LEGACY, MASTER)
+        auc.provision(IMSI, SimMode.LEGACY, MASTER, random.Random(0))
         triples = auc.request_triples(IMSI, 10)
         assert len({t.rand for t in triples}) == 10
         # the GSM triple and nothing more
@@ -128,7 +141,7 @@ class TestRequestTriples:
     @pytest.mark.parametrize("n", [1, 2, 4, 4096])
     def test_legacy_batch_is_one_draw_of_n_rands(self, n):
         auc = home()
-        auc.provision(IMSI, SimMode.LEGACY, MASTER)
+        auc.provision(IMSI, SimMode.LEGACY, MASTER, random.Random(0))
         triples = auc.request_triples(IMSI, n)
         twin = random.Random(1)
         assert b"".join(t.rand for t in triples) == b"".join(
@@ -146,7 +159,7 @@ class TestRequestTriples:
 
     def test_bad_batch(self):
         auc = home()
-        auc.provision(IMSI, SimMode.ENHANCED, MASTER)
+        auc.provision(IMSI, SimMode.ENHANCED, MASTER, random.Random(0))
         with pytest.raises(MalformedInputError):
             auc.request_triples(IMSI, 0)
 
@@ -165,7 +178,7 @@ def hand_built_triples(n, seed=9):
 class TestVlrChallenge:
     def test_in_order_ascending(self):
         auc = home()
-        auc.provision(IMSI, SimMode.ENHANCED, MASTER)
+        auc.provision(IMSI, SimMode.ENHANCED, MASTER, random.Random(0))
         serving = vlr()
         serving.add_triples(IMSI, auc.request_triples(IMSI, 3))
         hints = []

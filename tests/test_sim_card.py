@@ -16,15 +16,14 @@ from akasim.sim_card import (
     CloseChannelResult,
     SimCard,
     SimMode,
-    SimState,
     SimStatus,
     StkKind,
     TeardownPhase,
     TerminalProfile,
 )
 
-# every field of a card state, to compare states by value
-_fields = operator.attrgetter(*SimState.__slots__)
+# every field of a card but its generator, to compare cards by value
+_fields = operator.attrgetter(*(name for name in SimCard.__slots__ if name != "rng"))
 
 KI = bytes.fromhex("202122232425262728292a2b2c2d2e2f")
 KA = bytes.fromhex("101112131415161718191a1b1c1d1e1f")
@@ -32,13 +31,15 @@ IMSI = "001010000000001"
 
 
 def enhanced_card(counter=0, rng_seed=1):
-    state = SimState(imsi=IMSI, ki=KI, ka=KA, counter=counter, mode=SimMode.ENHANCED)
-    return SimCard(state, random.Random(rng_seed))
+    return SimCard(
+        imsi=IMSI, ki=KI, ka=KA, counter=counter, mode=SimMode.ENHANCED, rng=random.Random(rng_seed)
+    )
 
 
 def legacy_card(rng_seed=1):
-    state = SimState(imsi=IMSI, ki=KI, ka=None, counter=0, mode=SimMode.LEGACY)
-    return SimCard(state, random.Random(rng_seed))
+    return SimCard(
+        imsi=IMSI, ki=KI, ka=None, counter=0, mode=SimMode.LEGACY, rng=random.Random(rng_seed)
+    )
 
 
 class TestInit:
@@ -58,14 +59,14 @@ class TestInit:
         card.init(TerminalProfile(class_e=True))
         card.power_cycle()
         card.init(TerminalProfile(class_e=False))
-        assert card.state.me_class_e is False
+        assert card.me_class_e is False
 
     @pytest.mark.parametrize("class_e", ["yes", 1, 0, None])
     def test_non_bool_class_e_refused(self, class_e):
         card = enhanced_card()
         with pytest.raises(MalformedInputError):
             card.init(TerminalProfile(class_e=class_e))
-        assert card.state.initialized is False and card.state.me_class_e is False
+        assert card.initialized is False and card.me_class_e is False
         card.init(TerminalProfile(class_e=True))  # the refused init left no trace
 
     def test_phone_with_non_bool_class_e_refused(self):
@@ -73,16 +74,17 @@ class TestInit:
         me = MobileEquipment(MeProfile(class_e="yes"), card)
         with pytest.raises(MalformedInputError):
             me.power_on()
-        assert _fields(card.state) == _fields(enhanced_card().state)
+        assert _fields(card) == _fields(enhanced_card())
         me.profile = MeProfile()  # the refused power-on left the phone off
         me.power_on()
-        assert card.state.initialized and card.state.me_class_e
+        assert card.initialized and card.me_class_e
 
     def test_state_mode_consistency(self):
+        rng = random.Random(0)
         with pytest.raises(MalformedInputError):
-            SimState(imsi=IMSI, ki=KI, ka=KA, counter=0, mode=SimMode.LEGACY)
+            SimCard(imsi=IMSI, ki=KI, ka=KA, counter=0, mode=SimMode.LEGACY, rng=rng)
         with pytest.raises(MalformedInputError):
-            SimState(imsi=IMSI, ki=KI, ka=None, counter=0, mode=SimMode.ENHANCED)
+            SimCard(imsi=IMSI, ki=KI, ka=None, counter=0, mode=SimMode.ENHANCED, rng=rng)
 
 
 class TestLegacyChallenge:
@@ -96,7 +98,7 @@ class TestLegacyChallenge:
             assert response.status is SimStatus.NORMAL
             assert response.sres == oracle.ref_a3(KI, rand)
             assert response.kc == oracle.ref_a8(KI, rand)
-        assert card.state.teardown_phase is TeardownPhase.IDLE
+        assert card.teardown_phase is TeardownPhase.IDLE
 
 
 class TestEnhancedChallenge:
@@ -106,7 +108,7 @@ class TestEnhancedChallenge:
         rand = ac.build_hijacked_rand(KA, 0, 6)
         response = card.challenge(rand)
         assert response.status is SimStatus.NORMAL
-        assert card.state.counter == 6
+        assert card.counter == 6
         assert (response.sres, response.kc) == ac.legacy_response(KI, rand)
 
     def test_replay_returns_placeholders_and_arms_teardown(self):
@@ -117,7 +119,7 @@ class TestEnhancedChallenge:
         replay = card.challenge(rand)
         assert replay.status is SimStatus.PROACTIVE_PENDING
         assert replay.pending_length == 2
-        assert card.state.counter == 6
+        assert card.counter == 6
         assert (replay.sres, replay.kc) != ac.legacy_response(KI, rand)
 
     def test_reject_without_class_e_stays_normal(self):
@@ -126,8 +128,8 @@ class TestEnhancedChallenge:
         rand = ac.build_hijacked_rand(KA, 0, 3)  # stale
         response = card.challenge(rand)
         assert response.status is SimStatus.NORMAL
-        assert card.state.teardown_phase is TeardownPhase.IDLE
-        assert card.state.counter == 10
+        assert card.teardown_phase is TeardownPhase.IDLE
+        assert card.counter == 10
 
     @given(sqns=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=25))
     @settings(max_examples=50, deadline=None)
@@ -137,9 +139,9 @@ class TestEnhancedChallenge:
         counter = 0
         for sqn in sqns:
             rand = ac.build_hijacked_rand(KA, 0, sqn)
-            before = card.state.counter
+            before = card.counter
             response = card.challenge(rand)
-            after = card.state.counter
+            after = card.counter
             assert after >= before
             if sqn > counter:
                 counter = sqn
@@ -161,11 +163,11 @@ class TestTeardownChoreography:
         card = self.arm()
         first = card.fetch()
         assert first.kind is StkKind.GET_CHANNEL_STATUS
-        assert card.state.teardown_phase is TeardownPhase.AWAIT_CHANNEL_STATUS
+        assert card.teardown_phase is TeardownPhase.AWAIT_CHANNEL_STATUS
 
         status = card.terminal_response(ChannelStatusResult(channels=(1, 2)))
         assert status is SimStatus.PROACTIVE_PENDING
-        assert card.state.teardown_phase is TeardownPhase.AWAIT_FETCH_2
+        assert card.teardown_phase is TeardownPhase.AWAIT_FETCH_2
 
         second = card.fetch()
         assert second.kind is StkKind.CLOSE_CHANNEL
@@ -173,7 +175,7 @@ class TestTeardownChoreography:
 
         status = card.terminal_response(CloseChannelResult())
         assert status is SimStatus.NORMAL
-        assert card.state.teardown_phase is TeardownPhase.IDLE
+        assert card.teardown_phase is TeardownPhase.IDLE
 
     def test_close_result_carries_no_code(self):
         # what the phone closed is on the wire; the card moves on regardless
@@ -185,14 +187,14 @@ class TestTeardownChoreography:
         assert command.channel_ids == (7,)
         status = card.terminal_response(CloseChannelResult())
         assert status is SimStatus.NORMAL
-        assert card.state.teardown_phase is TeardownPhase.IDLE
+        assert card.teardown_phase is TeardownPhase.IDLE
 
     def test_empty_channel_list_short_circuits(self):
         card = self.arm()
         card.fetch()
         status = card.terminal_response(ChannelStatusResult(channels=()))
         assert status is SimStatus.NORMAL
-        assert card.state.teardown_phase is TeardownPhase.IDLE
+        assert card.teardown_phase is TeardownPhase.IDLE
 
     def test_fetch_in_idle_fails(self):
         card = enhanced_card()
@@ -213,11 +215,11 @@ class TestTeardownChoreography:
         card.fetch()
         card.terminal_response(ChannelStatusResult(channels=(1,)))
         card.fetch()
-        assert card.state.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT
+        assert card.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT
         with pytest.raises(ProtocolOrderError, match="^expected close-channel result$"):
             card.terminal_response(ChannelStatusResult(channels=(1,)))
-        assert card.state.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT
-        assert card.state.teardown_channels == (1,)
+        assert card.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT
+        assert card.teardown_channels == (1,)
 
     def test_challenge_during_teardown_fails(self):
         card = self.arm()
@@ -231,7 +233,7 @@ class TestTeardownChoreography:
             StkCommand(StkKind.CLOSE_CHANNEL, ())
 
 
-class TestSimState:
+class TestConstructor:
     @pytest.mark.parametrize(
         "fields",
         [
@@ -247,43 +249,44 @@ class TestSimState:
     def test_constructor_rejects_bad_key_imsi_or_counter(self, fields):
         card = {"imsi": IMSI, "ki": KI, "ka": KA, "counter": 0, "mode": SimMode.ENHANCED}
         with pytest.raises(MalformedInputError):
-            SimState(**{**card, **fields})
+            SimCard(**{**card, **fields}, rng=random.Random(0))
 
     def test_volatile_state_is_not_a_constructor_input(self):
         with pytest.raises(TypeError):
-            SimState(
+            SimCard(
                 imsi=IMSI,
                 ki=KI,
                 ka=KA,
                 counter=0,
                 mode=SimMode.ENHANCED,
+                rng=random.Random(0),
                 teardown_phase=TeardownPhase.AWAIT_FETCH_1,
             )
 
     def test_constructor_rejects_mode_that_is_not_a_sim_mode(self):
         with pytest.raises(MalformedInputError):
-            SimState(imsi=IMSI, ki=KI, ka=KA, counter=0, mode="ENHANCED")
+            SimCard(imsi=IMSI, ki=KI, ka=KA, counter=0, mode="ENHANCED", rng=random.Random(0))
 
     def test_keys_are_key128(self):
-        state = enhanced_card().state
-        assert isinstance(state.ki, cs.Key128) and isinstance(state.ka, cs.Key128)
-        assert state.ki == KI and state.ka == KA
+        card = enhanced_card()
+        assert isinstance(card.ki, cs.Key128) and isinstance(card.ka, cs.Key128)
+        assert card.ki == KI and card.ka == KA
 
     def test_power_cycle_keeps_counter_resets_volatile(self):
         card = enhanced_card(counter=9)
         card.init(TerminalProfile(class_e=True))
         card.challenge(ac.build_hijacked_rand(KA, 0, 1))  # arms teardown
         card.power_cycle()
-        assert card.state.counter == 9
-        assert card.state.teardown_phase is TeardownPhase.IDLE
+        assert card.counter == 9
+        assert card.teardown_phase is TeardownPhase.IDLE
         with pytest.raises(ProtocolOrderError):
             card.fetch()
-        assert card.state.initialized is False
+        assert card.initialized is False
 
 
 def _in_phase(*phases):
     """Precondition: the card is initialised and in one of the phases."""
-    return lambda machine: machine.state.initialized and machine.state.teardown_phase in phases
+    return lambda machine: machine.card.initialized and machine.card.teardown_phase in phases
 
 
 class SimCardMachine(RuleBasedStateMachine):
@@ -304,23 +307,19 @@ class SimCardMachine(RuleBasedStateMachine):
         ka = KA if enhanced else None
         mode = SimMode.ENHANCED if enhanced else SimMode.LEGACY
         self.card = SimCard(
-            SimState(imsi=IMSI, ki=KI, ka=ka, counter=counter, mode=mode), random.Random(0)
+            imsi=IMSI, ki=KI, ka=ka, counter=counter, mode=mode, rng=random.Random(0)
         )
 
-    @property
-    def state(self):
-        return self.card.state
-
-    @precondition(lambda self: not self.state.initialized)
+    @precondition(lambda self: not self.card.initialized)
     @rule(class_e=mostly)
     def init(self, class_e):
         self.card.init(TerminalProfile(class_e=class_e))
-        assert self.state.me_class_e is class_e
+        assert self.card.me_class_e is class_e
 
     @precondition(_in_phase(TeardownPhase.IDLE))
     @rule(kind=st.sampled_from(["fresh", "stale", "forged"]), step=st.integers(0, 3))
     def challenge(self, kind, step):
-        counter = self.state.counter
+        counter = self.card.counter
         if kind == "stale":
             rand = ac.build_hijacked_rand(KA, 0, max(counter - step, 0))
         else:
@@ -329,31 +328,31 @@ class SimCardMachine(RuleBasedStateMachine):
             rand = rand[:-1] + bytes([rand[-1] ^ 1 << step])
         response = self.card.challenge(rand)
         honest = ac.legacy_response(KI, rand)
-        if self.state.mode is SimMode.LEGACY or kind == "fresh":
+        if self.card.mode is SimMode.LEGACY or kind == "fresh":
             assert response.status is SimStatus.NORMAL
             assert (response.sres, response.kc) == honest
-            if self.state.mode is SimMode.ENHANCED:
-                assert self.state.counter == counter + 1 + step
+            if self.card.mode is SimMode.ENHANCED:
+                assert self.card.counter == counter + 1 + step
             return
-        assert self.state.counter == counter
+        assert self.card.counter == counter
         assert response.sres != honest[0] and response.kc != honest[1]
-        if self.state.me_class_e:
+        if self.card.me_class_e:
             assert response.status is SimStatus.PROACTIVE_PENDING
             assert response.pending_length == 2  # GET CHANNEL STATUS names no channel
-            assert self.state.teardown_phase is TeardownPhase.AWAIT_FETCH_1
+            assert self.card.teardown_phase is TeardownPhase.AWAIT_FETCH_1
         else:
             assert response.status is SimStatus.NORMAL
-            assert self.state.teardown_phase is TeardownPhase.IDLE
+            assert self.card.teardown_phase is TeardownPhase.IDLE
 
     @precondition(_in_phase(TeardownPhase.AWAIT_FETCH_1, TeardownPhase.AWAIT_FETCH_2))
     @rule()
     def fetch(self):
-        channels = self.state.teardown_channels
+        channels = self.card.teardown_channels
         command = self.card.fetch()
-        if self.state.teardown_phase is TeardownPhase.AWAIT_CHANNEL_STATUS:
+        if self.card.teardown_phase is TeardownPhase.AWAIT_CHANNEL_STATUS:
             assert command.kind is StkKind.GET_CHANNEL_STATUS
         else:
-            assert self.state.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT
+            assert self.card.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT
             assert command == (StkKind.CLOSE_CHANNEL, channels)
 
     @precondition(
@@ -361,34 +360,34 @@ class SimCardMachine(RuleBasedStateMachine):
     )
     @rule(channels=st.lists(st.integers(1, 9), max_size=3).map(tuple))
     def terminal_response(self, channels):
-        if self.state.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT:
+        if self.card.teardown_phase is TeardownPhase.AWAIT_CLOSE_RESULT:
             status = self.card.terminal_response(CloseChannelResult())
         else:
             status = self.card.terminal_response(ChannelStatusResult(channels))
-        if self.state.teardown_phase is TeardownPhase.AWAIT_FETCH_2:
+        if self.card.teardown_phase is TeardownPhase.AWAIT_FETCH_2:
             assert status is SimStatus.PROACTIVE_PENDING
-            assert self.state.teardown_channels == channels
+            assert self.card.teardown_channels == channels
         else:
             assert status is SimStatus.NORMAL
-            assert self.state.teardown_phase is TeardownPhase.IDLE
+            assert self.card.teardown_phase is TeardownPhase.IDLE
 
-    @precondition(lambda self: self.state.initialized)
+    @precondition(lambda self: self.card.initialized)
     @rule()
     def power_cycle(self):
-        counter = self.state.counter
+        counter = self.card.counter
         self.card.power_cycle()
-        assert self.state.counter == counter
-        assert self.state.teardown_phase is TeardownPhase.IDLE
-        assert not self.state.initialized
+        assert self.card.counter == counter
+        assert self.card.teardown_phase is TeardownPhase.IDLE
+        assert not self.card.initialized
 
     @rule(data=st.data())
     def out_of_order(self, data):
         """A call the current phase forbids raises and changes nothing."""
-        phase = self.state.teardown_phase
+        phase = self.card.teardown_phase
         calls = {}
-        if self.state.initialized:
+        if self.card.initialized:
             calls["init"] = lambda: self.card.init(TerminalProfile(class_e=True))
-        if not self.state.initialized or phase is not TeardownPhase.IDLE:
+        if not self.card.initialized or phase is not TeardownPhase.IDLE:
             calls["challenge"] = lambda: self.card.challenge(bytes(16))
         if phase not in (TeardownPhase.AWAIT_FETCH_1, TeardownPhase.AWAIT_FETCH_2):
             calls["fetch"] = self.card.fetch
@@ -396,14 +395,14 @@ class SimCardMachine(RuleBasedStateMachine):
             calls["channel_status"] = lambda: self.card.terminal_response(ChannelStatusResult((1,)))
         if phase is not TeardownPhase.AWAIT_CLOSE_RESULT:
             calls["close_result"] = lambda: self.card.terminal_response(CloseChannelResult())
-        before = _fields(self.state)
+        before = _fields(self.card)
         with pytest.raises(ProtocolOrderError):
             calls[data.draw(st.sampled_from(sorted(calls)))]()
-        assert _fields(self.state) == before
+        assert _fields(self.card) == before
 
     @invariant()
     def teardown_state_is_reachable(self):
-        st = self.state
+        st = self.card
         if st.teardown_phase is not TeardownPhase.IDLE:
             assert st.mode is SimMode.ENHANCED and st.initialized and st.me_class_e
         assert isinstance(st.teardown_channels, tuple)

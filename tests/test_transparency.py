@@ -62,7 +62,7 @@ def _class(tree: ast.Module, name: str) -> ast.ClassDef:
 @pytest.mark.parametrize(
     "source, found",
     [
-        ("def f(card):\n    return card.state.ka", ["2: ka"]),
+        ("def f(card):\n    return card.ka", ["2: ka"]),
         ("def f(t):\n    return t.sqn_hint", ["2: sqn_hint"]),
         ("def f(mode):\n    return mode is _LEGACY or mode is _ENHANCED", ["2: _ENHANCED", "2: _LEGACY"]),
         ("def f(mode: SimMode):\n    pass", ["1: SimMode"]),
