@@ -248,13 +248,10 @@ class Adversary:
         recovered_kc = cs.xor_bytes(frame[: cs.TAG_LEN], KNOWN_REDUNDANCY[: cs.TAG_LEN])
         self.trace(self.name, msg="KC_RECOVERED", kc=recovered_kc.hex())
 
-        decrypted = bytearray()
-        for logged in record.frames:
-            if logged.alg is _NONE:
-                decrypted += logged.ciphertext
-                continue
-            decrypted += cs._cipher(logged.alg, recovered_kc, logged.frame_index, logged.ciphertext)
-        recovered = bytes(decrypted)
+        recovered = b"".join(
+            cs._cipher(logged.alg, recovered_kc, logged.frame_index, logged.ciphertext)
+            for logged in record.frames
+        )
         self.trace(self.name, msg="LOG_DECRYPTED", plaintext=recovered.hex())
         return self._report(
             kind,

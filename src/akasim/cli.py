@@ -38,7 +38,11 @@ RAND_STATS_SIGMA_BOUND = 4.0
 # in memory before the file is written
 MAX_VECTOR_COUNT = 100_000
 # a5_keystream records name the cipher by its tag octet and cycle through these
-_VECTOR_ALGS = {bytes([alg.tag_byte]): alg for alg in cs.CipherAlgId if alg.name != "NONE"}
+_VECTOR_ALGS = {
+    bytes([tag]): cs.CipherAlgId(name)
+    for name, tag in cs._ALG_TAG_BYTES.items()
+    if name != "NONE"
+}
 
 
 def _int(octets: bytes) -> int:

@@ -85,10 +85,6 @@ class CipherAlgId(enum.Enum):
     A5_3 = "A5_3"
     NONE = "NONE"
 
-    @property
-    def tag_byte(self) -> int:
-        return _ALG_TAG_BYTES[self._value_]
-
 
 # Function bodies use these names, not `CipherAlgId.NONE`: on CPython 3.11
 # `EnumType` defines `__getattr__`, which slows every class attribute read.
@@ -284,7 +280,10 @@ def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> 
 
 
 def _cipher(alg: CipherAlgId, kc: bytes, frame_index: int, data: bytes) -> bytes:
-    """data xor the frame's a5_keystream, for arguments the caller has proven."""
+    """data xor the frame's a5_keystream, for arguments the caller has proven;
+    under NONE, the data as bytes, and `kc` is not read."""
+    if alg is _NONE:
+        return bytes(data)
     if alg is _A5_2:
         unit = (int.from_bytes(kc, "big") ^ frame_index).to_bytes(TAG_LEN, "big")
         return _xor(data, (unit * -(-len(data) // TAG_LEN))[: len(data)])

@@ -21,7 +21,6 @@ from .sim_card import (
     SimCard,
     SimStatus,
     StkKind,
-    TerminalProfile,
     noop_trace,
 )
 
@@ -68,9 +67,9 @@ class MobileEquipment:
         # the phone is on exactly while its card has a power session
         if self.sim.initialized:
             raise ProtocolOrderError("ME already powered on")
-        profile = _tuple_new(TerminalProfile, (self.profile.class_e,))
-        self.sim.init(profile)
-        self.trace(self.name, msg="TERMINAL_PROFILE", class_e=profile.class_e)
+        class_e = self.profile.class_e
+        self.sim.init(class_e)
+        self.trace(self.name, msg="TERMINAL_PROFILE", class_e=class_e)
 
     def power_cycle(self):
         """Off and on again: session gone, card keeps its counter."""
@@ -209,10 +208,7 @@ class MobileEquipment:
         if self.kc is None and not self.profile.accepts_unauthenticated:
             raise ProtocolOrderError("traffic before authentication")
         cipher = self.cipher  # never other than NONE without a session key
-        if cipher is _NONE:
-            ciphertext = bytes(plaintext)
-        else:
-            ciphertext = cs._cipher(cipher, self.kc, frame_index, plaintext)
+        ciphertext = cs._cipher(cipher, self.kc, frame_index, plaintext)
         self.trace(
             self.name,
             msg="TRAFFIC",

@@ -4,9 +4,10 @@ The home network provisions subscribers and issues triple batches; for
 enhanced subscriptions the challenges carry sequence numbers, for legacy
 ones they are random.  The serving network is deliberately dumb: it queues
 triples per subscriber, pops them under a configurable consumption policy,
-compares an 8-octet response and picks a cipher.  Nothing here reads the
-subscription mode after issuance -- the enhancement stays invisible to the
-visited side.
+compares an 8-octet response and picks a cipher.  Only provisioning reads
+the subscription mode: from then on a subscriber is enhanced exactly when
+its card and AuC record hold a Ka, and the enhancement stays invisible to
+the visited side.
 """
 
 from __future__ import annotations
@@ -43,16 +44,15 @@ MAX_BATCH = 4096
 class SubscriberRecord:
     """AuC-side mirror of one card at provisioning time, keyed by its IMSI
     in the registry.  The record and the provisioned card hold the same key
-    objects.
+    objects; an enhanced subscriber is one whose record holds a Ka.
     """
 
-    __slots__ = ("ki", "ka", "counter", "mode")
+    __slots__ = ("ki", "ka", "counter")
 
-    def __init__(self, ki: Key128, ka: Key128 | None, counter: int, mode: SimMode):
+    def __init__(self, ki: Key128, ka: Key128 | None, counter: int):
         self.ki = ki
         self.ka = ka
         self.counter = counter
-        self.mode = mode
 
 
 class ConsumptionPolicy(enum.Enum):
@@ -68,7 +68,7 @@ class Verdict(enum.Enum):
 
 # Function bodies use these names, not `Verdict.REJECTED`: on CPython 3.11
 # `EnumType` defines `__getattr__`, which slows every class attribute read.
-_LEGACY, _ENHANCED = SimMode
+_LEGACY = SimMode.LEGACY
 _IN_ORDER, _RANDOM_ORDER, _REUSE = ConsumptionPolicy
 _AUTHENTICATED, _REJECTED = Verdict
 
@@ -89,12 +89,14 @@ class HomeNetwork:
         check_imsi(imsi)
         if imsi in self.registry:
             raise ProvisioningError(f"imsi {imsi} already provisioned")
+        if not isinstance(mode, SimMode):
+            raise MalformedInputError(f"mode must be a SimMode, got {mode!r}")
         ki, ka = cs._derive_keys(cs._key(master, "master"), imsi)
         if mode is _LEGACY:
             ka = None
-        # the card checks the mode, so a refused call leaves no record
-        card = SimCard(imsi, ki, ka, 0, mode, card_rng)
-        self.registry[imsi] = SubscriberRecord(ki=ki, ka=ka, counter=0, mode=mode)
+        # the card checks its generator, so a refused call leaves no record
+        card = SimCard(imsi, ki, ka, 0, card_rng)
+        self.registry[imsi] = SubscriberRecord(ki=ki, ka=ka, counter=0)
         # `_value_` is the attribute behind the Python-level `.value` property
         self.trace(self.name, msg="PROVISION", imsi=imsi, mode=mode._value_)
         return card
@@ -108,7 +110,7 @@ class HomeNetwork:
                 f"batch size must be an integer in [1, {MAX_BATCH}], got {n!r}"
             )
         record = self.registry[imsi]
-        if record.mode is _ENHANCED:
+        if record.ka is not None:
             sqn_first = record.counter + 1
             triples, record.counter = auth_core.generate_triples(
                 record.ki, record.ka, record.counter, 0, n

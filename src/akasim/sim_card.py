@@ -30,7 +30,6 @@ __all__ = [
     "StkCommand",
     "SimStatus",
     "SimResponse",
-    "TerminalProfile",
     "ChannelStatusResult",
     "CloseChannelResult",
     "TerminalResponse",
@@ -41,11 +40,6 @@ __all__ = [
 class SimMode(enum.Enum):
     LEGACY = "LEGACY"
     ENHANCED = "ENHANCED"
-
-
-# Function bodies use these names, not `SimMode.LEGACY`: on CPython 3.11
-# `EnumType` defines `__getattr__`, which slows every class attribute read.
-_LEGACY, _ENHANCED = SimMode
 
 
 class TeardownPhase(enum.Enum):
@@ -107,12 +101,6 @@ class SimResponse(NamedTuple):
     pending_length: int | None
 
 
-class TerminalProfile(NamedTuple):
-    """Capabilities the phone announces at card initialisation."""
-
-    class_e: bool
-
-
 class ChannelStatusResult(NamedTuple):
     channels: tuple[int, ...]
 
@@ -130,16 +118,16 @@ def noop_trace(actor, /, **event):
 
 
 class SimCard:
-    """One physical card.  Provisioning writes the keys, mode and counter;
-    the volatile rest starts powered off and only the card's transitions
-    move it.  The owner serializes all calls."""
+    """One physical card.  Provisioning writes the keys and counter, and
+    the card is enhanced exactly when it holds a Ka; the volatile rest
+    starts powered off and only the card's transitions move it.  The owner
+    serializes all calls."""
 
     __slots__ = (
         "imsi",
         "ki",
         "ka",
         "counter",
-        "mode",
         "rng",
         "initialized",
         "me_class_e",
@@ -153,20 +141,15 @@ class SimCard:
         ki: bytes,
         ka: bytes | None,
         counter: int,
-        mode: SimMode,
         rng: random.Random,
     ):
         self.imsi = cs.check_imsi(imsi)
         self.ki = cs._key(ki, "ki")
         self.ka = None if ka is None else cs._key(ka, "ka")
-        if not isinstance(mode, SimMode):
-            raise MalformedInputError(f"mode must be a SimMode, got {mode!r}")
-        if mode is _LEGACY and ka is not None:
-            raise MalformedInputError("legacy SIM must not hold a ka")
-        if mode is _ENHANCED and ka is None:
-            raise MalformedInputError("enhanced SIM needs a ka")
         self.counter = auth_core.check_sqn48(counter)
-        self.mode = mode
+        # a rejected challenge draws its placeholders from the generator
+        if not callable(getattr(rng, "randbytes", None)):
+            raise MalformedInputError(f"rng must have a randbytes method, got {rng!r}")
         self.rng = rng
         self.power_cycle()
 
@@ -177,29 +160,30 @@ class SimCard:
         self.teardown_phase = _IDLE
         self.teardown_channels = ()
 
-    def init(self, profile: TerminalProfile) -> TerminalProfile:
-        """Record the phone's TERMINAL PROFILE; must happen exactly once."""
+    def init(self, class_e: bool):
+        """Record the phone's TERMINAL PROFILE, its class-e toolkit flag;
+        must happen exactly once per power session."""
         if self.initialized:
             raise ProtocolOrderError("SIM already initialized this power session")
-        if type(profile.class_e) is not bool:
-            raise MalformedInputError(f"class_e must be a bool, got {profile.class_e!r}")
+        if type(class_e) is not bool:
+            raise MalformedInputError(f"class_e must be a bool, got {class_e!r}")
         self.initialized = True
-        self.me_class_e = profile.class_e
-        return profile
+        self.me_class_e = class_e
 
     def challenge(self, rand: bytes) -> SimResponse:
         """Answer an authentication challenge.
 
-        Legacy cards always answer honestly.  Enhanced cards verify the
-        embedded sequence number: acceptance commits the counter, rejection
-        returns placeholders and (on a class-e phone) arms the teardown.
+        A card without a Ka (legacy) always answers honestly.  A card with
+        one (enhanced) verifies the embedded sequence number: acceptance
+        commits the counter, rejection returns placeholders and (on a
+        class-e phone) arms the teardown.
         """
         if not self.initialized:
             raise ProtocolOrderError("challenge before TERMINAL PROFILE")
         if self.teardown_phase is not _IDLE:
             raise ProtocolOrderError("challenge during pending teardown")
 
-        if self.mode is _LEGACY:
+        if self.ka is None:
             sres, kc = auth_core.legacy_response(self.ki, rand)
             return _tuple_new(SimResponse, (sres, kc, _NORMAL, None))
 

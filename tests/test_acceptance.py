@@ -13,7 +13,7 @@ import pytest
 import oracle
 from akasim import auth_core as ac, cli, crypto_suite as cs, harness
 from akasim.network_side import ConsumptionPolicy, ServingNetwork, Verdict
-from akasim.sim_card import SimCard, SimMode, TerminalProfile
+from akasim.sim_card import SimCard
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -112,11 +112,8 @@ def test_criterion_4_legacy_transparency():
     ki, ka = cs.derive_subscriber_keys(master, VICTIM)
     triples, _ = ac.generate_triples(ki, ka, 0, 0, 10_000)
 
-    card = SimCard(
-        imsi=VICTIM, ki=ki, ka=ka, counter=0, mode=SimMode.ENHANCED,
-        rng=random.Random(4),
-    )
-    card.init(TerminalProfile(class_e=True))
+    card = SimCard(imsi=VICTIM, ki=ki, ka=ka, counter=0, rng=random.Random(4))
+    card.init(True)
     serving = ServingNetwork(
         policy=ConsumptionPolicy.IN_ORDER,
         cipher_choice=cs.CipherAlgId.A5_3,
@@ -222,11 +219,8 @@ def test_criterion_6_ordering_hazard():
         rng=random.Random(1234),
     )
     serving.add_triples(VICTIM, triples)
-    card = SimCard(
-        imsi=VICTIM, ki=ki, ka=ka, counter=0, mode=SimMode.ENHANCED,
-        rng=random.Random(6),
-    )
-    card.init(TerminalProfile(class_e=False))
+    card = SimCard(imsi=VICTIM, ki=ki, ka=ka, counter=0, rng=random.Random(6))
+    card.init(False)
     high_water = 0
     rejections = 0
     consistent = True
@@ -251,11 +245,8 @@ def test_criterion_6_ordering_hazard():
         rng=random.Random(7),
     )
     serving.add_triples(VICTIM, triples)
-    card = SimCard(
-        imsi=VICTIM, ki=ki, ka=ka, counter=1_000_000, mode=SimMode.ENHANCED,
-        rng=random.Random(8),
-    )
-    card.init(TerminalProfile(class_e=False))
+    card = SimCard(imsi=VICTIM, ki=ki, ka=ka, counter=1_000_000, rng=random.Random(8))
+    card.init(False)
     in_order_rejections = 0
     for _ in range(1_000):
         rand = serving.challenge(VICTIM)

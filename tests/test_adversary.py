@@ -26,7 +26,7 @@ SECRET = b"attack at dawn!!"
 
 def build_victim(mode=SimMode.ENHANCED, counter=0, profile=None):
     ka = KA if mode is SimMode.ENHANCED else None
-    sim = SimCard(imsi=VICTIM, ki=KI, ka=ka, counter=counter, mode=mode, rng=random.Random(11))
+    sim = SimCard(imsi=VICTIM, ki=KI, ka=ka, counter=counter, rng=random.Random(11))
     me = MobileEquipment(profile or MeProfile(), sim)
     me.power_on()
     return me
@@ -38,7 +38,7 @@ def adversary(seed=21):
 
 def eavesdrop_honest_exchange(victim, attacker, alg=cs.CipherAlgId.A5_3):
     """One honest authenticated session, fully captured by the attacker."""
-    if victim.sim.mode is SimMode.ENHANCED:
+    if victim.sim.ka is not None:
         rand = ac.build_hijacked_rand(KA, 0, victim.sim.counter + 1)
     else:
         rand = random.Random(33).randbytes(16)

@@ -19,7 +19,7 @@ from akasim.adversary import InterceptLog
 from akasim.errors import MalformedInputError
 from akasim.mobile_equipment import MeProfile, MobileEquipment
 from akasim.network_side import HomeNetwork
-from akasim.sim_card import SimCard, SimMode, TerminalProfile
+from akasim.sim_card import SimCard, SimMode
 
 IMSI = "001010000000042"
 KA = bytes.fromhex("101112131415161718191a1b1c1d1e1f")
@@ -33,8 +33,8 @@ _fields = operator.attrgetter(*(name for name in SimCard.__slots__ if name != "r
 def _challenge(mode: SimMode, rand):
     """SimCard.challenge on a fresh card; a refused challenge changes no state."""
     ka = KA if mode is SimMode.ENHANCED else None
-    card = SimCard(imsi=IMSI, ki=KI, ka=ka, counter=0, mode=mode, rng=random.Random(0))
-    card.init(TerminalProfile(class_e=True))
+    card = SimCard(imsi=IMSI, ki=KI, ka=ka, counter=0, rng=random.Random(0))
+    card.init(True)
     before = _fields(card)
     try:
         return card.challenge(rand)
@@ -47,7 +47,7 @@ def _handle_challenge(mode: SimMode, rand):
     """MobileEquipment.handle_challenge on an attached phone; a refused
     challenge traces nothing."""
     ka = KA if mode is SimMode.ENHANCED else None
-    card = SimCard(imsi=IMSI, ki=KI, ka=ka, counter=0, mode=mode, rng=random.Random(0))
+    card = SimCard(imsi=IMSI, ki=KI, ka=ka, counter=0, rng=random.Random(0))
     events = []
     ue = MobileEquipment(MeProfile(), card, tracer=lambda actor, **event: events.append(event))
     ue.power_on()
@@ -152,9 +152,7 @@ def test_integer_entry_rejects_bool(entry, flag):
 
 
 def _ciphering_ue(alg: cs.CipherAlgId, events: list):
-    card = SimCard(
-        imsi=IMSI, ki=KI, ka=None, counter=0, mode=SimMode.LEGACY, rng=random.Random(0)
-    )
+    card = SimCard(imsi=IMSI, ki=KI, ka=None, counter=0, rng=random.Random(0))
     ue = MobileEquipment(
         MeProfile(),
         card,

@@ -34,7 +34,7 @@ class EventLog:
 
 def build_ue(mode=SimMode.ENHANCED, counter=0, profile=None, tracer=None):
     ka = KA if mode is SimMode.ENHANCED else None
-    sim = SimCard(imsi=IMSI, ki=KI, ka=ka, counter=counter, mode=mode, rng=random.Random(5))
+    sim = SimCard(imsi=IMSI, ki=KI, ka=ka, counter=counter, rng=random.Random(5))
     me = MobileEquipment(profile or MeProfile(), sim, tracer=tracer)
     me.power_on()
     return me

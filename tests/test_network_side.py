@@ -18,10 +18,11 @@ from akasim.network_side import (
     ConsumptionPolicy,
     HomeNetwork,
     ServingNetwork,
+    SubscriberRecord,
     Verdict,
     check_imsi,
 )
-from akasim.sim_card import SimCard, SimMode, TerminalProfile
+from akasim.sim_card import SimCard, SimMode
 
 IMSI = "001010000000001"
 MASTER = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -71,7 +72,7 @@ class TestProvision:
         card = auc.provision(IMSI, SimMode.ENHANCED, MASTER, card_rng=random.Random(7))
         record = auc.registry[IMSI]
         assert type(card) is SimCard
-        card.init(TerminalProfile(class_e=False))
+        card.init(False)
         stale = ac.build_hijacked_rand(record.ka, 0, 0)  # the card's counter is 0
         response = card.challenge(stale)
         assert (response.sres, response.kc) != ac.legacy_response(record.ki, stale)
@@ -103,6 +104,19 @@ class TestProvision:
         assert auc.registry == {} and events == []
         auc.provision(IMSI, SimMode.LEGACY, bytes(16), random.Random(0))
         assert list(auc.registry) == [IMSI]
+
+    @pytest.mark.parametrize("card_rng", [None, object()])
+    def test_refused_generator_leaves_no_record(self, card_rng):
+        events = []
+        auc = HomeNetwork(rng=random.Random(1), tracer=lambda actor, **event: events.append(event))
+        with pytest.raises(MalformedInputError):
+            auc.provision(IMSI, SimMode.ENHANCED, MASTER, card_rng)
+        assert auc.registry == {} and events == []
+
+    def test_no_mode_is_stored(self):
+        # a subscriber is enhanced exactly when its card and record hold a Ka
+        assert SubscriberRecord.__slots__ == ("ki", "ka", "counter")
+        assert "mode" not in SimCard.__slots__
 
     def test_provision_then_triples(self):
         auc = home()

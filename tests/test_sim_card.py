@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 import oracle
-from akasim import auth_core as ac, crypto_suite as cs
+from akasim import auth_core as ac, crypto_suite as cs, harness
 from akasim.errors import MalformedInputError, ProtocolOrderError
 from akasim.mobile_equipment import MeProfile, MobileEquipment
 from akasim.sim_card import (
@@ -19,7 +19,6 @@ from akasim.sim_card import (
     SimStatus,
     StkKind,
     TeardownPhase,
-    TerminalProfile,
 )
 
 # every field of a card but its generator, to compare cards by value
@@ -31,15 +30,11 @@ IMSI = "001010000000001"
 
 
 def enhanced_card(counter=0, rng_seed=1):
-    return SimCard(
-        imsi=IMSI, ki=KI, ka=KA, counter=counter, mode=SimMode.ENHANCED, rng=random.Random(rng_seed)
-    )
+    return SimCard(imsi=IMSI, ki=KI, ka=KA, counter=counter, rng=random.Random(rng_seed))
 
 
 def legacy_card(rng_seed=1):
-    return SimCard(
-        imsi=IMSI, ki=KI, ka=None, counter=0, mode=SimMode.LEGACY, rng=random.Random(rng_seed)
-    )
+    return SimCard(imsi=IMSI, ki=KI, ka=None, counter=0, rng=random.Random(rng_seed))
 
 
 class TestInit:
@@ -50,24 +45,27 @@ class TestInit:
 
     def test_double_init_fails(self):
         card = enhanced_card()
-        card.init(TerminalProfile(class_e=True))
+        card.init(True)
         with pytest.raises(ProtocolOrderError):
-            card.init(TerminalProfile(class_e=True))
+            card.init(True)
+
+    def test_init_returns_nothing(self):
+        assert enhanced_card().init(True) is None
 
     def test_reinit_allowed_after_power_cycle(self):
         card = enhanced_card()
-        card.init(TerminalProfile(class_e=True))
+        card.init(True)
         card.power_cycle()
-        card.init(TerminalProfile(class_e=False))
+        card.init(False)
         assert card.me_class_e is False
 
     @pytest.mark.parametrize("class_e", ["yes", 1, 0, None])
     def test_non_bool_class_e_refused(self, class_e):
         card = enhanced_card()
         with pytest.raises(MalformedInputError):
-            card.init(TerminalProfile(class_e=class_e))
+            card.init(class_e)
         assert card.initialized is False and card.me_class_e is False
-        card.init(TerminalProfile(class_e=True))  # the refused init left no trace
+        card.init(True)  # the refused init left no trace
 
     def test_phone_with_non_bool_class_e_refused(self):
         card = enhanced_card()
@@ -79,18 +77,11 @@ class TestInit:
         me.power_on()
         assert card.initialized and card.me_class_e
 
-    def test_state_mode_consistency(self):
-        rng = random.Random(0)
-        with pytest.raises(MalformedInputError):
-            SimCard(imsi=IMSI, ki=KI, ka=KA, counter=0, mode=SimMode.LEGACY, rng=rng)
-        with pytest.raises(MalformedInputError):
-            SimCard(imsi=IMSI, ki=KI, ka=None, counter=0, mode=SimMode.ENHANCED, rng=rng)
-
 
 class TestLegacyChallenge:
     def test_never_rejects_10k_random_rands(self):
         card = legacy_card()
-        card.init(TerminalProfile(class_e=True))
+        card.init(True)
         rng = random.Random(7)
         for _ in range(10_000):
             rand = rng.randbytes(16)
@@ -104,7 +95,7 @@ class TestLegacyChallenge:
 class TestEnhancedChallenge:
     def test_accept_updates_counter(self):
         card = enhanced_card(counter=5)
-        card.init(TerminalProfile(class_e=True))
+        card.init(True)
         rand = ac.build_hijacked_rand(KA, 0, 6)
         response = card.challenge(rand)
         assert response.status is SimStatus.NORMAL
@@ -113,7 +104,7 @@ class TestEnhancedChallenge:
 
     def test_replay_returns_placeholders_and_arms_teardown(self):
         card = enhanced_card(counter=5)
-        card.init(TerminalProfile(class_e=True))
+        card.init(True)
         rand = ac.build_hijacked_rand(KA, 0, 6)
         card.challenge(rand)
         replay = card.challenge(rand)
@@ -124,7 +115,7 @@ class TestEnhancedChallenge:
 
     def test_reject_without_class_e_stays_normal(self):
         card = enhanced_card(counter=10)
-        card.init(TerminalProfile(class_e=False))
+        card.init(False)
         rand = ac.build_hijacked_rand(KA, 0, 3)  # stale
         response = card.challenge(rand)
         assert response.status is SimStatus.NORMAL
@@ -135,7 +126,7 @@ class TestEnhancedChallenge:
     @settings(max_examples=50, deadline=None)
     def test_counter_monotonicity(self, sqns):
         card = enhanced_card(counter=0, rng_seed=3)
-        card.init(TerminalProfile(class_e=False))
+        card.init(False)
         counter = 0
         for sqn in sqns:
             rand = ac.build_hijacked_rand(KA, 0, sqn)
@@ -154,7 +145,7 @@ class TestEnhancedChallenge:
 class TestTeardownChoreography:
     def arm(self, channels=(1, 2)):
         card = enhanced_card(counter=9)
-        card.init(TerminalProfile(class_e=True))
+        card.init(True)
         response = card.challenge(ac.build_hijacked_rand(KA, 0, 1))  # stale
         assert response.status is SimStatus.PROACTIVE_PENDING
         return card
@@ -198,7 +189,7 @@ class TestTeardownChoreography:
 
     def test_fetch_in_idle_fails(self):
         card = enhanced_card()
-        card.init(TerminalProfile(class_e=True))
+        card.init(True)
         with pytest.raises(ProtocolOrderError):
             card.fetch()
 
@@ -247,7 +238,7 @@ class TestConstructor:
         ],
     )
     def test_constructor_rejects_bad_key_imsi_or_counter(self, fields):
-        card = {"imsi": IMSI, "ki": KI, "ka": KA, "counter": 0, "mode": SimMode.ENHANCED}
+        card = {"imsi": IMSI, "ki": KI, "ka": KA, "counter": 0}
         with pytest.raises(MalformedInputError):
             SimCard(**{**card, **fields}, rng=random.Random(0))
 
@@ -258,14 +249,23 @@ class TestConstructor:
                 ki=KI,
                 ka=KA,
                 counter=0,
-                mode=SimMode.ENHANCED,
                 rng=random.Random(0),
                 teardown_phase=TeardownPhase.AWAIT_FETCH_1,
             )
 
-    def test_constructor_rejects_mode_that_is_not_a_sim_mode(self):
+    def test_mode_is_not_a_constructor_input(self):
+        # a card is enhanced exactly when it holds a Ka
+        with pytest.raises(TypeError):
+            SimCard(imsi=IMSI, ki=KI, ka=KA, counter=0, mode=SimMode.ENHANCED, rng=random.Random(0))
+
+    @pytest.mark.parametrize("rng", [None, object()])
+    def test_constructor_rejects_a_generator_without_randbytes(self, rng):
         with pytest.raises(MalformedInputError):
-            SimCard(imsi=IMSI, ki=KI, ka=KA, counter=0, mode="ENHANCED", rng=random.Random(0))
+            SimCard(imsi=IMSI, ki=KI, ka=KA, counter=0, rng=rng)
+
+    @pytest.mark.parametrize("rng", [random.Random(0), harness._RoleRandom("0/sim")])
+    def test_constructor_takes_the_engines_generators(self, rng):
+        assert SimCard(imsi=IMSI, ki=KI, ka=KA, counter=0, rng=rng).rng is rng
 
     def test_keys_are_key128(self):
         card = enhanced_card()
@@ -274,7 +274,7 @@ class TestConstructor:
 
     def test_power_cycle_keeps_counter_resets_volatile(self):
         card = enhanced_card(counter=9)
-        card.init(TerminalProfile(class_e=True))
+        card.init(True)
         card.challenge(ac.build_hijacked_rand(KA, 0, 1))  # arms teardown
         card.power_cycle()
         assert card.counter == 9
@@ -293,7 +293,7 @@ class SimCardMachine(RuleBasedStateMachine):
     """Random legal call sequences against one card, with illegal calls mixed in.
 
     After every step the teardown state must be one a card can reach: a
-    phase other than IDLE only on an initialised ENHANCED card behind a
+    phase other than IDLE only on an initialised card holding a Ka, behind a
     class-e phone, and channel ids held exactly while a CLOSE CHANNEL is
     being fetched or answered.
     """
@@ -305,15 +305,12 @@ class SimCardMachine(RuleBasedStateMachine):
     @initialize(enhanced=mostly, counter=st.integers(0, 5))
     def insert_card(self, enhanced, counter):
         ka = KA if enhanced else None
-        mode = SimMode.ENHANCED if enhanced else SimMode.LEGACY
-        self.card = SimCard(
-            imsi=IMSI, ki=KI, ka=ka, counter=counter, mode=mode, rng=random.Random(0)
-        )
+        self.card = SimCard(imsi=IMSI, ki=KI, ka=ka, counter=counter, rng=random.Random(0))
 
     @precondition(lambda self: not self.card.initialized)
     @rule(class_e=mostly)
     def init(self, class_e):
-        self.card.init(TerminalProfile(class_e=class_e))
+        self.card.init(class_e)
         assert self.card.me_class_e is class_e
 
     @precondition(_in_phase(TeardownPhase.IDLE))
@@ -328,10 +325,10 @@ class SimCardMachine(RuleBasedStateMachine):
             rand = rand[:-1] + bytes([rand[-1] ^ 1 << step])
         response = self.card.challenge(rand)
         honest = ac.legacy_response(KI, rand)
-        if self.card.mode is SimMode.LEGACY or kind == "fresh":
+        if self.card.ka is None or kind == "fresh":
             assert response.status is SimStatus.NORMAL
             assert (response.sres, response.kc) == honest
-            if self.card.mode is SimMode.ENHANCED:
+            if self.card.ka is not None:
                 assert self.card.counter == counter + 1 + step
             return
         assert self.card.counter == counter
@@ -386,7 +383,7 @@ class SimCardMachine(RuleBasedStateMachine):
         phase = self.card.teardown_phase
         calls = {}
         if self.card.initialized:
-            calls["init"] = lambda: self.card.init(TerminalProfile(class_e=True))
+            calls["init"] = lambda: self.card.init(True)
         if not self.card.initialized or phase is not TeardownPhase.IDLE:
             calls["challenge"] = lambda: self.card.challenge(bytes(16))
         if phase not in (TeardownPhase.AWAIT_FETCH_1, TeardownPhase.AWAIT_FETCH_2):
@@ -404,7 +401,7 @@ class SimCardMachine(RuleBasedStateMachine):
     def teardown_state_is_reachable(self):
         st = self.card
         if st.teardown_phase is not TeardownPhase.IDLE:
-            assert st.mode is SimMode.ENHANCED and st.initialized and st.me_class_e
+            assert st.ka is not None and st.initialized and st.me_class_e
         assert isinstance(st.teardown_channels, tuple)
         assert all(type(c) is int and c >= 0 for c in st.teardown_channels)
         holds_channels = st.teardown_phase in (

@@ -23,7 +23,7 @@ from akasim import crypto_suite as cs
 from akasim.adversary import Adversary
 from akasim.harness import ScenarioConfig, render_trace, run_scenario
 from akasim.mobile_equipment import MeProfile, MobileEquipment
-from akasim.sim_card import SimCard, SimMode
+from akasim.sim_card import SimCard
 
 ENHANCED = "001010000000001"
 LEGACY = "001010000000002"
@@ -128,9 +128,7 @@ def test_multi_frame_trace_is_pinned(cipher):
 
 def ciphering_ue(alg: cs.CipherAlgId, rand: bytes = RAND):
     """A legacy phone authenticated on `rand` and ciphering under `alg`, and its Kc."""
-    card = SimCard(
-        imsi=LEGACY, ki=KI, ka=None, counter=0, mode=SimMode.LEGACY, rng=random.Random(0)
-    )
+    card = SimCard(imsi=LEGACY, ki=KI, ka=None, counter=0, rng=random.Random(0))
     ue = MobileEquipment(MeProfile(), card)
     ue.power_on()
     ue.attach("vlr")

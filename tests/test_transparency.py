@@ -6,6 +6,10 @@ methods of `ServingNetwork` must not name the subscription mode
 (`SimMode`, `_LEGACY`, `_ENHANCED`), the challenge builder (`auth_core`),
 the card's network key (`ka`) or an ordering key carried beside the
 triple (`sqn_hint`).
+
+A subscriber is enhanced exactly when its card and AuC record hold a Ka,
+so no function outside the config loader (`harness`) and the AuC's
+`HomeNetwork.provision` names the mode at all.
 """
 
 import ast
@@ -14,7 +18,10 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "akasim"
-FORBIDDEN = {"SimMode", "_LEGACY", "_ENHANCED", "auth_core", "ka", "sqn_hint"}
+MODE_NAMES = {"SimMode", "_LEGACY", "_ENHANCED"}
+FORBIDDEN = MODE_NAMES | {"auth_core", "ka", "sqn_hint"}
+# the config loader parses the mode and provisioning turns it into a Ka
+MODE_READERS = {"harness", "network_side.HomeNetwork.provision"}
 
 
 def _identifiers(node: ast.AST) -> list[str]:
@@ -38,14 +45,14 @@ def _identifiers(node: ast.AST) -> list[str]:
     return []
 
 
-def forbidden_names(tree: ast.AST) -> list[str]:
-    """`line: name` for every forbidden identifier under `tree`."""
+def forbidden_names(tree: ast.AST, names: set[str] = FORBIDDEN) -> list[str]:
+    """`line: name` for every identifier in `names` under `tree`."""
     hits = {
         (node.lineno, name)
         for node in ast.walk(tree)
         if hasattr(node, "lineno")
         for name in _identifiers(node)
-        if name in FORBIDDEN
+        if name in names
     }
     return [f"{line}: {name}" for line, name in sorted(hits)]
 
@@ -87,7 +94,7 @@ def test_forbidden_names_finds(source, found):
 def test_the_home_network_does_name_them():
     # the finder sees the AuC's mode-dependent code in the same module
     found = {hit.split(": ")[1] for hit in forbidden_names(_class(_module("network_side"), "HomeNetwork"))}
-    assert {"_ENHANCED", "auth_core", "ka"} <= found
+    assert {"_LEGACY", "auth_core", "ka"} <= found
 
 
 def test_the_phone_names_no_card_upgrade():
@@ -96,3 +103,26 @@ def test_the_phone_names_no_card_upgrade():
 
 def test_the_serving_network_names_no_card_upgrade():
     assert forbidden_names(_class(_module("network_side"), "ServingNetwork")) == []
+
+
+def _functions(module: str):
+    """(qualified name, node) for each function and method of a module."""
+    for node in _module(module).body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{method.name}", method
+
+
+def test_only_the_loader_and_provisioning_name_the_mode():
+    found = [
+        f"{name} {hit}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem not in MODE_READERS
+        for name, function in _functions(path.stem)
+        if name not in MODE_READERS
+        for hit in forbidden_names(function, MODE_NAMES)
+    ]
+    assert found == []
