@@ -30,7 +30,6 @@ __all__ = [
     "LoggedFrame",
     "LoggedExchange",
     "InterceptLog",
-    "AttackReport",
     "Adversary",
 ]
 
@@ -108,14 +107,6 @@ class InterceptLog:
         return None
 
 
-class AttackReport(NamedTuple):
-    attack: AttackKind
-    succeeded: bool
-    recovered_kc: bytes | None = None
-    recovered_plaintext: bytes | None = None
-    failure_cause: str | None = None
-
-
 class Adversary:
     """False base station with an optional genuine subscription for relaying."""
 
@@ -146,7 +137,7 @@ class Adversary:
         victim_traffic: bytes,
         rand_source: RandSource = RandSource.FABRICATED,
         relay: ServingNetwork | None = None,
-    ) -> AttackReport:
+    ):
         """Impersonate a network, disable encryption, read the victim's traffic.
 
         `victim_traffic` is the plaintext the victim will send during the
@@ -166,9 +157,8 @@ class Adversary:
             rand = self._pick_rand(rand_source, victim, relay)
             sres = self._run_victim_aka(victim, rand)
             if sres is None:
-                return self._report(
-                    kind, succeeded=False, failure_cause="connection dropped by SIM"
-                )
+                self._report(kind, succeeded=False, failure_cause="connection dropped by SIM")
+                return
             if rand_source is _RELAY_FRESH and relay is not None:
                 # honest forwarding of the response leg as well
                 relay.verify(victim.sim.imsi, sres)
@@ -179,14 +169,11 @@ class Adversary:
         try:
             observed = victim.send_traffic(victim_traffic, frame_index=0)
         except ProtocolOrderError as exc:
-            return self._report(kind, succeeded=False, failure_cause=str(exc))
+            self._report(kind, succeeded=False, failure_cause=str(exc))
+            return
         self.trace(self.name, msg="PLAINTEXT_OBSERVED", plaintext=observed.hex())
         self._relay_upstream(observed)
-        return self._report(
-            kind,
-            succeeded=observed == victim_traffic,
-            recovered_plaintext=observed,
-        )
+        self._report(kind, succeeded=observed == victim_traffic)
 
     def _pick_rand(
         self,
@@ -218,7 +205,7 @@ class Adversary:
         self,
         victim: MobileEquipment,
         ground_truth: bytes,
-    ) -> AttackReport:
+    ):
         """Replay a logged challenge, force the weak cipher, recover the key.
 
         `ground_truth` is the plaintext behind the logged strong-cipher
@@ -235,11 +222,12 @@ class Adversary:
 
         sres = self._run_victim_aka(victim, record.rand)
         if sres is None:
-            return self._report(
+            self._report(
                 kind,
                 succeeded=False,
                 failure_cause="connection dropped by SIM; no weak-cipher frame emitted",
             )
+            return
         self.trace(self.name, msg="SRES_IGNORED", sres=sres.hex())
 
         victim.apply_cipher(_A5_2)
@@ -253,20 +241,18 @@ class Adversary:
             for logged in record.frames
         )
         self.trace(self.name, msg="LOG_DECRYPTED", plaintext=recovered.hex())
-        return self._report(
+        self._report(
             kind,
             succeeded=recovered == ground_truth,
             recovered_kc=recovered_kc,
-            recovered_plaintext=recovered,
             failure_cause=None if recovered == ground_truth else "decryption mismatch",
         )
 
-    def _report(self, kind: AttackKind, succeeded: bool, **fields) -> AttackReport:
-        report = AttackReport(attack=kind, succeeded=succeeded, **fields)
+    def _report(self, kind: AttackKind, succeeded: bool, recovered_kc=None, failure_cause=None):
+        """Trace the attack's verdict, the `ATTACK_RESULT` event."""
         event = {"msg": "ATTACK_RESULT", "kind": kind._value_, "succeeded": succeeded}
-        if report.recovered_kc:
-            event["recovered_kc"] = report.recovered_kc.hex()
-        if report.failure_cause:
-            event["failure_cause"] = report.failure_cause
+        if recovered_kc:
+            event["recovered_kc"] = recovered_kc.hex()
+        if failure_cause:
+            event["failure_cause"] = failure_cause
         self.trace(self.name, **event)
-        return report

@@ -297,16 +297,17 @@ def _cmd_run(args) -> int:
             print(f"error: cannot write trace: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
+    summary = harness.summarize(result)
     if args.summary_json:
-        print(json.dumps(_summarize(result), separators=(",", ":")))
+        print(json.dumps(summary, separators=(",", ":")))
     else:
-        for report in result.attack_reports:
-            outcome = "succeeded" if report.succeeded else "failed"
-            print(f"attack {report.attack.value}: {outcome}")
-        for res in result.assert_results:
-            status = "pass" if res.passed else "FAIL"
-            print(f"assert step {res.step_index}: {status} ({res.detail})")
-        print(f"{len(result.trace)} events")
+        for attack in summary["attacks"]:
+            outcome = "succeeded" if attack["succeeded"] else "failed"
+            print(f"attack {attack['kind']}: {outcome}")
+        for res in summary["asserts"]:
+            status = "pass" if res["passed"] else "FAIL"
+            print(f"assert step {res['step']}: {status} ({res['detail']})")
+        print(f"{summary['events']} events")
 
     if result.aborted:
         print(f"error: {result.error}", file=sys.stderr)
@@ -314,31 +315,6 @@ def _cmd_run(args) -> int:
     if not result.all_asserts_passed:
         return EXIT_ASSERT_FAILED
     return EXIT_OK
-
-
-def _summarize(result: harness.ScenarioResult) -> dict:
-    return {
-        "events": len(result.trace),
-        "aborted": result.aborted,
-        "error": result.error,
-        "attacks": [
-            {
-                "kind": r.attack.value,
-                "succeeded": r.succeeded,
-                "recovered_kc": r.recovered_kc.hex() if r.recovered_kc else None,
-                "recovered_plaintext": (
-                    None if r.recovered_plaintext is None else r.recovered_plaintext.hex()
-                ),
-                "failure_cause": r.failure_cause,
-            }
-            for r in result.attack_reports
-        ],
-        "asserts": [
-            {"step": r.step_index, "passed": r.passed, "detail": r.detail}
-            for r in result.assert_results
-        ],
-        "all_asserts_passed": result.all_asserts_passed,
-    }
 
 
 def _cmd_verify_trace(args) -> int:

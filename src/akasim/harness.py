@@ -26,7 +26,6 @@ from . import crypto_suite as cs
 from .adversary import (
     Adversary,
     AttackKind,
-    AttackReport,
     InterceptLog,
     LoggedExchange,
     RandSource,
@@ -50,11 +49,11 @@ __all__ = [
     "ScenarioStep",
     "ScenarioConfig",
     "AssertOutcome",
-    "AssertResult",
     "ScenarioResult",
     "assert_trace",
     "run_scenario",
     "render_trace",
+    "summarize",
 ]
 
 
@@ -492,28 +491,56 @@ def assert_trace(trace: list[TraceEvent], predicate: dict | _Predicate) -> Asser
 # --- engine --------------------------------------------------------------
 
 
-class AssertResult(NamedTuple):
-    step_index: int
-    passed: bool
-    detail: str
+class ScenarioResult(NamedTuple):
+    """A run's trace and how it ended: `error` is the aborting step and its
+    error, `step N (KIND): message`, or None.  Every other result is read
+    from the trace (see `summarize`)."""
 
-
-class ScenarioResult:
-    __slots__ = ("trace", "attack_reports", "assert_results", "error")
-
-    def __init__(self, trace: list[TraceEvent]):
-        self.trace = trace
-        self.attack_reports: list[AttackReport] = []
-        self.assert_results: list[AssertResult] = []
-        self.error: str | None = None
+    trace: list[TraceEvent]
+    error: str | None
+    all_asserts_passed: bool
 
     @property
     def aborted(self) -> bool:
         return self.error is not None
 
-    @property
-    def all_asserts_passed(self) -> bool:
-        return all(r.passed for r in self.assert_results)
+
+def summarize(result: ScenarioResult) -> dict:
+    """The run summary `akasim run` reports, read from the trace and the abort.
+
+    Each attack is its `ATTACK_RESULT` event plus the plaintext it recovered:
+    the last `PLAINTEXT_OBSERVED` or `LOG_DECRYPTED` since its own
+    `ATTACK_START`, so an attack that recovered none reports null.  Each
+    assert is an `ASSERT_RESULT` event.
+    """
+    attacks, asserts = [], []
+    plaintext = None
+    for _, event in result.trace:
+        msg = event["msg"]
+        if msg == "ATTACK_START":
+            plaintext = None
+        elif msg == "PLAINTEXT_OBSERVED" or msg == "LOG_DECRYPTED":
+            plaintext = event["plaintext"]
+        elif msg == "ATTACK_RESULT":
+            attacks.append(
+                {
+                    "kind": event["kind"],
+                    "succeeded": event["succeeded"],
+                    "recovered_kc": event.get("recovered_kc"),
+                    "recovered_plaintext": plaintext,
+                    "failure_cause": event.get("failure_cause"),
+                }
+            )
+        elif msg == "ASSERT_RESULT":
+            asserts.append({key: event[key] for key in ("step", "passed", "detail")})
+    return {
+        "events": len(result.trace),
+        "aborted": result.aborted,
+        "error": result.error,
+        "attacks": attacks,
+        "asserts": asserts,
+        "all_asserts_passed": all(a["passed"] for a in asserts),
+    }
 
 
 class _RoleRandom:
@@ -578,23 +605,25 @@ class ScenarioEngine:
             )
         # the challenge replay's plaintexts sent under each logged exchange
         self._truth: dict[LoggedExchange, list[bytes]] = {}
+        # cleared at the first failing ASSERT
+        self.all_asserts_passed = True
 
     # --- step handlers -----------------------------------------------------
 
     def run(self) -> ScenarioResult:
-        result = ScenarioResult(trace=self.tracer.events)
+        error = None
         for index, step in enumerate(self.config.script):
             try:
-                self._execute(index, step, result)
+                self._execute(index, step)
             except SimulationError as exc:
                 self.trace(
                     "engine", msg="ABORT", step=index, error=f"{type(exc).__name__}: {exc}"
                 )
-                result.error = f"step {index} ({step.kind.value}): {exc}"
+                error = f"step {index} ({step.kind.value}): {exc}"
                 break
-        return result
+        return ScenarioResult(self.tracer.events, error, self.all_asserts_passed)
 
-    def _execute(self, index: int, step: ScenarioStep, result: ScenarioResult):
+    def _execute(self, index: int, step: ScenarioStep):
         kind, args = step
         if kind is _ATTACH:
             self.ues[args[0]].attach(self.serving.name)
@@ -612,12 +641,12 @@ class ScenarioEngine:
         elif kind is _OPEN_CHANNEL:
             self.ues[args[0]].open_channel()
         elif kind is _RUN_ATTACK:
-            report = self._run_attack(args[0])
-            result.attack_reports.append(report)
+            self._run_attack(args[0])
         elif kind is _ASSERT:
             passed, detail = assert_trace(self.tracer.events, args[0])
             self.trace("engine", msg="ASSERT_RESULT", step=index, passed=passed, detail=detail)
-            result.assert_results.append(_tuple_new(AssertResult, (index, passed, detail)))
+            if not passed:
+                self.all_asserts_passed = False
 
     def _challenge(self, imsi: str, log: InterceptLog | None = None):
         """One AKA leg: challenge, answer, verify, cipher; `log` records the exchange."""
@@ -639,7 +668,7 @@ class ScenarioEngine:
             log.note_frame(frame_index, me.cipher, ciphertext)
             self._truth.setdefault(log.records[-1], []).append(plaintext)
 
-    def _run_attack(self, victim_imsi: str) -> AttackReport:
+    def _run_attack(self, victim_imsi: str):
         spec = self.config.attacker
         adversary = self.adversary
         victim = self.ues[victim_imsi]
@@ -652,17 +681,18 @@ class ScenarioEngine:
             relay = (
                 self.serving if spec.rand_source is _RELAY_FRESH else None
             )
-            return adversary.fake_network_attach(
+            adversary.fake_network_attach(
                 victim,
                 victim_traffic=spec.victim_traffic,
                 rand_source=spec.rand_source,
                 relay=relay,
             )
-        # challenge replay: ground truth is the plaintext behind the logged
-        # exchange the attacker will pick
-        record = adversary.log.latest_with_strong_frames()
-        truth = b"".join(self._truth[record]) if record is not None else b""
-        return adversary.bbk_attack(victim, ground_truth=truth)
+        else:
+            # challenge replay: ground truth is the plaintext behind the
+            # logged exchange the attacker will pick
+            record = adversary.log.latest_with_strong_frames()
+            truth = b"".join(self._truth[record]) if record is not None else b""
+            adversary.bbk_attack(victim, ground_truth=truth)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:

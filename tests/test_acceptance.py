@@ -141,25 +141,31 @@ class TestCriterion5ScenarioMatrix:
         golden = (GOLDEN / f"{name}.trace").read_text()
         return result, harness.render_trace(result.trace) == golden
 
+    @staticmethod
+    def _attack(result):
+        """The summary of the run's one attack, read from its trace."""
+        (attack,) = harness.summarize(result)["attacks"]
+        return attack
+
     def test_5a_mitm_vs_legacy_succeeds(self):
         result, golden_ok = self._golden_check("mitm_legacy")
-        report = result.attack_reports[0]
-        ok = golden_ok and report.succeeded and result.all_asserts_passed
+        report = self._attack(result)
+        ok = golden_ok and report["succeeded"] and result.all_asserts_passed
         _report("5a", "fake-network eavesdrop vs legacy succeeds (golden)", ok)
 
     def test_5b_mitm_vs_enhanced_fails_with_teardown(self):
         result, golden_ok = self._golden_check("mitm_enhanced")
-        report = result.attack_reports[0]
+        report = self._attack(result)
         # the config's ASSERT steps pin the six-message teardown and the
         # absence of any victim SRES transmission
-        ok = golden_ok and not report.succeeded and result.all_asserts_passed
+        ok = golden_ok and not report["succeeded"] and result.all_asserts_passed
         _report("5b", "fake-network vs enhanced fails, six-message teardown", ok)
 
     def test_5c_bbk_vs_legacy_recovers_key(self):
         import oracle
 
         result, golden_ok = self._golden_check("bbk_legacy")
-        report = result.attack_reports[0]
+        report = self._attack(result)
         config = _load_config("bbk_legacy.json")
         master_rng = random.Random(f"{config.seed}/provision")
         ki, _ = oracle.ref_derive(master_rng.randbytes(16), VICTIM)
@@ -176,16 +182,16 @@ class TestCriterion5ScenarioMatrix:
         )
         ok = (
             golden_ok
-            and report.succeeded
-            and report.recovered_kc == true_kc
-            and report.recovered_plaintext == ground_truth
+            and report["succeeded"]
+            and report["recovered_kc"] == true_kc.hex()
+            and report["recovered_plaintext"] == ground_truth.hex()
             and result.all_asserts_passed
         )
         _report("5c", "replay attack vs legacy recovers Kc and decrypts log", ok)
 
     def test_5d_bbk_vs_enhanced_fails_100_trials(self):
         result, golden_ok = self._golden_check("bbk_enhanced")
-        ok = golden_ok and not result.attack_reports[0].succeeded
+        ok = golden_ok and not self._attack(result)["succeeded"]
 
         base = json.loads((CONFIGS / "bbk_enhanced.json").read_text())
         failures = 0
@@ -200,7 +206,7 @@ class TestCriterion5ScenarioMatrix:
                 raw["script"].insert(2, {"op": "CHALLENGE", "imsi": VICTIM})
             trial = harness.run_scenario(harness.ScenarioConfig.from_dict(raw))
             assert not trial.aborted
-            if not trial.attack_reports[0].succeeded:
+            if not self._attack(trial)["succeeded"]:
                 failures += 1
         ok = ok and failures == 100
         _report("5d", f"replay attack vs enhanced prevented {failures}/100", ok)

@@ -6,6 +6,7 @@ import pytest
 
 import oracle
 from akasim import auth_core as ac, crypto_suite as cs
+from akasim.harness import ScenarioResult, Tracer, summarize
 from akasim.adversary import (
     KNOWN_REDUNDANCY,
     Adversary,
@@ -33,7 +34,13 @@ def build_victim(mode=SimMode.ENHANCED, counter=0, profile=None):
 
 
 def adversary(seed=21):
-    return Adversary(rng=random.Random(seed))
+    return Adversary(rng=random.Random(seed), tracer=Tracer())
+
+
+def attack_report(attacker):
+    """The run summary's entry for the one attack `attacker` traced."""
+    (report,) = summarize(ScenarioResult(attacker.trace.events, None, True))["attacks"]
+    return report
 
 
 def eavesdrop_honest_exchange(victim, attacker, alg=cs.CipherAlgId.A5_3):
@@ -54,17 +61,22 @@ def eavesdrop_honest_exchange(victim, attacker, alg=cs.CipherAlgId.A5_3):
 class TestFakeNetworkAttach:
     def test_legacy_victim_fabricated_rand_succeeds(self):
         victim = build_victim(mode=SimMode.LEGACY)
-        report = adversary().fake_network_attach(victim, victim_traffic=SECRET)
-        assert report.attack is AttackKind.MITM_EAVESDROP
-        assert report.succeeded
-        assert report.recovered_plaintext == SECRET
+        attacker = adversary()
+        # the verdict is only traced
+        assert attacker.fake_network_attach(victim, victim_traffic=SECRET) is None
+        report = attack_report(attacker)
+        assert report["kind"] == AttackKind.MITM_EAVESDROP.value
+        assert report["succeeded"]
+        assert report["recovered_plaintext"] == SECRET.hex()
 
     def test_enhanced_victim_fabricated_rand_dropped(self):
         victim = build_victim(mode=SimMode.ENHANCED)
-        report = adversary().fake_network_attach(victim, victim_traffic=SECRET)
-        assert not report.succeeded
-        assert report.failure_cause == "connection dropped by SIM"
-        assert report.recovered_plaintext is None
+        attacker = adversary()
+        attacker.fake_network_attach(victim, victim_traffic=SECRET)
+        report = attack_report(attacker)
+        assert not report["succeeded"]
+        assert report["failure_cause"] == "connection dropped by SIM"
+        assert report["recovered_plaintext"] is None
         assert victim.attached_network is None
 
     def test_enhanced_victim_relayed_fresh_rand_residual_exposure(self):
@@ -78,13 +90,15 @@ class TestFakeNetworkAttach:
             rng=random.Random(3),
         )
         serving.add_triples(VICTIM, triples)
-        report = adversary().fake_network_attach(
+        attacker = adversary()
+        attacker.fake_network_attach(
             victim,
             victim_traffic=SECRET,
             rand_source=RandSource.RELAY_FRESH,
             relay=serving,
         )
-        assert report.succeeded
+        report = attack_report(attacker)
+        assert report["succeeded"]
         assert victim.sim.counter == 1  # the SIM really authenticated it
 
     def test_replay_source_needs_log(self):
@@ -103,28 +117,34 @@ class TestFakeNetworkAttach:
 
     def test_skip_aka_blocked_by_strict_me(self):
         victim = build_victim(mode=SimMode.LEGACY)
-        report = adversary().fake_network_attach(
+        attacker = adversary()
+        attacker.fake_network_attach(
             victim, victim_traffic=SECRET, rand_source=RandSource.SKIP_AKA
         )
-        assert not report.succeeded
-        assert "authentication" in report.failure_cause
+        report = attack_report(attacker)
+        assert not report["succeeded"]
+        assert "authentication" in report["failure_cause"]
 
     def test_skip_aka_succeeds_on_permissive_me(self):
         victim = build_victim(
             mode=SimMode.LEGACY, profile=MeProfile(accepts_unauthenticated=True)
         )
-        report = adversary().fake_network_attach(
+        attacker = adversary()
+        attacker.fake_network_attach(
             victim, victim_traffic=SECRET, rand_source=RandSource.SKIP_AKA
         )
-        assert report.succeeded
+        report = attack_report(attacker)
+        assert report["succeeded"]
 
     def test_enhanced_non_class_e_fabricated_rand_succeeds(self):
         # without class-e toolkit support the card cannot force the drop
         victim = build_victim(
             mode=SimMode.ENHANCED, profile=MeProfile(class_e=False)
         )
-        report = adversary().fake_network_attach(victim, victim_traffic=SECRET)
-        assert report.succeeded
+        attacker = adversary()
+        attacker.fake_network_attach(victim, victim_traffic=SECRET)
+        report = attack_report(attacker)
+        assert report["succeeded"]
 
 
 class TestBbkAttack:
@@ -135,28 +155,32 @@ class TestBbkAttack:
         true_kc = oracle.ref_a8(KI, rand)
         victim.power_cycle()
 
-        report = attacker.bbk_attack(victim, ground_truth=SECRET)
-        assert report.succeeded
-        assert report.recovered_kc == true_kc
-        assert report.recovered_plaintext == SECRET
+        assert attacker.bbk_attack(victim, ground_truth=SECRET) is None
+        report = attack_report(attacker)
+        assert report["kind"] == AttackKind.BBK_REPLAY.value
+        assert report["succeeded"]
+        assert report["recovered_kc"] == true_kc.hex()
+        assert report["recovered_plaintext"] == SECRET.hex()
 
     def test_deterministic_with_one_8_octet_frame(self):
         victim = build_victim(mode=SimMode.LEGACY)
         attacker = adversary()
         eavesdrop_honest_exchange(victim, attacker, alg=cs.CipherAlgId.A5_1)
         victim.power_cycle()
-        report = attacker.bbk_attack(victim, ground_truth=SECRET)
-        assert report.succeeded
+        attacker.bbk_attack(victim, ground_truth=SECRET)
+        report = attack_report(attacker)
+        assert report["succeeded"]
 
     def test_enhanced_victim_replay_prevented(self):
         victim = build_victim(mode=SimMode.ENHANCED)
         attacker = adversary()
         eavesdrop_honest_exchange(victim, attacker)
         victim.power_cycle()
-        report = attacker.bbk_attack(victim, ground_truth=SECRET)
-        assert not report.succeeded
-        assert "dropped" in report.failure_cause
-        assert report.recovered_kc is None
+        attacker.bbk_attack(victim, ground_truth=SECRET)
+        report = attack_report(attacker)
+        assert not report["succeeded"]
+        assert "dropped" in report["failure_cause"]
+        assert report["recovered_kc"] is None
 
     def test_enhanced_non_class_e_yields_useless_key(self):
         victim = build_victim(
@@ -166,11 +190,12 @@ class TestBbkAttack:
         rand = eavesdrop_honest_exchange(victim, attacker)
         true_kc = oracle.ref_a8(KI, rand)
         victim.power_cycle()
-        report = attacker.bbk_attack(victim, ground_truth=SECRET)
-        assert not report.succeeded
-        assert report.failure_cause == "decryption mismatch"
-        assert report.recovered_kc is not None
-        assert report.recovered_kc != true_kc
+        attacker.bbk_attack(victim, ground_truth=SECRET)
+        report = attack_report(attacker)
+        assert not report["succeeded"]
+        assert report["failure_cause"] == "decryption mismatch"
+        assert report["recovered_kc"] is not None
+        assert report["recovered_kc"] != true_kc.hex()
 
     def test_empty_log_is_precondition_error(self):
         victim = build_victim(mode=SimMode.LEGACY)

@@ -401,6 +401,104 @@ class TestRun:
         assert summary["all_asserts_passed"] is True
         assert summary["attacks"][0]["succeeded"] is True
 
+    # sha256 of the stdout of `run --config configs/<name>.json`, plain and
+    # with --summary-json, recorded while the report still came from per-run
+    # report lists rather than the trace; every shipped config exits 0
+    RUN_STDOUT_SHA256 = {
+        ("bbk_enhanced", False): "c05cd11ae4636337e9d50b2fa5d0239b02d629977c0e6a533e7b6af61b15ecb8",
+        ("bbk_enhanced", True): "326d90e1f5b6c647f71b22273ed6e582cc0bc567fc0b3bbf02e6f9d7f795a1d5",
+        ("bbk_legacy", False): "ab7aa0fe6b538b258ed8487ed3474efab3a28033e3dd03f7ede52b3744be7107",
+        ("bbk_legacy", True): "cd24dd0bad4185091a72ed2bbfb683f5ac2ed2cbb1a0c6ffa248a2bee26b7222",
+        ("honest_enhanced", False): "9511db73b4a0b40809e7c965b7412f072b916814c48f2470d70a1118a4f68f88",
+        ("honest_enhanced", True): "4e1e4300f9100502d5ef72a75f564dfdb3c77d549a75ec4018b734e506c8fea7",
+        ("mitm_enhanced", False): "415a11d3d4facf306fbab5801518d5f4ee77035815c8554d6ca4e7ce2a5f5e79",
+        ("mitm_enhanced", True): "b3cd0058bae5a3474f974ba800fb000af4f4da6d9fb7a0629aaf649e4ce846e5",
+        ("mitm_legacy", False): "c3a1b6edf05a8f5f8bc900f50a66b5d486029a4d4a6b11f75b2e7eac233ac37b",
+        ("mitm_legacy", True): "3c2565e2f7026436bf2e5181125f64f2668ebefdf9d2840623786e8a7cdff3b5",
+    }
+
+    @pytest.mark.parametrize("name, summary", sorted(RUN_STDOUT_SHA256))
+    def test_shipped_config_stdout_is_pinned(self, capsys, name, summary):
+        argv = ["run", "--config", str(CONFIGS / f"{name}.json")]
+        assert cli.main(argv + ["--summary-json"] * summary) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.RUN_STDOUT_SHA256[name, summary]
+
+    # stdout, stderr and exit code of two runs of honest_enhanced.json that
+    # end badly, each plain and with --summary-json
+    FAILING_ASSERT_OUT = (
+        "assert step 5: pass (no event matched)\n"
+        "assert step 6: pass (matched at seq_no 10)\n"
+        "assert step 7: FAIL (no event matched)\n"
+        "25 events\n",
+        '{"events":25,"aborted":false,"error":null,"attacks":[],"asserts":['
+        '{"step":5,"passed":true,"detail":"no event matched"},'
+        '{"step":6,"passed":true,"detail":"matched at seq_no 10"},'
+        '{"step":7,"passed":false,"detail":"no event matched"}],'
+        '"all_asserts_passed":false}\n',
+    )
+    ABORT_ERR = "error: step 0 (CHALLENGE): no triples left for 001010000000001\n"
+    ABORT_OUT = (
+        "4 events\n",
+        '{"events":4,"aborted":true,'
+        '"error":"step 0 (CHALLENGE): no triples left for 001010000000001",'
+        '"attacks":[],"asserts":[],"all_asserts_passed":true}\n',
+    )
+
+    @pytest.mark.parametrize("summary", [False, True], ids=["plain", "summary-json"])
+    @pytest.mark.parametrize("ending", ["failing_assert", "abort"])
+    def test_bad_ending_output_is_pinned(self, tmp_path, capsys, ending, summary):
+        raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
+        if ending == "abort":
+            raw["script"] = [{"op": "CHALLENGE", "imsi": "001010000000001"}]
+            want = (self.ABORT_OUT[summary], self.ABORT_ERR, 3)
+        else:
+            raw["script"].append(
+                {"op": "ASSERT", "predicate": {"kind": "present", "where": {"msg": "NO_SUCH"}}}
+            )
+            want = (self.FAILING_ASSERT_OUT[summary], "", 2)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code = cli.main(["run", "--config", str(cfg)] + ["--summary-json"] * summary)
+        assert (*capsys.readouterr(), code) == want
+
+    def test_summary_json_reports_each_of_two_attacks_on_its_own(self, tmp_path, capsys):
+        # the legacy victim's traffic falls to the eavesdropper; the enhanced
+        # one drops it, and must not inherit the first attack's plaintext
+        raw = json.loads((CONFIGS / "mitm_legacy.json").read_text())
+        enhanced = "001010000000002"
+        raw["subscribers"].append({"imsi": enhanced, "mode": "ENHANCED"})
+        raw["script"] = [
+            {"op": "ATTACH", "imsi": "001010000000001"},
+            {"op": "OPEN_CHANNEL", "imsi": "001010000000001"},
+            {"op": "ATTACH", "imsi": enhanced},
+            {"op": "OPEN_CHANNEL", "imsi": enhanced},
+            {"op": "REQUEST_TRIPLES", "imsi": "001010000000099", "n": 1},
+            {"op": "RUN_ATTACK", "victim": "001010000000001"},
+            {"op": "RUN_ATTACK", "victim": enhanced},
+        ]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg), "--summary-json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["attacks"] == [
+            {
+                "kind": "MITM_EAVESDROP",
+                "succeeded": True,
+                "recovered_kc": None,
+                "recovered_plaintext": "68656c6c6f20776f726c64",
+                "failure_cause": None,
+            },
+            {
+                "kind": "MITM_EAVESDROP",
+                "succeeded": False,
+                "recovered_kc": None,
+                "recovered_plaintext": None,
+                "failure_cause": "connection dropped by SIM",
+            },
+        ]
+
     @pytest.mark.parametrize(
         "name, msg",
         [

@@ -291,9 +291,10 @@ class TestEngineFlow:
     def test_abort_on_protocol_error_keeps_partial_trace(self):
         raw = base_config(script=[{"op": "CHALLENGE", "imsi": VICTIM}])
         result = run_scenario(ScenarioConfig.from_dict(raw))
-        assert result.aborted
-        assert "TripleExhaustionError" in harness.render_trace(result.trace) or result.error
-        assert any(e.event["msg"] == "ABORT" for e in result.trace)
+        assert result.error == f"step 0 (CHALLENGE): no triples left for {VICTIM}"
+        (abort,) = [e.event for e in result.trace if e.event["msg"] == "ABORT"]
+        assert abort["step"] == 0
+        assert abort["error"].startswith("TripleExhaustionError: ")
         assert any(e.event["msg"] == "PROVISION" for e in result.trace)
 
     def test_power_cycle_preserves_card_counter(self):
@@ -342,18 +343,18 @@ class TestEngineFlow:
         config = replaying_eavesdropper("mitm_legacy.json")
         result = run_scenario(config)
         assert result.error is None
-        (report,) = result.attack_reports
-        assert report.succeeded
-        assert report.recovered_plaintext == config.attacker.victim_traffic
+        (report,) = harness.summarize(result)["attacks"]
+        assert report["succeeded"]
+        assert report["recovered_plaintext"] == config.attacker.victim_traffic.hex()
         (genuine, _attackers_own) = _rands(result, "AUTH_CHALLENGE")
         assert _rands(result, "FAKE_AUTH_CHALLENGE") == [genuine]
 
     def test_replayed_challenge_is_dropped_by_an_enhanced_class_e_victim(self):
         result = run_scenario(replaying_eavesdropper("mitm_enhanced.json"))
         assert result.error is None
-        (report,) = result.attack_reports
-        assert not report.succeeded
-        assert report.failure_cause == "connection dropped by SIM"
+        (report,) = harness.summarize(result)["attacks"]
+        assert not report["succeeded"]
+        assert report["failure_cause"] == "connection dropped by SIM"
         (genuine, _attackers_own) = _rands(result, "AUTH_CHALLENGE")
         assert _rands(result, "FAKE_AUTH_CHALLENGE") == [genuine]
         dropped = [e.event for e in result.trace if e.event["msg"] == "CONNECTION_DROPPED"]
@@ -634,10 +635,11 @@ class TestPredicateCompile:
             steps = json.loads(text)["script"]
             result = run_scenario(ScenarioConfig.loads(text))
             predicates = [step["predicate"] for step in steps if step["op"] == "ASSERT"]
-            assert len(predicates) == len(result.assert_results) >= 2
+            asserts = harness.summarize(result)["asserts"]
+            assert len(predicates) == len(asserts) >= 2
             assert compiled == predicates, path.name
             # each result names the step, and so the predicate, it answers
-            assert [steps[r.step_index]["predicate"] for r in result.assert_results] == predicates
+            assert [steps[r["step"]]["predicate"] for r in asserts] == predicates
 
     @pytest.mark.parametrize(
         "predicate, key",

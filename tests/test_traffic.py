@@ -21,7 +21,14 @@ import pytest
 import oracle
 from akasim import crypto_suite as cs
 from akasim.adversary import Adversary
-from akasim.harness import ScenarioConfig, render_trace, run_scenario
+from akasim.harness import (
+    ScenarioConfig,
+    ScenarioResult,
+    Tracer,
+    render_trace,
+    run_scenario,
+    summarize,
+)
 from akasim.mobile_equipment import MeProfile, MobileEquipment
 from akasim.sim_card import SimCard
 
@@ -154,7 +161,7 @@ def test_bbk_decrypt_matches_oracle():
     """The replay attacker decrypts a log of oracle-enciphered frames under
     all three ciphers, every oracle length and both extreme frame indices."""
     victim, kc = ciphering_ue(cs.CipherAlgId.A5_3)
-    attacker = Adversary(rng=random.Random(0))
+    attacker = Adversary(rng=random.Random(0), tracer=Tracer())
     attacker.log.start_exchange(RAND)
     truth = b""
     for alg in CIPHERS:
@@ -165,26 +172,28 @@ def test_bbk_decrypt_matches_oracle():
                 attacker.log.note_frame(frame_index, alg, ciphertext)
                 truth += text
     victim.power_cycle()
-    report = attacker.bbk_attack(victim, ground_truth=truth)
-    assert report.recovered_kc == kc
-    assert report.recovered_plaintext == truth
-    assert report.succeeded
+    attacker.bbk_attack(victim, ground_truth=truth)
+    (report,) = summarize(ScenarioResult(attacker.trace.events, None, True))["attacks"]
+    assert report["recovered_kc"] == kc.hex()
+    assert report["recovered_plaintext"] == truth.hex()
+    assert report["succeeded"]
 
 
 def test_bbk_decrypt_passes_unciphered_frames_through():
     """A logged A5/3 frame followed by a cipher-NONE frame decrypts to the
     strong frame's plaintext and then the NONE frame's octets verbatim."""
     victim, kc = ciphering_ue(cs.CipherAlgId.A5_3)
-    attacker = Adversary(rng=random.Random(0))
+    attacker = Adversary(rng=random.Random(0), tracer=Tracer())
     attacker.log.start_exchange(RAND)
     strong, clear = plaintext(33, "strong"), plaintext(17, "clear")
     attacker.log.note_frame(5, cs.CipherAlgId.A5_3, victim.send_traffic(strong, 5))
     attacker.log.note_frame(6, cs.CipherAlgId.NONE, clear)
     victim.power_cycle()
-    report = attacker.bbk_attack(victim, ground_truth=strong + clear)
-    assert report.recovered_kc == kc
-    assert report.recovered_plaintext == strong + clear
-    assert report.succeeded
+    attacker.bbk_attack(victim, ground_truth=strong + clear)
+    (report,) = summarize(ScenarioResult(attacker.trace.events, None, True))["attacks"]
+    assert report["recovered_kc"] == kc.hex()
+    assert report["recovered_plaintext"] == (strong + clear).hex()
+    assert report["succeeded"]
 
 
 def test_ragged_frames_interleaved_across_kcs_and_ciphers():
