@@ -151,6 +151,86 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             ScenarioConfig.from_dict(base_config(script=[step]))
 
+    # each message recorded before the step checks were reordered; a step with
+    # several faults is named by the first one in this order: unknown keys,
+    # imsi, then the op's values in `_STEP_KEYS` order
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ({"op": "SEND_TRAFFIC", "plaintext": "00"}, "step 0 (SEND_TRAFFIC) needs an imsi/victim"),
+            ({"op": "SEND_TRAFFIC", "imsi": None, "plaintext": "00"},
+             "step 0 (SEND_TRAFFIC) needs an imsi/victim"),
+            ({"op": "SEND_TRAFFIC", "imsi": OTHER, "plaintext": "00"},
+             f"step 0 references unknown imsi {OTHER}"),
+            ({"op": "SEND_TRAFFIC", "imsi": 7, "plaintext": "00"}, "step 0 references unknown imsi 7"),
+            ({"op": "SEND_TRAFFIC", "imsi": [VICTIM], "plaintext": "00"},
+             "bad scenario config: unhashable type: 'list'"),
+            ({"op": "SEND_TRAFFIC", "imsi": VICTIM}, "step 0: plaintext must be a hex string"),
+            ({"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "zz"},
+             "step 0: plaintext must be a hex string"),
+            ({"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": 5},
+             "step 0: plaintext must be a hex string"),
+            ({"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": None},
+             "step 0: plaintext must be a hex string"),
+            ({"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "0"},
+             "step 0: plaintext must be a hex string"),
+            *[
+                ({"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "00", "frame_index": frame},
+                 "step 0: frame_index must be an integer in [0, 2^64)")
+                for frame in (True, 1.0, -1, 2**64, "1", None)
+            ],
+            ({"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "00", "frame": 1},
+             "unknown keys in script step 0 (SEND_TRAFFIC): ['frame']"),
+            ({"op": "SEND_TRAFFIC", "plaintext": "zz", "frame": 1},
+             "unknown keys in script step 0 (SEND_TRAFFIC): ['frame']"),
+            *[
+                ({"op": "REQUEST_TRIPLES", "imsi": VICTIM, "n": n}, "step 0: n must be an integer in [1, 4096]")
+                for n in ("two", 0, 4097, True)
+            ],
+            # several faults: the first in the order above is named
+            ({"op": "SEND_TRAFFIC", "imsi": OTHER, "plaintext": "zz"},
+             f"step 0 references unknown imsi {OTHER}"),
+            ({"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "zz", "frame_index": -1},
+             "step 0: plaintext must be a hex string"),
+            ({"op": "REQUEST_TRIPLES", "imsi": OTHER, "n": True},
+             f"step 0 references unknown imsi {OTHER}"),
+            ({"op": "ATTACH"}, "step 0 (ATTACH) needs an imsi/victim"),
+            ({"op": "RUN_ATTACK"}, "step 0 (RUN_ATTACK) needs an imsi/victim"),
+            ({"op": "RUN_ATTACK", "victim": VICTIM}, "step 0 runs an attack but none is configured"),
+            ({"op": "ASSERT"}, "ASSERT step 0 missing predicate"),
+        ],
+    )
+    def test_step_refusal_is_exact(self, step, message):
+        with pytest.raises(ConfigError) as caught:
+            ScenarioConfig.from_dict(base_config(script=[step]))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "attacker, victim, message",
+        [
+            ({"kind": "MITM_EAVESDROP", "imsi": VICTIM, "victim_traffic": "00"}, VICTIM,
+             f"step 0 (RUN_ATTACK): victim {VICTIM} is the attacker"),
+            ({"kind": "BBK_REPLAY"}, OTHER, f"step 0 references unknown imsi {OTHER}"),
+        ],
+    )
+    def test_attack_step_refusal_is_exact(self, attacker, victim, message):
+        raw = base_config(attacker=attacker, script=[{"op": "RUN_ATTACK", "victim": victim}])
+        with pytest.raises(ConfigError) as caught:
+            ScenarioConfig.from_dict(raw)
+        assert str(caught.value) == message
+
+    def test_int_subclass_values_load_as_given(self):
+        class Count(int):
+            pass
+
+        script = [
+            {"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "00", "frame_index": Count(3)},
+            {"op": "REQUEST_TRIPLES", "imsi": VICTIM, "n": Count(2)},
+        ]
+        config = ScenarioConfig.from_dict(base_config(script=script))
+        assert [step.args for step in config.script] == [(VICTIM, b"\x00", 3), (VICTIM, 2)]
+        assert [type(step.args[-1]) for step in config.script] == [Count, Count]
+
     def test_caps_are_inclusive(self):
         script = [
             {"op": "REQUEST_TRIPLES", "imsi": VICTIM, "n": MAX_BATCH},
@@ -359,6 +439,48 @@ class TestEngineFlow:
         assert _rands(result, "FAKE_AUTH_CHALLENGE") == [genuine]
         dropped = [e.event for e in result.trace if e.event["msg"] == "CONNECTION_DROPPED"]
         assert dropped == [{"msg": "CONNECTION_DROPPED", "closed_channels": [1]}]
+
+    # the engine runs a loaded SEND_TRAFFIC step on the phone's core, past
+    # the entry checks of `send_traffic`; the phone's state refusals remain
+    def test_traffic_before_attach_aborts(self):
+        raw = base_config(script=[{"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "00"}])
+        result = run_scenario(ScenarioConfig.from_dict(raw))
+        assert result.error == "step 0 (SEND_TRAFFIC): traffic while detached"
+        (abort,) = [e.event for e in result.trace if e.event["msg"] == "ABORT"]
+        assert abort == {"msg": "ABORT", "step": 0, "error": "ProtocolOrderError: traffic while detached"}
+        assert not any(e.event["msg"] == "TRAFFIC" for e in result.trace)
+
+    def test_traffic_before_authentication_aborts(self):
+        script = [
+            {"op": "ATTACH", "imsi": VICTIM},
+            {"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "00"},
+        ]
+        result = run_scenario(ScenarioConfig.from_dict(base_config(script=script)))
+        assert result.error == "step 1 (SEND_TRAFFIC): traffic before authentication"
+        (abort,) = [e.event for e in result.trace if e.event["msg"] == "ABORT"]
+        assert abort == {
+            "msg": "ABORT",
+            "step": 1,
+            "error": "ProtocolOrderError: traffic before authentication",
+        }
+
+    def test_unauthenticated_traffic_goes_out_in_clear(self):
+        script = [
+            {"op": "ATTACH", "imsi": VICTIM},
+            {"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "00ff10", "frame_index": 5},
+        ]
+        raw = base_config(me_profiles={VICTIM: {"accepts_unauthenticated": True}}, script=script)
+        result = run_scenario(ScenarioConfig.from_dict(raw))
+        assert result.error is None
+        (traffic,) = [e for e in result.trace if e.event["msg"] == "TRAFFIC"]
+        assert traffic.actor == f"ue:{VICTIM}"
+        assert traffic.event == {
+            "msg": "TRAFFIC",
+            "network": "vlr",
+            "frame_index": 5,
+            "alg": "NONE",
+            "ciphertext": "00ff10",
+        }
 
     def test_failed_assert_recorded(self):
         raw = base_config(
@@ -578,6 +700,10 @@ SEMANTICS = [
      True, "field reason matches at seq_no 6"),
     ('{"kind": "field_equals", "where": {"msg": "NO_SUCH"}, "field": "x", "value": null}',
      False, "no event matched the where clause"),
+    # field_equals reads only the first event its where matches: seq_no 5's
+    # "cc" is never read
+    ('{"kind": "field_equals", "where": {"msg": "SRES_TO_NETWORK"}, "field": "sres", "value": "bb"}',
+     True, "field sres matches at seq_no 3"),
 ]
 
 
