@@ -264,6 +264,7 @@ class ScenarioConfig(NamedTuple):
                 raise ConfigError("MITM_EAVESDROP needs non-empty victim_traffic")
 
         script = []
+        check_step = cls._check_step
         for idx, step in enumerate(raw.get("script", [])):
             if not isinstance(step, dict):
                 raise ConfigError(f"script step {idx} must be a JSON object")
@@ -274,8 +275,11 @@ class ScenarioConfig(NamedTuple):
                 kind = _STEP_KINDS[op]
             except (KeyError, TypeError):
                 kind = StepKind(op)  # raises the ValueError that names the op
-            _closed(step, _STEP_ALLOWED[op], "keys in script step %d (%s)", idx, op)
-            script.append(cls._check_step(idx, kind, step, seen, attacker, batch_size))
+            # `_closed`'s own test, inline: a call per step costs more
+            allowed = _STEP_ALLOWED[op]
+            if not step.keys() <= allowed:
+                _closed(step, allowed, "keys in script step %d (%s)", idx, op)
+            script.append(check_step(idx, kind, step, seen, attacker, batch_size))
 
         return cls(
             seed=seed,
@@ -290,37 +294,43 @@ class ScenarioConfig(NamedTuple):
 
     @staticmethod
     def _check_step(idx, kind, step, known_imsis, attacker, batch_size) -> ScenarioStep:
-        """Raise ConfigError on a bad step; return the loaded step."""
-        if kind is _ASSERT:
+        """Raise ConfigError on a bad step; return the loaded step.  The
+        imsi is checked first, then the op's values in `_STEP_KEYS` order;
+        SEND_TRAFFIC, most of a long script, is tested for first."""
+        if kind is _SEND_TRAFFIC:
+            step_imsi = step.get("imsi")
+        elif kind is _ASSERT:
             if "predicate" not in step:
                 raise ConfigError(f"ASSERT step {idx} missing predicate")
             return _tuple_new(ScenarioStep, (kind, (_compile_predicate(step["predicate"]),)))
-        step_imsi = step.get("victim") if kind is _RUN_ATTACK else step.get("imsi")
-        if step_imsi is None:
-            raise ConfigError(f"step {idx} ({kind.value}) needs an imsi/victim")
-        if step_imsi not in known_imsis:
+        else:
+            step_imsi = step.get("victim") if kind is _RUN_ATTACK else step.get("imsi")
+        if step_imsi not in known_imsis:  # never holds None
+            if step_imsi is None:
+                raise ConfigError(f"step {idx} ({kind.value}) needs an imsi/victim")
             raise ConfigError(f"step {idx} references unknown imsi {step_imsi}")
-        if kind is _RUN_ATTACK:
-            if attacker is None:
-                raise ConfigError(f"step {idx} runs an attack but none is configured")
-            if step_imsi == attacker.imsi:
-                # its genuine relay leg would ride the fake network it captured
-                raise ConfigError(f"step {idx} ({kind.value}): victim {step_imsi} is the attacker")
-        if kind is _REQUEST_TRIPLES:
-            n = step.get("n", batch_size)
-            if not _is_int(n) or not 1 <= n <= MAX_BATCH:
-                raise ConfigError(f"step {idx}: n must be an integer in [1, {MAX_BATCH}]")
-            args = (step_imsi, n)
-        elif kind is _SEND_TRAFFIC:
+        if kind is _SEND_TRAFFIC:
             try:
                 plaintext = bytes.fromhex(step["plaintext"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"step {idx}: plaintext must be a hex string") from exc
             frame = step.get("frame_index", 0)
-            if not _is_int(frame) or not 0 <= frame < 1 << 64:
+            # a plain int skips the `_is_int` call, which also takes a subclass
+            if not (type(frame) is int or _is_int(frame)) or not 0 <= frame < 1 << 64:
                 raise ConfigError(f"step {idx}: frame_index must be an integer in [0, 2^64)")
             args = (step_imsi, plaintext, frame)
+        elif kind is _REQUEST_TRIPLES:
+            n = step.get("n", batch_size)
+            if not _is_int(n) or not 1 <= n <= MAX_BATCH:
+                raise ConfigError(f"step {idx}: n must be an integer in [1, {MAX_BATCH}]")
+            args = (step_imsi, n)
         else:
+            if kind is _RUN_ATTACK:
+                if attacker is None:
+                    raise ConfigError(f"step {idx} runs an attack but none is configured")
+                if step_imsi == attacker.imsi:
+                    # its genuine relay leg would ride the fake network it captured
+                    raise ConfigError(f"step {idx} ({kind.value}): victim {step_imsi} is the attacker")
             args = (step_imsi,)
         return _tuple_new(ScenarioStep, (kind, args))
 
@@ -625,7 +635,18 @@ class ScenarioEngine:
 
     def _execute(self, index: int, step: ScenarioStep):
         kind, args = step
-        if kind is _ATTACH:
+        # SEND_TRAFFIC, most of a long script, is tested for first
+        if kind is _SEND_TRAFFIC:
+            # the loader proved the frame, so it goes straight to the phone's core
+            imsi, plaintext, frame_index = args
+            me = self.ues[imsi]
+            ciphertext = me._send_frame(plaintext, frame_index)
+            # only the challenge replay reads the frames and plaintexts it logs
+            if self.adversary is not None and self.config.attacker.kind is _BBK_REPLAY:
+                log = self.adversary.log
+                log.note_frame(frame_index, me.cipher, ciphertext)
+                self._truth.setdefault(log.records[-1], []).append(plaintext)
+        elif kind is _ATTACH:
             self.ues[args[0]].attach(self.serving.name)
         elif kind is _REQUEST_TRIPLES:
             imsi, n = args
@@ -634,8 +655,6 @@ class ScenarioEngine:
             self.serving.add_triples(imsi, triples)
         elif kind is _CHALLENGE:
             self._challenge(args[0], self.adversary and self.adversary.log)
-        elif kind is _SEND_TRAFFIC:
-            self._send_traffic(*args)
         elif kind is _POWER_CYCLE_UE:
             self.ues[args[0]].power_cycle()
         elif kind is _OPEN_CHANNEL:
@@ -658,15 +677,6 @@ class ScenarioEngine:
         if sres is not None:
             if self.serving.verify(imsi, sres) is _AUTHENTICATED:
                 me.apply_cipher(self.serving.select_cipher())
-
-    def _send_traffic(self, imsi: str, plaintext: bytes, frame_index: int):
-        me = self.ues[imsi]
-        ciphertext = me.send_traffic(plaintext, frame_index)
-        # only the challenge replay reads the frames and plaintexts it logs
-        if self.adversary is not None and self.config.attacker.kind is _BBK_REPLAY:
-            log = self.adversary.log
-            log.note_frame(frame_index, me.cipher, ciphertext)
-            self._truth.setdefault(log.records[-1], []).append(plaintext)
 
     def _run_attack(self, victim_imsi: str):
         spec = self.config.attacker
@@ -697,6 +707,10 @@ class ScenarioEngine:
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Execute a validated config; identical configs yield identical traces.
+
+    The config must be one `ScenarioConfig.loads` or `from_dict` built: the
+    engine trusts the values the loader checked, and a SEND_TRAFFIC step's
+    frame goes to the phone's core past `send_traffic`'s entry checks.
 
     The cyclic garbage collector is paused, process-wide, while the engine
     is built and run, and put back as it was found.  The run's object graph

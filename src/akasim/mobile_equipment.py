@@ -202,6 +202,12 @@ class MobileEquipment:
         """Check, encrypt and emit one traffic frame; returns the air ciphertext."""
         cs._check_bytes("plaintext", plaintext)
         cs._check_frame_index(frame_index)
+        return self._send_frame(plaintext, frame_index)
+
+    def _send_frame(self, plaintext: bytes, frame_index: int) -> bytes:
+        """`send_traffic` for a frame the caller has proven: `bytes` or
+        `bytearray` and an int frame index in [0, 2^64).  The phone's state
+        is still checked here."""
         network = self.attached_network
         if network is None:
             raise ProtocolOrderError("traffic while detached")
