@@ -295,21 +295,18 @@ class ScenarioConfig(NamedTuple):
     @staticmethod
     def _check_step(idx, kind, step, known_imsis, attacker, batch_size) -> ScenarioStep:
         """Raise ConfigError on a bad step; return the loaded step.  The
-        imsi is checked first, then the op's values in `_STEP_KEYS` order;
-        SEND_TRAFFIC, most of a long script, is tested for first."""
-        if kind is _SEND_TRAFFIC:
-            step_imsi = step.get("imsi")
-        elif kind is _ASSERT:
+        imsi is checked first, then the op's values in `_STEP_KEYS` order, so
+        a step with several faults is refused for the first of them."""
+        if kind is _ASSERT:
             if "predicate" not in step:
                 raise ConfigError(f"ASSERT step {idx} missing predicate")
             return _tuple_new(ScenarioStep, (kind, (_compile_predicate(step["predicate"]),)))
-        else:
-            step_imsi = step.get("victim") if kind is _RUN_ATTACK else step.get("imsi")
-        if step_imsi not in known_imsis:  # never holds None
+        step_imsi = step.get("victim" if kind is _RUN_ATTACK else "imsi")
+        if step_imsi not in known_imsis:  # strings only, so never None
             if step_imsi is None:
                 raise ConfigError(f"step {idx} ({kind.value}) needs an imsi/victim")
             raise ConfigError(f"step {idx} references unknown imsi {step_imsi}")
-        if kind is _SEND_TRAFFIC:
+        if kind is _SEND_TRAFFIC:  # most of a long script
             try:
                 plaintext = bytes.fromhex(step["plaintext"])
             except (KeyError, TypeError, ValueError) as exc:
