@@ -632,8 +632,7 @@ class ScenarioEngine:
 
     def _execute(self, index: int, step: ScenarioStep):
         kind, args = step
-        # SEND_TRAFFIC, most of a long script, is tested for first
-        if kind is _SEND_TRAFFIC:
+        if kind is _SEND_TRAFFIC:  # most of a long script, so tested for first
             # the loader proved the frame, so it goes straight to the phone's core
             imsi, plaintext, frame_index = args
             me = self.ues[imsi]
