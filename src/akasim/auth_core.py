@@ -103,7 +103,7 @@ def build_hijacked_rands(ka: bytes, amf: int, first_sqn: int, n: int) -> bytes:
     if not cs._is_int(n) or n < 1:
         raise MalformedInputError(f"challenge count must be >= 1, got {n!r}")
     check_sqn48(first_sqn + n - 1)
-    return _build_rands(cs._key(ka, "ka"), amf, first_sqn, n)
+    return _build_rands(cs.Key128(ka, "ka"), amf, first_sqn, n)
 
 
 # the f5 pad word
@@ -228,8 +228,8 @@ def verify_hijacked_rand(
     differ from the honest (sres, kc) for this challenge.
     """
     check_sqn48(counter)
-    ka = cs._key(ka, "ka")
-    ki = cs._key(ki, "ki")
+    ka = cs.Key128(ka, "ka")
+    ki = cs.Key128(ki, "ki")
     rand = cs._check_len("rand", rand, cs.RAND_LEN)
     # one AES call each: unmask, re-tag, answer
     mac = rand[8:]
@@ -246,7 +246,7 @@ def verify_hijacked_rand(
 
 def legacy_response(ki: bytes, rand: bytes) -> tuple[bytes, bytes]:
     """The unmodified challenge response: (SRES, Kc) over the full RAND."""
-    return cs._a3a8(cs._key(ki, "ki"), cs._check_len("rand", rand, cs.RAND_LEN))
+    return cs._a3a8(cs.Key128(ki, "ki"), cs._check_len("rand", rand, cs.RAND_LEN))
 
 
 def generate_triples(
@@ -269,7 +269,7 @@ def generate_triples(
         raise CounterOverflowError(
             f"issuing {n} triples from counter {counter} would exceed 2^48 - 1"
         )
-    ki, ka = cs._key(ki, "ki"), cs._key(ka, "ka")
+    ki, ka = cs.Key128(ki, "ki"), cs.Key128(ka, "ka")
     rands = _build_rands(ka, amf, counter + 1, n)
     return _triples(ki, rands), counter + n
 

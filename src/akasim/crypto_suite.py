@@ -200,11 +200,6 @@ class Key128(bytes):
         return ctx.update(blocks)
 
 
-def _key(value: bytes, name: str) -> Key128:
-    """The value as a Key128: a Key128 passes through untouched, anything else is checked."""
-    return value if type(value) is Key128 else Key128(value, name)
-
-
 # --- cores: one AES call on values the caller has already proven --------------
 #
 # The one-block cores take a Key128 and exactly one 8- or 16-octet item; the
@@ -242,22 +237,22 @@ def _a3a8_batch(ki: Key128, rands: bytes) -> tuple[bytes, bytes]:
 
 def f1_mac(ka: bytes, amf_sqn: bytes) -> bytes:
     """64-bit authentication tag over a 16-bit AMF || 48-bit SQN message."""
-    return _f1(_key(ka, "ka"), _check_len("amf_sqn", amf_sqn, TAG_LEN))
+    return _f1(Key128(ka, "ka"), _check_len("amf_sqn", amf_sqn, TAG_LEN))
 
 
 def f5_mask(ka: bytes, mac: bytes) -> bytes:
     """64-bit encrypting mask derived from an authentication tag."""
-    return _f5(_key(ka, "ka"), _check_len("mac", mac, TAG_LEN))
+    return _f5(Key128(ka, "ka"), _check_len("mac", mac, TAG_LEN))
 
 
 def a3_sres(ki: bytes, rand: bytes) -> bytes:
     """Challenge-response MAC: the SIM's 64-bit signed response."""
-    return _a3a8(_key(ki, "ki"), _check_len("rand", rand, RAND_LEN))[0]
+    return _a3a8(Key128(ki, "ki"), _check_len("rand", rand, RAND_LEN))[0]
 
 
 def a8_kc(ki: bytes, rand: bytes) -> bytes:
     """Session-key derivation: the 64-bit ciphering key Kc."""
-    return _a3a8(_key(ki, "ki"), _check_len("rand", rand, RAND_LEN))[1]
+    return _a3a8(Key128(ki, "ki"), _check_len("rand", rand, RAND_LEN))[1]
 
 
 def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> bytes:
@@ -299,7 +294,7 @@ def derive_subscriber_keys(master: bytes, imsi: str) -> tuple[Key128, Key128]:
     The input block is the 15 IMSI digits as ASCII plus a one-octet purpose
     tag, so the two keys are outputs of the same PRP on distinct blocks.
     """
-    return _derive_keys(_key(master, "master"), check_imsi(imsi))
+    return _derive_keys(Key128(master, "master"), check_imsi(imsi))
 
 
 def _derive_keys(master: Key128, imsi: str) -> tuple[Key128, Key128]:

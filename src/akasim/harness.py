@@ -114,13 +114,10 @@ class StepKind(enum.Enum):
     ASSERT = "ASSERT"
 
 
-# the members of each enum a config names, keyed by value: a lookup here
-# skips the Enum call, which is left to raise on a miss (see `_member`)
-_BY_VALUE = {
-    enum_cls: {member._value_: member for member in enum_cls}
-    for enum_cls in (StepKind, SimMode, ConsumptionPolicy, cs.CipherAlgId, AttackKind, RandSource)
-}
-_STEP_KINDS = _BY_VALUE[StepKind]
+# the step kinds keyed by value: a lookup here skips the Enum call, which is
+# left to raise on a miss; every other enum a config names is read once per run
+# or per subscriber, through the Enum call
+_STEP_KINDS = {kind._value_: kind for kind in StepKind}
 # the keys of the top-level config object
 _CONFIG_KEYS = {"seed", "subscribers", "me_profiles", "network_policy", "attacker", "script"}
 # the keys each op takes besides "op", in the order a loaded step's `args`
@@ -220,11 +217,10 @@ class ScenarioConfig(NamedTuple):
                 raise ConfigError(f"duplicate subscriber {imsi}")
             seen.add(imsi)
             _closed(sub, {"imsi", "mode", "master"}, "subscriber keys for %s", imsi)
-            master = bytes.fromhex(sub["master"]) if "master" in sub else None
+            master = _hex(sub["master"], "master key for %s", imsi) if "master" in sub else None
             if master is not None and len(master) != cs.KEY_LEN:
                 raise ConfigError(f"master key for {imsi} must be 16 octets")
-            mode = _member(SimMode, sub["mode"])
-            subscribers.append(_tuple_new(SubscriberSpec, (imsi, mode, master)))
+            subscribers.append(SubscriberSpec(imsi, SimMode(sub["mode"]), master))
         if not subscribers:
             raise ConfigError("at least one subscriber is required")
 
@@ -240,8 +236,8 @@ class ScenarioConfig(NamedTuple):
 
         net = _object(raw.get("network_policy", {}), "network_policy")
         _closed(net, {"consumption_policy", "cipher", "batch_size"}, "network_policy keys")
-        policy = _member(ConsumptionPolicy, net.get("consumption_policy", "IN_ORDER"))
-        cipher = _member(cs.CipherAlgId, net.get("cipher", "A5_3"))
+        policy = ConsumptionPolicy(net.get("consumption_policy", "IN_ORDER"))
+        cipher = cs.CipherAlgId(net.get("cipher", "A5_3"))
         batch_size = net.get("batch_size", 2)
         if not _is_int(batch_size) or not 1 <= batch_size <= MAX_BATCH:
             raise ConfigError(f"batch_size must be an integer in [1, {MAX_BATCH}]")
@@ -249,7 +245,7 @@ class ScenarioConfig(NamedTuple):
         attacker = None
         if raw.get("attacker") is not None:
             atk = _object(raw["attacker"], "attacker")
-            kind = _member(AttackKind, atk["kind"])
+            kind = AttackKind(atk["kind"])
             _closed(atk, _ATTACKER_KEYS[kind._value_], "attacker keys for %s", kind._value_)
             attacker_imsi = atk.get("imsi")
             if attacker_imsi is not None and attacker_imsi not in seen:
@@ -257,8 +253,8 @@ class ScenarioConfig(NamedTuple):
             attacker = AttackerSpec(
                 kind=kind,
                 imsi=attacker_imsi,
-                rand_source=_member(RandSource, atk.get("rand_source", "FABRICATED")),
-                victim_traffic=bytes.fromhex(atk.get("victim_traffic", "")),
+                rand_source=RandSource(atk.get("rand_source", "FABRICATED")),
+                victim_traffic=_hex(atk.get("victim_traffic", ""), "victim_traffic"),
             )
             if attacker.kind is _MITM_EAVESDROP and not attacker.victim_traffic:
                 raise ConfigError("MITM_EAVESDROP needs non-empty victim_traffic")
@@ -275,10 +271,7 @@ class ScenarioConfig(NamedTuple):
                 kind = _STEP_KINDS[op]
             except (KeyError, TypeError):
                 kind = StepKind(op)  # raises the ValueError that names the op
-            # `_closed`'s own test, inline: a call per step costs more
-            allowed = _STEP_ALLOWED[op]
-            if not step.keys() <= allowed:
-                _closed(step, allowed, "keys in script step %d (%s)", idx, op)
+            _closed(step, _STEP_ALLOWED[op], "keys in script step %d (%s)", idx, op)
             script.append(check_step(idx, kind, step, seen, attacker, batch_size))
 
         return cls(
@@ -307,13 +300,9 @@ class ScenarioConfig(NamedTuple):
                 raise ConfigError(f"step {idx} ({kind.value}) needs an imsi/victim")
             raise ConfigError(f"step {idx} references unknown imsi {step_imsi}")
         if kind is _SEND_TRAFFIC:  # most of a long script
-            try:
-                plaintext = bytes.fromhex(step["plaintext"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"step {idx}: plaintext must be a hex string") from exc
+            plaintext = _hex(step.get("plaintext"), "step %d: plaintext", idx)
             frame = step.get("frame_index", 0)
-            # a plain int skips the `_is_int` call, which also takes a subclass
-            if not (type(frame) is int or _is_int(frame)) or not 0 <= frame < 1 << 64:
+            if not _is_int(frame) or not 0 <= frame < 1 << 64:
                 raise ConfigError(f"step {idx}: frame_index must be an integer in [0, 2^64)")
             args = (step_imsi, plaintext, frame)
         elif kind is _REQUEST_TRIPLES:
@@ -332,18 +321,23 @@ class ScenarioConfig(NamedTuple):
         return _tuple_new(ScenarioStep, (kind, args))
 
 
-def _member(enum_cls, value):
-    """`enum_cls(value)`, read from `_BY_VALUE` when the value is there."""
-    try:
-        return _BY_VALUE[enum_cls][value]
-    except (KeyError, TypeError):
-        return enum_cls(value)  # raises the ValueError that names the value
-
-
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object")
     return value
+
+
+def _hex(text, what: str, *args) -> bytes:
+    """The octets of a hex string; ConfigError naming `what % args` on any
+    other value.  `bytes.fromhex` skips ASCII whitespace, and each skipped
+    character leaves the text longer than two digits per octet."""
+    try:
+        octets = bytes.fromhex(text)
+    except (TypeError, ValueError):
+        octets = None
+    if octets is None or 2 * len(octets) != len(text):
+        raise ConfigError(f"{what % args} must be a hex string")
+    return octets
 
 
 def _closed(value: dict, allowed, what: str, *args) -> None:
@@ -434,9 +428,7 @@ def _compile_predicate(predicate) -> _Predicate:
     # every needed key is there, so any more key is one the kind does not take
     if len(predicate) > 1 + len(required):
         _closed(predicate, {"kind", *required}, "keys in predicate %r", kind)
-    return _tuple_new(
-        _Predicate, (kind, tuple(compiled), predicate.get("field"), predicate.get("value"))
-    )
+    return _Predicate(kind, tuple(compiled), predicate.get("field"), predicate.get("value"))
 
 
 def assert_trace(trace: list[TraceEvent], predicate: dict | _Predicate) -> AssertOutcome:
@@ -492,7 +484,7 @@ def assert_trace(trace: list[TraceEvent], predicate: dict | _Predicate) -> Asser
             else:
                 passed = False
                 detail = f"field {field} is {actual!r} at seq_no {hit}, wanted {value!r}"
-    return _tuple_new(AssertOutcome, (passed, detail))
+    return AssertOutcome(passed, detail)
 
 
 # --- engine --------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import crypto_suite as cs
-from .crypto_suite import _tuple_new
 from .errors import ProtocolOrderError
 from .sim_card import (
     ChannelStatusResult,
@@ -159,7 +158,7 @@ class MobileEquipment:
             if command.kind is _GET_CHANNEL_STATUS:
                 channels = tuple(sorted(self.open_channels))
                 self.trace(self.name, msg="PROACTIVE_COMMAND", kind=command.kind._value_)
-                result = _tuple_new(ChannelStatusResult, (channels,))
+                result = ChannelStatusResult(channels)
                 status = self.sim.terminal_response(result)
                 self.trace(
                     self.name,

@@ -91,7 +91,7 @@ class HomeNetwork:
             raise ProvisioningError(f"imsi {imsi} already provisioned")
         if not isinstance(mode, SimMode):
             raise MalformedInputError(f"mode must be a SimMode, got {mode!r}")
-        ki, ka = cs._derive_keys(cs._key(master, "master"), imsi)
+        ki, ka = cs._derive_keys(cs.Key128(master, "master"), imsi)
         if mode is _LEGACY:
             ka = None
         # the card checks its generator, so a refused call leaves no record

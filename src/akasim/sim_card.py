@@ -144,8 +144,8 @@ class SimCard:
         rng: random.Random,
     ):
         self.imsi = cs.check_imsi(imsi)
-        self.ki = cs._key(ki, "ki")
-        self.ka = None if ka is None else cs._key(ka, "ka")
+        self.ki = cs.Key128(ki, "ki")
+        self.ka = None if ka is None else cs.Key128(ka, "ka")
         self.counter = auth_core.check_sqn48(counter)
         # a rejected challenge draws its placeholders from the generator
         if not callable(getattr(rng, "randbytes", None)):

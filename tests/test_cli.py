@@ -287,6 +287,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("master", "master key for 001010000000001 must be a hex string"),
+            ("victim_traffic", "victim_traffic must be a hex string"),
+            ("plaintext", "step 7: plaintext must be a hex string"),
+        ],
+    )
+    @pytest.mark.parametrize("text", ["00 ff", "00\tff", "00ff\n"], ids=repr)
+    def test_hex_with_whitespace_usage_error(self, tmp_path, capsys, field, message, text):
+        raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())
+        if field == "master":
+            raw["subscribers"][0]["master"] = text
+        elif field == "victim_traffic":
+            raw["attacker"] = {"kind": "MITM_EAVESDROP", "victim_traffic": text}
+        else:
+            raw["script"].insert(7, {"op": "SEND_TRAFFIC", "imsi": "001010000000001", "plaintext": text})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("attacker", [False, 0, "", [], {}], ids=repr)
     def test_falsy_attacker_usage_error(self, tmp_path, attacker):
         raw = json.loads((CONFIGS / "honest_enhanced.json").read_text())

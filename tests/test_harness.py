@@ -28,6 +28,8 @@ from akasim.harness import (
 VICTIM = "001010000000001"
 OTHER = "001010000000002"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# hex octets with ASCII whitespace, which `bytes.fromhex` would skip
+SPACED_HEX = ("00 ff", "00\tff", "00ff\n")
 
 
 def base_config(**overrides):
@@ -175,6 +177,11 @@ class TestConfigValidation:
             ({"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "0"},
              "step 0: plaintext must be a hex string"),
             *[
+                ({"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": text},
+                 "step 0: plaintext must be a hex string")
+                for text in SPACED_HEX
+            ],
+            *[
                 ({"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": "00", "frame_index": frame},
                  "step 0: frame_index must be an integer in [0, 2^64)")
                 for frame in (True, 1.0, -1, 2**64, "1", None)
@@ -217,6 +224,27 @@ class TestConfigValidation:
         raw = base_config(attacker=attacker, script=[{"op": "RUN_ATTACK", "victim": victim}])
         with pytest.raises(ConfigError) as caught:
             ScenarioConfig.from_dict(raw)
+        assert str(caught.value) == message
+
+    # `bytes.fromhex` skips ASCII whitespace; every hex field refuses it
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            *[
+                ({"subscribers": [{"imsi": VICTIM, "mode": "ENHANCED", "master": text}]},
+                 f"master key for {VICTIM} must be a hex string")
+                for text in (*SPACED_HEX, " 00" * 16 + "\n", "zz" * 16, 16)
+            ],
+            *[
+                ({"attacker": {"kind": "MITM_EAVESDROP", "victim_traffic": text}},
+                 "victim_traffic must be a hex string")
+                for text in (*SPACED_HEX, "0", None)
+            ],
+        ],
+    )
+    def test_hex_field_refusal_is_exact(self, mutation, message):
+        with pytest.raises(ConfigError) as caught:
+            ScenarioConfig.from_dict(base_config(**mutation))
         assert str(caught.value) == message
 
     def test_int_subclass_values_load_as_given(self):

@@ -110,4 +110,4 @@ def test_every_call_builds_a_whole_namedtuple_without_a_new_of_its_own():
                 problems.append(f"{where}: {name} has a __new__ of its own")
             checked += 1
     assert problems == []
-    assert checked == 14
+    assert checked == 10
