@@ -22,7 +22,8 @@ Byte strings are used directly for keys, tags and challenges:
 
 Every keyed primitive is one ECB update() over a whole buffer of blocks: the
 f1 or f5 tags of a batch, the A3/A8 pairs of a batch.  A strong A5 frame is
-one CTR update() over the frame, on a context re-nonced per frame.
+one CTR update() over the frame, on a context re-nonced per frame; a phone
+keeps its session's context across its frames.
 
 Every public function checks its arguments once, on entry, and raises
 MalformedInputError on a violation; behind that check it runs on private
@@ -274,18 +275,33 @@ def a5_keystream(alg: CipherAlgId, kc: bytes, frame_index: int, length: int) -> 
     return _cipher(alg, kc, frame_index, bytes(length))
 
 
-def _cipher(alg: CipherAlgId, kc: bytes, frame_index: int, data: bytes) -> bytes:
+def _cipher(alg: CipherAlgId, kc: bytes, frame_index: int, data: bytes, strong=None) -> bytes:
     """data xor the frame's a5_keystream, for arguments the caller has proven;
-    under NONE, the data as bytes, and `kc` is not read."""
-    if alg is _NONE:
-        return bytes(data)
-    if alg is _A5_2:
-        unit = (int.from_bytes(kc, "big") ^ frame_index).to_bytes(TAG_LEN, "big")
-        return _xor(data, (unit * -(-len(data) // TAG_LEN))[: len(data)])
+    under NONE, the data as bytes, and `kc` is not read.
+
+    A caller that ciphers many frames keeps `_strong(alg, kc)` from the
+    calling thread and passes it as `strong`; when that is not None, it
+    alone picks the keystream.  A one-off caller leaves it out.
+    """
+    if strong is None:
+        if alg is _NONE:
+            return bytes(data)
+        if alg is _A5_2:
+            unit = (int.from_bytes(kc, "big") ^ frame_index).to_bytes(TAG_LEN, "big")
+            return _xor(data, (unit * -(-len(data) // TAG_LEN))[: len(data)])
+        strong = _strong(alg, kc)
+    ctx, tag = strong
     # counter block i is tag || 0^3 || frame64 || i32
-    ctx = _ctr(kc + kc, _get_ident())
-    ctx.reset_nonce((_ALG_TAG_BYTES[alg._value_] << 120 | frame_index << 32).to_bytes(16, "big"))
+    ctx.reset_nonce((tag << 120 | frame_index << 32).to_bytes(16, "big"))
     return ctx.update(data)
+
+
+def _strong(alg: CipherAlgId, kc: bytes):
+    """What `_cipher` looks up for a strong frame: the CTR context of this Kc
+    and the calling thread, and the alg's tag; None under NONE and A5/2."""
+    if alg is _NONE or alg is _A5_2:
+        return None
+    return _ctr(kc + kc, _get_ident()), _ALG_TAG_BYTES[alg._value_]
 
 
 def derive_subscriber_keys(master: bytes, imsi: str) -> tuple[Key128, Key128]:

@@ -192,13 +192,26 @@ class ScenarioConfig(NamedTuple):
 
     @classmethod
     def loads(cls, text: str) -> "ScenarioConfig":
+        """Parse and check a JSON config, as `from_dict` does a parsed one.
+
+        The cyclic collector is paused, process-wide, while the text is
+        parsed and checked, and put back as it was found.  The parsed tree
+        and the loaded config are acyclic, so the collector would only walk
+        the growing tree again and again.
+        """
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
-            raw = json.loads(text)
-        except (RecursionError, ValueError) as exc:
-            # ValueError covers JSONDecodeError and an integer literal past
-            # the int/str digit limit; RecursionError, nesting too deep
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+            try:
+                raw = json.loads(text)
+            except (RecursionError, ValueError) as exc:
+                # ValueError covers JSONDecodeError and an integer literal past
+                # the int/str digit limit; RecursionError, nesting too deep
+                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            return cls.from_dict(raw)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
     @classmethod
     def _parse(cls, raw: dict) -> "ScenarioConfig":
@@ -708,6 +721,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     the next young collection does not walk the whole run once more; a
     later full collection still sees it.  If the caller has frozen objects,
     the collector is only re-enabled, so theirs stay frozen.
+    `ScenarioConfig.loads` pauses the collector the same way but only
+    re-enables it: it leaves a config, not a run's trace.
     """
     gc_was_enabled = gc.isenabled()
     nothing_frozen = gc.get_freeze_count() == 0

@@ -10,6 +10,7 @@ is discarded (a `leaky` profile models phones that transmit it first).
 
 from __future__ import annotations
 
+import _thread
 from typing import NamedTuple
 
 from . import crypto_suite as cs
@@ -30,6 +31,7 @@ __all__ = ["MeProfile", "MobileEquipment"]
 _NORMAL, _PROACTIVE_PENDING = SimStatus
 _GET_CHANNEL_STATUS = StkKind.GET_CHANNEL_STATUS
 _NONE = cs.CipherAlgId.NONE
+_get_ident = _thread.get_ident
 
 
 class MeProfile(NamedTuple):
@@ -53,6 +55,10 @@ class MobileEquipment:
         self.name = f"ue:{sim.imsi}"
         self._clear_session()
         self.next_channel_id = 1  # closed ids are never reused within a run
+        # (kc, cipher, thread, cs._strong(cipher, kc)) of the last frame sent;
+        # each frame checks the first three, so whatever writes them need not
+        # clear it
+        self._frame_cipher = (None, None, None, None)
 
     def _clear_session(self):
         self.kc: bytes | None = None
@@ -210,10 +216,15 @@ class MobileEquipment:
         network = self.attached_network
         if network is None:
             raise ProtocolOrderError("traffic while detached")
-        if self.kc is None and not self.profile.accepts_unauthenticated:
+        kc = self.kc
+        if kc is None and not self.profile.accepts_unauthenticated:
             raise ProtocolOrderError("traffic before authentication")
         cipher = self.cipher  # never other than NONE without a session key
-        ciphertext = cs._cipher(cipher, self.kc, frame_index, plaintext)
+        thread = _get_ident()
+        held = self._frame_cipher
+        if held[0] != kc or held[1] is not cipher or held[2] != thread:
+            held = self._frame_cipher = (kc, cipher, thread, cs._strong(cipher, kc))
+        ciphertext = cs._cipher(cipher, kc, frame_index, plaintext, held[3])
         self.trace(
             self.name,
             msg="TRAFFIC",
