@@ -952,8 +952,8 @@ def collector_off(restore_collector):
 
 
 class TestCollectorPause:
-    """run_scenario pauses the cyclic collector; that is safe only while a
-    run leaves no reference cycles behind."""
+    """run_scenario and ScenarioConfig.loads pause the cyclic collector; that
+    is safe only while a run leaves no reference cycles behind."""
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_config_leaves_no_cyclic_garbage(self, collector_off, path):
@@ -1055,6 +1055,51 @@ class TestCollectorPause:
         (gc.enable if enabled else gc.disable)()
         run_scenario(ScenarioConfig.from_dict(base_config()))
         assert gc.get_freeze_count() == 0
+
+    # ScenarioConfig.loads pauses the collector too, and only turns it back on
+    LOADS_TEXTS = {
+        "loaded": json.dumps(base_config()),
+        "invalid_json": "{",
+        "config_error": json.dumps(base_config(seed="one")),
+    }
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["none_frozen", "some_frozen"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("case", sorted(LOADS_TEXTS))
+    def test_loads_leaves_the_collector_as_found(self, restore_collector, case, enabled, frozen):
+        (gc.enable if enabled else gc.disable)()
+        if frozen:
+            gc.freeze()
+        try:
+            count = gc.get_freeze_count()
+            if case == "loaded":
+                assert ScenarioConfig.loads(self.LOADS_TEXTS[case]).seed == 1
+            else:
+                with pytest.raises(ConfigError):
+                    ScenarioConfig.loads(self.LOADS_TEXTS[case])
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == count
+        finally:
+            gc.unfreeze()
+
+    def test_collector_is_off_while_loads_parses_and_checks(self, restore_collector, monkeypatch):
+        seen = []
+        parse, from_dict = harness.json.loads, ScenarioConfig.from_dict.__func__
+
+        def spy_parse(text):
+            seen.append(("json.loads", gc.isenabled()))
+            return parse(text)
+
+        def spy_from_dict(cls, raw):
+            seen.append(("from_dict", gc.isenabled()))
+            return from_dict(cls, raw)
+
+        monkeypatch.setattr(harness.json, "loads", spy_parse)
+        monkeypatch.setattr(ScenarioConfig, "from_dict", classmethod(spy_from_dict))
+        gc.enable()
+        ScenarioConfig.loads(json.dumps(base_config()))
+        assert seen == [("json.loads", False), ("from_dict", False)]
+        assert gc.isenabled()
 
 
 @pytest.fixture

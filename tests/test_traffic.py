@@ -20,7 +20,7 @@ import pytest
 
 import oracle
 from akasim import crypto_suite as cs
-from akasim.adversary import Adversary
+from akasim.adversary import KNOWN_REDUNDANCY, Adversary
 from akasim.harness import (
     ScenarioConfig,
     ScenarioResult,
@@ -293,3 +293,184 @@ def test_threads_cipher_interleaved_frames_under_one_kc(monkeypatch):
             for frame_index, length in frames[side]
         ]
         assert sent[side] == want
+
+
+# --- the phone's session cipher ------------------------------------------------
+#
+# A phone keeps the strong-frame context it last used and checks it on every
+# frame against its Kc, its cipher and the calling thread.  Each scenario
+# below changes one of them between frames; every frame must still match the
+# oracle under the Kc of the last challenge the card accepted.
+
+MASTER = bytes.fromhex("404142434445464748494a4b4c4d4e4f")
+SESSION_KI = oracle.ref_derive(MASTER, LEGACY)[0]
+MITM_TRAFFIC = plaintext(21, "mitm")
+
+
+def session_config(script: list, attacker: dict | None = None) -> dict:
+    raw = {
+        "seed": 34,
+        "subscribers": [{"imsi": LEGACY, "mode": "LEGACY", "master": MASTER.hex()}],
+        "network_policy": {"consumption_policy": "IN_ORDER", "cipher": "A5_3", "batch_size": 1},
+        "script": script,
+    }
+    if attacker is not None:
+        raw["attacker"] = attacker
+    return raw
+
+
+def traffic_steps(*indices: int) -> list:
+    return [
+        {
+            "op": "SEND_TRAFFIC",
+            "imsi": LEGACY,
+            "plaintext": plaintext(3 + 11 * i, "session").hex(),
+            "frame_index": i,
+        }
+        for i in indices
+    ]
+
+
+def step(op: str, **args) -> dict:
+    return {"op": op, "imsi": LEGACY, **args}
+
+
+ATTACK_SUCCEEDED = {
+    "op": "ASSERT",
+    "predicate": {
+        "kind": "field_equals",
+        "where": {"msg": "ATTACK_RESULT"},
+        "field": "succeeded",
+        "value": True,
+    },
+}
+
+
+def oracle_checked_frames(raw: dict, attacker_plaintext: bytes = b"") -> list:
+    """Run the config and check every TRAFFIC frame of the phone against the
+    oracle under the Kc of its card's last accepted challenge; frame 0 is the
+    attacker's, every other frame index is a SEND_TRAFFIC step's.  Returns
+    (alg, kc, frame_index) for each frame, in trace order."""
+    result = run_scenario(ScenarioConfig.from_dict(raw))
+    assert not result.aborted and result.all_asserts_passed
+    texts = {s["frame_index"]: bytes.fromhex(s["plaintext"]) for s in raw["script"] if "plaintext" in s}
+    texts[0] = attacker_plaintext
+    kc, seen = None, []
+    for actor, event in result.trace:
+        if actor != f"ue:{LEGACY}":
+            continue
+        if event["msg"] == "SIM_CHALLENGE":
+            rand = bytes.fromhex(event["rand"])
+        elif event["msg"] == "SIM_RESPONSE" and event["status"] == "NORMAL":
+            kc = oracle.ref_a8(SESSION_KI, rand)
+        elif event["msg"] == "TRAFFIC":
+            alg, index = cs.CipherAlgId(event["alg"]), event["frame_index"]
+            text = texts[index]
+            want = text if alg is cs.CipherAlgId.NONE else reference_ciphertext(alg, kc, index, text)
+            assert event["ciphertext"] == want.hex(), (alg, index)
+            seen.append((alg.value, kc, index))
+    return seen
+
+
+def test_reauthentication_between_frames_ciphers_under_the_new_kc():
+    raw = session_config(
+        [step("ATTACH"), step("REQUEST_TRIPLES", n=2), step("CHALLENGE"), *traffic_steps(1, 2, 3)]
+        + [step("CHALLENGE"), *traffic_steps(4, 5, 6)]
+    )
+    seen = oracle_checked_frames(raw)
+    assert [(alg, index) for alg, _, index in seen] == [("A5_3", i) for i in range(1, 7)]
+    assert seen[2][1] != seen[3][1]  # a new Kc from the second challenge
+
+
+def test_power_cycled_phone_ciphers_under_its_new_kc():
+    raw = session_config(
+        [step("ATTACH"), step("REQUEST_TRIPLES", n=2), step("CHALLENGE"), *traffic_steps(1, 2)]
+        + [step("POWER_CYCLE_UE"), step("ATTACH"), step("CHALLENGE"), *traffic_steps(3, 4)]
+    )
+    seen = oracle_checked_frames(raw)
+    assert [(alg, index) for alg, _, index in seen] == [("A5_3", i) for i in range(1, 5)]
+    assert seen[1][1] != seen[2][1]
+
+
+def test_replay_attacker_switches_the_phone_to_a5_2_under_the_same_kc():
+    """The replayed challenge gives the card's old Kc back, so only the
+    cipher tells the phone's A5/2 frames from its A5/3 ones."""
+    raw = session_config(
+        [step("ATTACH"), step("REQUEST_TRIPLES", n=2), step("CHALLENGE"), *traffic_steps(1, 2, 3)]
+        + [{"op": "RUN_ATTACK", "victim": LEGACY}, ATTACK_SUCCEEDED, *traffic_steps(4, 5)]
+        + [step("CHALLENGE"), *traffic_steps(6, 7)],
+        attacker={"kind": "BBK_REPLAY"},
+    )
+    seen = oracle_checked_frames(raw, KNOWN_REDUNDANCY)
+    assert [(alg, index) for alg, _, index in seen] == [
+        *(("A5_3", i) for i in (1, 2, 3)),
+        *(("A5_2", i) for i in (0, 4, 5)),
+        *(("A5_3", i) for i in (6, 7)),
+    ]
+    kcs = [kc for _, kc, _ in seen]
+    assert kcs[0] == kcs[5] != kcs[6]
+
+
+def test_mitm_switches_the_phone_to_none_under_the_same_kc():
+    """The MITM replays the logged challenge, so the phone's Kc is unchanged
+    while its cipher goes to NONE."""
+    attacker = {"kind": "MITM_EAVESDROP", "rand_source": "REPLAYED", "victim_traffic": MITM_TRAFFIC.hex()}
+    raw = session_config(
+        [step("ATTACH"), step("REQUEST_TRIPLES", n=2), step("CHALLENGE"), *traffic_steps(1, 2)]
+        + [{"op": "RUN_ATTACK", "victim": LEGACY}, ATTACK_SUCCEEDED, *traffic_steps(3, 4)]
+        + [step("CHALLENGE"), *traffic_steps(5, 6)],
+        attacker=attacker,
+    )
+    seen = oracle_checked_frames(raw, MITM_TRAFFIC)
+    assert [(alg, index) for alg, _, index in seen] == [
+        *(("A5_3", i) for i in (1, 2)),
+        *(("NONE", i) for i in (0, 3, 4)),
+        *(("A5_3", i) for i in (5, 6)),
+    ]
+    kcs = [kc for _, kc, _ in seen]
+    assert kcs[0] == kcs[4] != kcs[5]
+
+
+class _ThreadBound:
+    """A CTR context that notes each re-nonce from a thread other than the
+    one that built it."""
+
+    def __init__(self, ctx, strays):
+        self._ctx, self._strays, self._thread = ctx, strays, threading.get_ident()
+
+    def reset_nonce(self, nonce):
+        if threading.get_ident() != self._thread:
+            self._strays.append(nonce)
+        self._ctx.reset_nonce(nonce)
+
+    def update(self, data):
+        return self._ctx.update(data)
+
+
+def test_phone_moved_to_another_thread_ciphers_on_that_threads_context(monkeypatch):
+    """One phone sends from the main thread, then from one other thread, then
+    from the main thread again: each frame matches the oracle and runs on a
+    context built on its own thread."""
+    ue, kc = ciphering_ue(cs.CipherAlgId.A5_3)
+    strays = []
+    new_ctx = cs._new_ctx
+    monkeypatch.setattr(cs, "_new_ctx", lambda *args: _ThreadBound(new_ctx(*args), strays))
+    cs._ctr.cache_clear()
+    sent = []
+
+    def send(indices):
+        for frame_index in indices:
+            sent.append((frame_index, ue.send_traffic(plaintext(frame_index), frame_index)))
+
+    try:
+        send((1, 2))
+        thread = threading.Thread(target=send, args=((3, 4),))
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        send((5,))
+    finally:
+        cs._ctr.cache_clear()  # no wrapped context outlives the test
+    assert strays == []
+    want = cs.CipherAlgId.A5_3
+    assert sent == [(i, reference_ciphertext(want, kc, i, plaintext(i))) for i in range(1, 6)]
