@@ -7,7 +7,8 @@ attacker re-sends a previously intercepted challenge, commands the weak
 cipher and reads the session key straight out of the first frame's known
 redundancy, then decrypts everything it recorded earlier.
 
-Attackers only ever see what crossed the air: the intercept log and their
+Attackers only ever see what crossed the air: their intercept log, a list
+of the exchanges `overhear_challenge` and `overhear_frame` filed, and their
 own card.  Subscriber keys and network state stay out of reach.
 """
 
@@ -29,7 +30,6 @@ __all__ = [
     "RandSource",
     "LoggedFrame",
     "LoggedExchange",
-    "InterceptLog",
     "Adversary",
 ]
 
@@ -75,38 +75,6 @@ class LoggedExchange:
         self.frames: list[LoggedFrame] = []
 
 
-class InterceptLog:
-    """Append-only record of the challenges and frames overheard on the air."""
-
-    __slots__ = ("records",)
-
-    def __init__(self):
-        self.records: list[LoggedExchange] = []
-
-    def start_exchange(self, rand: bytes):
-        self.records.append(LoggedExchange(rand=rand))
-
-    def note_frame(self, frame_index: int, alg: cs.CipherAlgId, ciphertext: bytes):
-        # checked once here: bbk_attack decrypts on the trusted keystream core
-        if not isinstance(alg, cs.CipherAlgId):
-            raise MalformedInputError(f"alg must be a CipherAlgId, got {alg!r}")
-        cs._check_frame_index(frame_index)
-        cs._check_bytes("ciphertext", ciphertext)
-        if not self.records:
-            # traffic before any logged AKA: keep it under a null exchange
-            self.records.append(LoggedExchange(rand=b""))
-        self.records[-1].frames.append(
-            LoggedFrame(frame_index=frame_index, alg=alg, ciphertext=ciphertext)
-        )
-
-    def latest_with_strong_frames(self) -> LoggedExchange | None:
-        strong = (_A5_1, _A5_3)
-        for record in reversed(self.records):
-            if record.rand and any(f.alg in strong for f in record.frames):
-                return record
-        return None
-
-
 class Adversary:
     """False base station with an optional genuine subscription for relaying."""
 
@@ -115,7 +83,31 @@ class Adversary:
         self.trace = tracer or noop_trace
         self.name = "attacker"
         self.own_ue = own_ue
-        self.log = InterceptLog()
+        # the challenges overheard on the air, oldest first, each with the
+        # frames that followed it
+        self.log: list[LoggedExchange] = []
+
+    # --- the passive intercept -----------------------------------------------
+
+    def overhear_challenge(self, rand: bytes):
+        """Log a challenge seen on the air; later frames are filed under it."""
+        self.log.append(LoggedExchange(cs._check_len("rand", rand, cs.RAND_LEN)))
+
+    def overhear_frame(
+        self, frame_index: int, alg: cs.CipherAlgId, ciphertext: bytes
+    ) -> LoggedExchange:
+        """Log a traffic frame under the latest challenge; return that exchange."""
+        # checked once here: bbk_attack decrypts on the trusted keystream core
+        if not isinstance(alg, cs.CipherAlgId):
+            raise MalformedInputError(f"alg must be a CipherAlgId, got {alg!r}")
+        cs._check_frame_index(frame_index)
+        ciphertext = bytes(cs._check_bytes("ciphertext", ciphertext))
+        if not self.log:
+            # traffic before any logged AKA: keep it under a null exchange
+            self.log.append(LoggedExchange(b""))
+        exchange = self.log[-1]
+        exchange.frames.append(LoggedFrame(frame_index, alg, ciphertext))
+        return exchange
 
     # --- victim-leg helpers --------------------------------------------------
 
@@ -143,7 +135,8 @@ class Adversary:
         `victim_traffic` is the plaintext the victim will send during the
         captured call; it doubles as the ground truth for the verdict.  With
         RELAY_FRESH the attacker forwards a live challenge (and the response)
-        between the victim and the genuine network instead of inventing one.
+        between the victim and `relay`, the genuine network, instead of
+        inventing one; no other source reads `relay`.
         """
         kind = _MITM_EAVESDROP
         # trace payloads read `_value_`, the attribute behind the Python-level
@@ -159,7 +152,7 @@ class Adversary:
             if sres is None:
                 self._report(kind, succeeded=False, failure_cause="connection dropped by SIM")
                 return
-            if rand_source is _RELAY_FRESH and relay is not None:
+            if rand_source is _RELAY_FRESH:
                 # honest forwarding of the response leg as well
                 relay.verify(victim.sim.imsi, sres)
             else:
@@ -184,9 +177,9 @@ class Adversary:
         if rand_source is _FABRICATED:
             return self.rng.randbytes(cs.RAND_LEN)
         if rand_source is _REPLAYED:
-            if not self.log.records or not self.log.records[-1].rand:
+            if not self.log or not self.log[-1].rand:
                 raise MalformedInputError("replay requested but intercept log is empty")
-            return self.log.records[-1].rand
+            return self.log[-1].rand
         # RELAY_FRESH: the caller never passes SKIP_AKA here
         if relay is None:
             raise MalformedInputError("RELAY_FRESH needs a genuine network leg")
@@ -204,19 +197,24 @@ class Adversary:
     def bbk_attack(
         self,
         victim: MobileEquipment,
-        ground_truth: bytes,
+        sent: dict[LoggedExchange, list[bytes]],
     ):
         """Replay a logged challenge, force the weak cipher, recover the key.
 
-        `ground_truth` is the plaintext behind the logged strong-cipher
-        frames (scenario knowledge, used only for the verdict).
+        The replayed exchange is the latest one with a challenge and an
+        A5/1 or A5/3 frame.  `sent` maps a logged exchange to the plaintexts
+        behind its frames (scenario knowledge, read only for the verdict).
         """
         kind = _BBK_REPLAY
-        record = self.log.latest_with_strong_frames()
-        if record is None:
+        for record in reversed(self.log):
+            if record.rand and any(f.alg is _A5_1 or f.alg is _A5_3 for f in record.frames):
+                break
+        else:
             raise MalformedInputError(
                 "intercept log holds no exchange with strong-cipher traffic"
             )
+        if record not in sent:
+            raise MalformedInputError("sent holds no plaintexts for the replayed exchange")
         self.trace(self.name, msg="ATTACK_START", kind=kind._value_, rand=record.rand.hex())
         self._capture_victim(victim)
 
@@ -241,11 +239,12 @@ class Adversary:
             for logged in record.frames
         )
         self.trace(self.name, msg="LOG_DECRYPTED", plaintext=recovered.hex())
+        succeeded = recovered == b"".join(sent[record])
         self._report(
             kind,
-            succeeded=recovered == ground_truth,
+            succeeded=succeeded,
             recovered_kc=recovered_kc,
-            failure_cause=None if recovered == ground_truth else "decryption mismatch",
+            failure_cause=None if succeeded else "decryption mismatch",
         )
 
     def _report(self, kind: AttackKind, succeeded: bool, recovered_kc=None, failure_cause=None):

@@ -23,13 +23,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
 from . import crypto_suite as cs
-from .adversary import (
-    Adversary,
-    AttackKind,
-    InterceptLog,
-    LoggedExchange,
-    RandSource,
-)
+from .adversary import Adversary, AttackKind, LoggedExchange, RandSource
 from .crypto_suite import _is_int, _tuple_new, check_imsi
 from .errors import ConfigError, SimulationError
 from .mobile_equipment import MeProfile, MobileEquipment
@@ -146,7 +140,6 @@ _ATTACKER_KEYS = {
  _POWER_CYCLE_UE, _OPEN_CHANNEL, _RUN_ATTACK, _ASSERT) = StepKind
 _AUTHENTICATED = Verdict.AUTHENTICATED
 _MITM_EAVESDROP, _BBK_REPLAY = AttackKind
-_RELAY_FRESH = RandSource.RELAY_FRESH
 # the phone of a subscriber that `me_profiles` does not name
 _DEFAULT_PROFILE = MeProfile()
 
@@ -605,17 +598,12 @@ class ScenarioEngine:
 
         self.adversary: Adversary | None = None
         if config.attacker is not None:
-            own_ue = (
-                self.ues[config.attacker.imsi]
-                if config.attacker.imsi is not None
-                else None
-            )
             self.adversary = Adversary(
                 rng=_RoleRandom(f"{seed}/attacker"),
                 tracer=trace,
-                own_ue=own_ue,
+                own_ue=self.ues.get(config.attacker.imsi),
             )
-        # the challenge replay's plaintexts sent under each logged exchange
+        # the plaintexts sent under each exchange the challenge replay logged
         self._truth: dict[LoggedExchange, list[bytes]] = {}
         # cleared at the first failing ASSERT
         self.all_asserts_passed = True
@@ -644,9 +632,8 @@ class ScenarioEngine:
             ciphertext = me._send_frame(plaintext, frame_index)
             # only the challenge replay reads the frames and plaintexts it logs
             if self.adversary is not None and self.config.attacker.kind is _BBK_REPLAY:
-                log = self.adversary.log
-                log.note_frame(frame_index, me.cipher, ciphertext)
-                self._truth.setdefault(log.records[-1], []).append(plaintext)
+                exchange = self.adversary.overhear_frame(frame_index, me.cipher, ciphertext)
+                self._truth.setdefault(exchange, []).append(plaintext)
         elif kind is _ATTACH:
             self.ues[args[0]].attach(self.serving.name)
         elif kind is _REQUEST_TRIPLES:
@@ -655,7 +642,7 @@ class ScenarioEngine:
             triples = self.home.request_triples(imsi, n)
             self.serving.add_triples(imsi, triples)
         elif kind is _CHALLENGE:
-            self._challenge(args[0], self.adversary and self.adversary.log)
+            self._challenge(args[0], self.adversary)
         elif kind is _POWER_CYCLE_UE:
             self.ues[args[0]].power_cycle()
         elif kind is _OPEN_CHANNEL:
@@ -668,12 +655,12 @@ class ScenarioEngine:
             if not passed:
                 self.all_asserts_passed = False
 
-    def _challenge(self, imsi: str, log: InterceptLog | None = None):
-        """One AKA leg: challenge, answer, verify, cipher; `log` records the exchange."""
+    def _challenge(self, imsi: str, listener: Adversary | None = None):
+        """One AKA leg: challenge, answer, verify, cipher; `listener` overhears the challenge."""
         me = self.ues[imsi]
         rand = self.serving.challenge(imsi)
-        if log is not None:
-            log.start_exchange(rand)
+        if listener is not None:
+            listener.overhear_challenge(rand)
         sres = me.handle_challenge(rand)
         if sres is not None:
             if self.serving.verify(imsi, sres) is _AUTHENTICATED:
@@ -689,21 +676,11 @@ class ScenarioEngine:
                 # the MITM's genuine leg, left out of its own intercept log
                 own.attach(self.serving.name)
                 self._challenge(spec.imsi)
-            relay = (
-                self.serving if spec.rand_source is _RELAY_FRESH else None
-            )
             adversary.fake_network_attach(
-                victim,
-                victim_traffic=spec.victim_traffic,
-                rand_source=spec.rand_source,
-                relay=relay,
+                victim, spec.victim_traffic, spec.rand_source, self.serving
             )
         else:
-            # challenge replay: ground truth is the plaintext behind the
-            # logged exchange the attacker will pick
-            record = adversary.log.latest_with_strong_frames()
-            truth = b"".join(self._truth[record]) if record is not None else b""
-            adversary.bbk_attack(victim, ground_truth=truth)
+            adversary.bbk_attack(victim, self._truth)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:

@@ -11,7 +11,6 @@ from akasim.adversary import (
     KNOWN_REDUNDANCY,
     Adversary,
     AttackKind,
-    InterceptLog,
     RandSource,
 )
 from akasim.errors import MalformedInputError
@@ -44,18 +43,19 @@ def attack_report(attacker):
 
 
 def eavesdrop_honest_exchange(victim, attacker, alg=cs.CipherAlgId.A5_3):
-    """One honest authenticated session, fully captured by the attacker."""
+    """One honest authenticated session, fully captured by the attacker: its
+    challenge, and the map of the exchange it logged to the plaintext sent."""
     if victim.sim.ka is not None:
         rand = ac.build_hijacked_rand(KA, 0, victim.sim.counter + 1)
     else:
         rand = random.Random(33).randbytes(16)
     victim.attach("vlr")
-    attacker.log.start_exchange(rand)
+    attacker.overhear_challenge(rand)
     victim.handle_challenge(rand)
     victim.apply_cipher(alg)
     ciphertext = victim.send_traffic(SECRET, 0)
-    attacker.log.note_frame(0, alg, ciphertext)
-    return rand
+    exchange = attacker.overhear_frame(0, alg, ciphertext)
+    return rand, {exchange: [SECRET]}
 
 
 class TestFakeNetworkAttach:
@@ -151,11 +151,11 @@ class TestBbkAttack:
     def test_legacy_victim_key_recovered_and_log_decrypted(self):
         victim = build_victim(mode=SimMode.LEGACY)
         attacker = adversary()
-        rand = eavesdrop_honest_exchange(victim, attacker)
+        rand, sent = eavesdrop_honest_exchange(victim, attacker)
         true_kc = oracle.ref_a8(KI, rand)
         victim.power_cycle()
 
-        assert attacker.bbk_attack(victim, ground_truth=SECRET) is None
+        assert attacker.bbk_attack(victim, sent) is None
         report = attack_report(attacker)
         assert report["kind"] == AttackKind.BBK_REPLAY.value
         assert report["succeeded"]
@@ -165,18 +165,18 @@ class TestBbkAttack:
     def test_deterministic_with_one_8_octet_frame(self):
         victim = build_victim(mode=SimMode.LEGACY)
         attacker = adversary()
-        eavesdrop_honest_exchange(victim, attacker, alg=cs.CipherAlgId.A5_1)
+        _, sent = eavesdrop_honest_exchange(victim, attacker, alg=cs.CipherAlgId.A5_1)
         victim.power_cycle()
-        attacker.bbk_attack(victim, ground_truth=SECRET)
+        attacker.bbk_attack(victim, sent)
         report = attack_report(attacker)
         assert report["succeeded"]
 
     def test_enhanced_victim_replay_prevented(self):
         victim = build_victim(mode=SimMode.ENHANCED)
         attacker = adversary()
-        eavesdrop_honest_exchange(victim, attacker)
+        _, sent = eavesdrop_honest_exchange(victim, attacker)
         victim.power_cycle()
-        attacker.bbk_attack(victim, ground_truth=SECRET)
+        attacker.bbk_attack(victim, sent)
         report = attack_report(attacker)
         assert not report["succeeded"]
         assert "dropped" in report["failure_cause"]
@@ -187,10 +187,10 @@ class TestBbkAttack:
             mode=SimMode.ENHANCED, profile=MeProfile(class_e=False)
         )
         attacker = adversary()
-        rand = eavesdrop_honest_exchange(victim, attacker)
+        rand, sent = eavesdrop_honest_exchange(victim, attacker)
         true_kc = oracle.ref_a8(KI, rand)
         victim.power_cycle()
-        attacker.bbk_attack(victim, ground_truth=SECRET)
+        attacker.bbk_attack(victim, sent)
         report = attack_report(attacker)
         assert not report["succeeded"]
         assert report["failure_cause"] == "decryption mismatch"
@@ -200,42 +200,67 @@ class TestBbkAttack:
     def test_empty_log_is_precondition_error(self):
         victim = build_victim(mode=SimMode.LEGACY)
         with pytest.raises(MalformedInputError):
-            adversary().bbk_attack(victim, ground_truth=SECRET)
+            adversary().bbk_attack(victim, {})
+
+    def test_replayed_exchange_missing_from_sent_is_precondition_error(self):
+        victim = build_victim(mode=SimMode.LEGACY)
+        attacker = adversary()
+        eavesdrop_honest_exchange(victim, attacker)
+        with pytest.raises(
+            MalformedInputError, match="^sent holds no plaintexts for the replayed exchange$"
+        ):
+            attacker.bbk_attack(victim, {})
+        assert attacker.trace.events == []
+        assert victim.attached_network == "vlr"
 
     def test_plaintext_only_log_is_precondition_error(self):
         victim = build_victim(mode=SimMode.LEGACY)
         attacker = adversary()
-        attacker.log.start_exchange(bytes(16))
-        attacker.log.note_frame(0, cs.CipherAlgId.NONE, b"plain")
+        attacker.overhear_challenge(bytes(16))
+        exchange = attacker.overhear_frame(0, cs.CipherAlgId.NONE, b"plain")
         with pytest.raises(MalformedInputError):
-            attacker.bbk_attack(victim, ground_truth=b"plain")
+            attacker.bbk_attack(victim, {exchange: [b"plain"]})
 
 
 class TestInterceptLog:
     def test_append_only_ordering(self):
-        log = InterceptLog()
-        log.start_exchange(b"r" * 16)
-        log.note_frame(0, cs.CipherAlgId.A5_3, b"c1")
-        log.start_exchange(b"q" * 16)
-        log.note_frame(1, cs.CipherAlgId.A5_1, b"c2")
-        assert len(log.records) == 2
-        assert [f.ciphertext for f in log.records[0].frames] == [b"c1"]
-        assert log.records[1].frames[0].frame_index == 1
+        attacker = adversary()
+        attacker.overhear_challenge(b"r" * 16)
+        first = attacker.overhear_frame(0, cs.CipherAlgId.A5_3, b"c1")
+        attacker.overhear_challenge(b"q" * 16)
+        second = attacker.overhear_frame(1, cs.CipherAlgId.A5_1, b"c2")
+        log = attacker.log
+        assert len(log) == 2
+        assert log == [first, second]
+        assert [f.ciphertext for f in log[0].frames] == [b"c1"]
+        assert log[1].frames[0].frame_index == 1
 
-    def test_latest_with_strong_frames_skips_weak_only(self):
-        log = InterceptLog()
-        log.start_exchange(b"a" * 16)
-        log.note_frame(0, cs.CipherAlgId.A5_3, b"x")
-        log.start_exchange(b"b" * 16)
-        log.note_frame(0, cs.CipherAlgId.A5_2, b"y")
-        chosen = log.latest_with_strong_frames()
-        assert chosen.rand == b"a" * 16
+    def test_replay_skips_weak_only_exchanges(self):
+        victim = build_victim(mode=SimMode.LEGACY)
+        attacker = adversary()
+        attacker.overhear_challenge(b"a" * 16)
+        strong = attacker.overhear_frame(0, cs.CipherAlgId.A5_3, b"x")
+        attacker.overhear_challenge(b"b" * 16)
+        weak = attacker.overhear_frame(0, cs.CipherAlgId.A5_2, b"y")
+        attacker.bbk_attack(victim, {strong: [b"x"], weak: [b"y"]})
+        replayed = [
+            event["rand"]
+            for _, event in attacker.trace.events
+            if event["msg"] in ("ATTACK_START", "FAKE_AUTH_CHALLENGE")
+        ]
+        assert replayed == [(b"a" * 16).hex()] * 2
 
     def test_orphan_frame_goes_to_null_exchange(self):
-        log = InterceptLog()
-        log.note_frame(0, cs.CipherAlgId.A5_3, b"x")
-        assert log.records[0].rand == b""
-        assert log.latest_with_strong_frames() is None
+        attacker = adversary()
+        exchange = attacker.overhear_frame(0, cs.CipherAlgId.A5_3, b"x")
+        assert attacker.log == [exchange]
+        assert attacker.log[0].rand == b""
+        # a null exchange is never replayed
+        with pytest.raises(
+            MalformedInputError, match="no exchange with strong-cipher traffic"
+        ):
+            attacker.bbk_attack(build_victim(mode=SimMode.LEGACY), {exchange: [b"x"]})
+        assert attacker.trace.events == []
 
     def test_attacker_state_is_air_interface_only(self):
         attacker = adversary()

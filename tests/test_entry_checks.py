@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from akasim import auth_core as ac, crypto_suite as cs
-from akasim.adversary import InterceptLog
+from akasim.adversary import Adversary
 from akasim.errors import MalformedInputError
 from akasim.mobile_equipment import MeProfile, MobileEquipment
 from akasim.network_side import HomeNetwork
@@ -60,6 +60,21 @@ def _handle_challenge(mode: SimMode, rand):
         raise
 
 
+def _overhear_challenge(rand):
+    """Adversary.overhear_challenge after one logged challenge; a refused
+    challenge leaves the log as it was.  Returns each logged challenge with
+    its type."""
+    attacker = Adversary(rng=random.Random(0))
+    attacker.overhear_challenge(RAND)
+    before = list(attacker.log)
+    try:
+        attacker.overhear_challenge(rand)
+    except MalformedInputError:
+        assert attacker.log == before
+        raise
+    return [(type(exchange.rand), exchange.rand) for exchange in attacker.log]
+
+
 # entry point/argument -> (call with that argument replaced, a good value)
 ENTRIES = {
     "verify_hijacked_rand/ka": (lambda v: ac.verify_hijacked_rand(v, 0, RAND, KI, random.Random(0)), KA),
@@ -79,6 +94,7 @@ ENTRIES = {
         lambda v: _handle_challenge(SimMode.LEGACY, v),
         RAND,
     ),
+    "Adversary.overhear_challenge": (_overhear_challenge, RAND),
     "f1_mac/ka": (lambda v: cs.f1_mac(v, MSG), KA),
     "f1_mac/amf_sqn": (lambda v: cs.f1_mac(KA, v), MSG),
     "f5_mask/ka": (lambda v: cs.f5_mask(v, MSG), KA),
@@ -211,14 +227,57 @@ def test_send_traffic_accepts_bytes_or_bytearray(alg):
 
 @pytest.mark.parametrize(
     "args",
-    [(-1, cs.CipherAlgId.A5_3, b"ab"), (0, "A5_3", b"ab"), (0, cs.CipherAlgId.A5_3, "ab")],
-    ids=["frame_index=-1", "alg=str", "ciphertext=str"],
+    [
+        (-1, cs.CipherAlgId.A5_3, b"ab"),
+        (True, cs.CipherAlgId.A5_3, b"ab"),
+        (1 << 64, cs.CipherAlgId.A5_3, b"ab"),
+        (0, "A5_3", b"ab"),
+        (0, None, b"ab"),
+        (0, cs.CipherAlgId.A5_3, "ab"),
+        (0, cs.CipherAlgId.A5_3, [1, 2]),
+        (0, cs.CipherAlgId.A5_3, None),
+    ],
+    ids=[
+        "frame_index=-1",
+        "frame_index=True",
+        "frame_index=2**64",
+        "alg=str",
+        "alg=None",
+        "ciphertext=str",
+        "ciphertext=list",
+        "ciphertext=None",
+    ],
 )
 def test_intercept_log_rejects_bad_frame(args):
-    log = InterceptLog()
+    attacker = Adversary(rng=random.Random(0))
     with pytest.raises(MalformedInputError):
-        log.note_frame(*args)
-    assert not log.records
+        attacker.overhear_frame(*args)
+    assert not attacker.log
+
+
+def test_replay_reads_the_octets_as_they_were_overheard():
+    # the caller's buffers change after the challenge and the frame crossed the air
+    victim = _ciphering_ue(cs.CipherAlgId.A5_3, [])
+    attacker = Adversary(rng=random.Random(0))
+    rand = bytearray(RAND)
+    ciphertext = bytearray(victim.send_traffic(b"secret", 0))
+    attacker.overhear_challenge(rand)
+    exchange = attacker.overhear_frame(0, cs.CipherAlgId.A5_3, ciphertext)
+    rand[:] = bytes(len(rand))
+    ciphertext[:] = bytes(len(ciphertext))
+    assert attacker.log == [exchange]
+    assert type(exchange.rand) is bytes
+    assert [type(frame.ciphertext) for frame in exchange.frames] == [bytes]
+    victim.power_cycle()
+    events = []
+    attacker.trace = lambda actor, **event: events.append(event)
+    attacker.bbk_attack(victim, {exchange: [b"secret"]})
+    assert events[-1] == {
+        "msg": "ATTACK_RESULT",
+        "kind": "BBK_REPLAY",
+        "succeeded": True,
+        "recovered_kc": cs.a8_kc(KI, RAND).hex(),
+    }
 
 
 keys = st.binary(min_size=16, max_size=16)

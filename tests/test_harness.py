@@ -441,11 +441,30 @@ class TestEngineFlow:
         # only the challenge replay reads the frames of a logged exchange
         engine = harness.ScenarioEngine(ScenarioConfig.from_dict(eavesdropper_with_victim_traffic()))
         result = engine.run()
-        records = engine.adversary.log.records
-        assert records and all(record.frames == [] for record in records)
+        log = engine.adversary.log
+        assert log and all(exchange.frames == [] for exchange in log)
         assert hashlib.sha256(harness.render_trace(result.trace).encode()).hexdigest() == (
             EAVESDROPPER_TRACE_SHA256
         )
+
+    def test_replay_keeps_only_air_state(self, monkeypatch):
+        # the plaintexts behind the log are passed to the attack, never kept
+        engines = []
+        run = harness.ScenarioEngine.run
+
+        def spy(engine):
+            engines.append(engine)
+            return run(engine)
+
+        monkeypatch.setattr(harness.ScenarioEngine, "run", spy)
+        result = run_scenario(ScenarioConfig.loads((CONFIGS / "bbk_legacy.json").read_text()))
+        assert result.error is None and result.all_asserts_passed
+        (engine,) = engines
+        adversary = engine.adversary
+        assert set(vars(adversary)) == {"rng", "trace", "name", "own_ue", "log"}
+        (exchange,) = adversary.log
+        assert type(exchange.rand) is bytes and len(exchange.frames) == 2
+        assert all(type(frame.ciphertext) is bytes for frame in exchange.frames)
 
     def test_replayed_challenge_reads_a_legacy_victims_traffic(self):
         config = replaying_eavesdropper("mitm_legacy.json")
@@ -522,6 +541,85 @@ class TestEngineFlow:
         result = run_scenario(ScenarioConfig.from_dict(raw))
         assert not result.aborted
         assert not result.all_asserts_passed
+
+
+PRE_CHALLENGE = "70726520636861"
+POST_CHALLENGE = "706f7374206368616c6c656e6765"
+
+
+def replay_run(script, me_profiles=None, subscribers=None):
+    """configs/bbk_legacy.json (seed 2002, A5/3) with another script."""
+    raw = json.loads((CONFIGS / "bbk_legacy.json").read_text())
+    raw["script"] = script
+    if me_profiles is not None:
+        raw["me_profiles"] = me_profiles
+    if subscribers is not None:
+        raw["subscribers"] = subscribers
+    result = run_scenario(ScenarioConfig.from_dict(raw))
+    return result, harness.summarize(result)["attacks"]
+
+
+class TestReplayFiling:
+    """Which exchange each frame is filed under, and which one the replay picks."""
+
+    PERMISSIVE = {VICTIM: {"accepts_unauthenticated": True}}
+
+    def test_pre_challenge_frame_goes_to_the_null_exchange(self):
+        result, (report,) = replay_run(
+            [
+                {"op": "ATTACH", "imsi": VICTIM},
+                {"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": PRE_CHALLENGE},
+                {"op": "REQUEST_TRIPLES", "imsi": VICTIM, "n": 1},
+                {"op": "CHALLENGE", "imsi": VICTIM},
+                {"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": POST_CHALLENGE},
+                {"op": "POWER_CYCLE_UE", "imsi": VICTIM},
+                {"op": "RUN_ATTACK", "victim": VICTIM},
+            ],
+            me_profiles=self.PERMISSIVE,
+        )
+        assert result.error is None
+        assert report["succeeded"]
+        assert report["recovered_plaintext"] == POST_CHALLENGE
+
+    def test_only_a_null_exchange_aborts_the_replay(self):
+        result, attacks = replay_run(
+            [
+                {"op": "ATTACH", "imsi": VICTIM},
+                {"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": PRE_CHALLENGE},
+                {"op": "RUN_ATTACK", "victim": VICTIM},
+            ],
+            me_profiles=self.PERMISSIVE,
+        )
+        assert result.error == (
+            "step 2 (RUN_ATTACK): intercept log holds no exchange with strong-cipher traffic"
+        )
+        assert attacks == []
+
+    def test_frame_is_filed_under_the_latest_challenge_on_the_air(self):
+        # V's frame follows W's challenge, so the replay sends V W's RAND
+        result, (report,) = replay_run(
+            [
+                {"op": "ATTACH", "imsi": VICTIM},
+                {"op": "REQUEST_TRIPLES", "imsi": VICTIM, "n": 1},
+                {"op": "CHALLENGE", "imsi": VICTIM},
+                {"op": "ATTACH", "imsi": OTHER},
+                {"op": "REQUEST_TRIPLES", "imsi": OTHER, "n": 1},
+                {"op": "CHALLENGE", "imsi": OTHER},
+                {"op": "SEND_TRAFFIC", "imsi": VICTIM, "plaintext": POST_CHALLENGE},
+                {"op": "RUN_ATTACK", "victim": VICTIM},
+            ],
+            subscribers=[
+                {"imsi": VICTIM, "mode": "LEGACY"},
+                {"imsi": OTHER, "mode": "LEGACY"},
+            ],
+        )
+        assert result.error is None
+        (_, challenged_w) = _rands(result, "AUTH_CHALLENGE")
+        assert _rands(result, "FAKE_AUTH_CHALLENGE") == [challenged_w]
+        assert not report["succeeded"]
+        assert report["failure_cause"] == "decryption mismatch"
+        assert report["recovered_kc"] == "7edf393476197bbb"
+        assert report["recovered_plaintext"] == "ab4c0a8f387eeee33be7f3902cb8"
 
 
 def make_trace(*events):

@@ -162,17 +162,17 @@ def test_bbk_decrypt_matches_oracle():
     all three ciphers, every oracle length and both extreme frame indices."""
     victim, kc = ciphering_ue(cs.CipherAlgId.A5_3)
     attacker = Adversary(rng=random.Random(0), tracer=Tracer())
-    attacker.log.start_exchange(RAND)
+    attacker.overhear_challenge(RAND)
     truth = b""
     for alg in CIPHERS:
         for length in ORACLE_LENGTHS:
             for frame_index in FRAME_INDICES:
                 text = plaintext(length, f"{alg.value}/{frame_index}")
                 ciphertext = reference_ciphertext(alg, kc, frame_index, text)
-                attacker.log.note_frame(frame_index, alg, ciphertext)
+                exchange = attacker.overhear_frame(frame_index, alg, ciphertext)
                 truth += text
     victim.power_cycle()
-    attacker.bbk_attack(victim, ground_truth=truth)
+    attacker.bbk_attack(victim, {exchange: [truth]})
     (report,) = summarize(ScenarioResult(attacker.trace.events, None, True))["attacks"]
     assert report["recovered_kc"] == kc.hex()
     assert report["recovered_plaintext"] == truth.hex()
@@ -184,12 +184,12 @@ def test_bbk_decrypt_passes_unciphered_frames_through():
     strong frame's plaintext and then the NONE frame's octets verbatim."""
     victim, kc = ciphering_ue(cs.CipherAlgId.A5_3)
     attacker = Adversary(rng=random.Random(0), tracer=Tracer())
-    attacker.log.start_exchange(RAND)
+    attacker.overhear_challenge(RAND)
     strong, clear = plaintext(33, "strong"), plaintext(17, "clear")
-    attacker.log.note_frame(5, cs.CipherAlgId.A5_3, victim.send_traffic(strong, 5))
-    attacker.log.note_frame(6, cs.CipherAlgId.NONE, clear)
+    attacker.overhear_frame(5, cs.CipherAlgId.A5_3, victim.send_traffic(strong, 5))
+    exchange = attacker.overhear_frame(6, cs.CipherAlgId.NONE, clear)
     victim.power_cycle()
-    attacker.bbk_attack(victim, ground_truth=strong + clear)
+    attacker.bbk_attack(victim, {exchange: [strong, clear]})
     (report,) = summarize(ScenarioResult(attacker.trace.events, None, True))["attacks"]
     assert report["recovered_kc"] == kc.hex()
     assert report["recovered_plaintext"] == (strong + clear).hex()
